@@ -14,10 +14,27 @@
 //! machine running the same binary. Weighted policies use the
 //! Efraimidis–Spirakis one-pass reservoir scheme (smallest `-ln(u)/w`
 //! keys win), which gives exact weighted sampling *without replacement*
-//! in O(fleet · log cohort) with a bounded heap — no shuffling of a
-//! million-entry vector.
-
-use std::collections::BinaryHeap;
+//! — no shuffling of a million-entry vector.
+//!
+//! # The selection kernel
+//!
+//! All three samplers reduce to "the `cohort` smallest `(key, id)` pairs",
+//! with ties on the key broken by id. Keys are integers that order
+//! exactly like [`f64::total_cmp`] on the float key (the weighted
+//! samplers) or like the draw itself (the uniform sampler orders by the
+//! 53 raw bits behind [`unit_draw`]). One pass over the fleet admits
+//! pairs below a running cut into a buffer of `2 · cohort`; each time the
+//! buffer fills, a linear-time select shrinks it back to `cohort` and
+//! tightens the cut. That is O(fleet) expected with no heap.
+//!
+//! Fleets of at least `2 · 2^17` clients are scanned across cores: the
+//! fleet splits into contiguous chunks of at least 2^17 clients, at most
+//! one per available core, and each chunk keeps its own `cohort`
+//! smallest pairs. The `cohort` smallest of their union are exactly the
+//! global `cohort` smallest, so the cohort is the same at any chunk
+//! count. The scan runs before the round's shard pass, while that pool
+//! is idle, so its thread count follows the host rather than
+//! `ScaleConfig::workers`; smaller fleets stay on the calling thread.
 
 use crate::fault::stream_seed;
 use crate::generator::DeviceKind;
@@ -130,64 +147,148 @@ impl Default for LossStalenessSampler {
     }
 }
 
-/// A uniform draw in `(0, 1]`, pure in `(seed, round, id)`. The open
-/// lower bound keeps `ln` finite for the weighted keys.
-fn unit_draw(seed: u64, round: usize, id: u32) -> f64 {
+impl EnergyAwareSampler {
+    /// Efraimidis–Spirakis key for weight `energy^-alpha`.
+    fn key(&self, s: &ClientStat, round: usize, seed: u64) -> f64 {
+        let u = unit_draw(seed, round, s.id);
+        let energy = (s.energy_j_est as f64).max(1e-6);
+        -u.ln() * energy.powf(self.alpha)
+    }
+}
+
+impl LossStalenessSampler {
+    /// Efraimidis–Spirakis key for the loss × staleness weight.
+    fn key(&self, s: &ClientStat, round: usize, seed: u64) -> f64 {
+        let u = unit_draw(seed, round, s.id);
+        let loss = (s.last_loss as f64 + 0.05).max(1e-6);
+        let fresh = 1.0 + s.staleness(round) as f64;
+        let w = loss.powf(self.loss_exp) * fresh.powf(self.staleness_exp);
+        -u.ln() / w
+    }
+}
+
+/// The 53 uniform bits behind [`unit_draw`], pure in `(seed, round, id)`.
+fn draw_bits(seed: u64, round: usize, id: u32) -> u64 {
     let mut h = stream_seed(seed, round, id as usize, SAMPLER_SALT);
     // splitmix64 finalizer: turns the XOR mix into well-distributed bits.
     h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
     h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     h ^= h >> 31;
-    (((h >> 11) as f64) + 1.0) / (1u64 << 53) as f64
+    h >> 11
 }
 
-/// A max-heap entry ordered by `(key, id)`; the heap keeps the cohort's
-/// *smallest* keys by evicting its largest root.
-struct HeapKey(f64, u32);
-
-impl PartialEq for HeapKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.total_cmp(&other.0).is_eq() && self.1 == other.1
-    }
-}
-impl Eq for HeapKey {}
-impl PartialOrd for HeapKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
+/// A uniform draw in `(0, 1]`, pure in `(seed, round, id)`. The open
+/// lower bound keeps `ln` finite for the weighted keys. The map from
+/// [`draw_bits`] is exact and strictly increasing.
+fn unit_draw(seed: u64, round: usize, id: u32) -> f64 {
+    (draw_bits(seed, round, id) as f64 + 1.0) / (1u64 << 53) as f64
 }
 
-/// Shared smallest-`cohort`-keys scan: one pass over the fleet, bounded
-/// heap, then the winners sorted ascending by id.
+/// An integer that orders exactly like `x` under [`f64::total_cmp`]
+/// (the same bit transform it uses), so `-0.0 < +0.0` and NaNs sort to
+/// the ends by sign.
+fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// A selection candidate: ordered by key, ties broken by id.
+type Candidate = (i64, u32);
+
+/// Scan chunks never hold fewer clients than this, so fleets below
+/// twice this size are scanned on the calling thread.
+const MIN_SCAN_CHUNK: usize = 1 << 17;
+
+/// Shared smallest-`cohort`-keys selection: the winners, sorted ascending
+/// by id. Large fleets are scanned across the host's cores.
 fn smallest_k(
     fleet: &[ClientStat],
     cohort: usize,
     out: &mut Vec<u32>,
-    mut key: impl FnMut(&ClientStat) -> f64,
+    key: impl Fn(&ClientStat) -> i64 + Sync,
+) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let chunks = cores.min(fleet.len() / MIN_SCAN_CHUNK).max(1);
+    smallest_k_chunked(fleet, cohort, chunks, out, key);
+}
+
+/// [`smallest_k`] over `chunks >= 1` contiguous chunks of equal size
+/// (fewer when the fleet is smaller), each scanned on its own thread, the
+/// first on the calling thread. The result does not depend on `chunks`.
+fn smallest_k_chunked(
+    fleet: &[ClientStat],
+    cohort: usize,
+    chunks: usize,
+    out: &mut Vec<u32>,
+    key: impl Fn(&ClientStat) -> i64 + Sync,
 ) {
     out.clear();
-    if cohort == 0 || fleet.is_empty() {
+    let k = cohort.min(fleet.len());
+    if k == 0 {
         return;
     }
-    let k = cohort.min(fleet.len());
-    let mut heap: BinaryHeap<HeapKey> = BinaryHeap::with_capacity(k + 1);
-    for stat in fleet {
-        let entry = HeapKey(key(stat), stat.id);
-        if heap.len() < k {
-            heap.push(entry);
-        } else if entry < *heap.peek().expect("heap is non-empty at capacity") {
-            heap.pop();
-            heap.push(entry);
+    let size = fleet.len().div_ceil(chunks);
+    let mut parts = fleet.chunks(size);
+    let head = parts.next().expect("fleet is non-empty");
+    let mut winners = Vec::with_capacity(2 * k);
+    std::thread::scope(|scope| {
+        let key = &key;
+        let tails: Vec<_> = parts
+            .map(|part| {
+                scope.spawn(move || {
+                    let mut found = Vec::new();
+                    scan_chunk(part, k, key, &mut found);
+                    found
+                })
+            })
+            .collect();
+        scan_chunk(head, k, key, &mut winners);
+        for tail in tails {
+            winners.extend(tail.join().expect("sampler scan thread panicked"));
+        }
+    });
+    keep_smallest(&mut winners, k);
+    out.extend(winners.iter().map(|&(_, id)| id));
+    out.sort_unstable();
+}
+
+/// Leaves the `k` smallest candidates of `part` in `found` (unordered).
+fn scan_chunk(
+    part: &[ClientStat],
+    k: usize,
+    key: &impl Fn(&ClientStat) -> i64,
+    found: &mut Vec<Candidate>,
+) {
+    found.clear();
+    let cap = 2 * k;
+    let mut rest = part.iter();
+    found.extend(rest.by_ref().take(cap).map(|s| (key(s), s.id)));
+    if found.len() == cap {
+        // A select leaves the k-th smallest last: a newcomer must beat it.
+        keep_smallest(found, k);
+        let mut cut = found[k - 1];
+        for stat in rest {
+            let candidate = (key(stat), stat.id);
+            if candidate < cut {
+                found.push(candidate);
+                if found.len() == cap {
+                    keep_smallest(found, k);
+                    cut = found[k - 1];
+                }
+            }
         }
     }
-    out.extend(heap.into_iter().map(|HeapKey(_, id)| id));
-    out.sort_unstable();
+    keep_smallest(found, k);
+}
+
+/// Truncates `found` to its `k` smallest candidates (`k >= 1`), with the
+/// largest of them last.
+fn keep_smallest(found: &mut Vec<Candidate>, k: usize) {
+    if found.len() > k {
+        found.select_nth_unstable(k - 1);
+        found.truncate(k);
+    }
 }
 
 impl ClientSampler for UniformSampler {
@@ -203,7 +304,7 @@ impl ClientSampler for UniformSampler {
         seed: u64,
         out: &mut Vec<u32>,
     ) {
-        smallest_k(fleet, cohort, out, |s| unit_draw(seed, round, s.id));
+        smallest_k(fleet, cohort, out, |s| draw_bits(seed, round, s.id) as i64);
     }
 
     fn clone_box(&self) -> Box<dyn ClientSampler> {
@@ -224,12 +325,8 @@ impl ClientSampler for EnergyAwareSampler {
         seed: u64,
         out: &mut Vec<u32>,
     ) {
-        let alpha = self.alpha;
         smallest_k(fleet, cohort, out, |s| {
-            let u = unit_draw(seed, round, s.id);
-            let energy = (s.energy_j_est as f64).max(1e-6);
-            // Efraimidis–Spirakis key for weight energy^-alpha.
-            -u.ln() * energy.powf(alpha)
+            total_order_key(self.key(s, round, seed))
         });
     }
 
@@ -252,11 +349,7 @@ impl ClientSampler for LossStalenessSampler {
         out: &mut Vec<u32>,
     ) {
         smallest_k(fleet, cohort, out, |s| {
-            let u = unit_draw(seed, round, s.id);
-            let loss = (s.last_loss as f64 + 0.05).max(1e-6);
-            let fresh = 1.0 + s.staleness(round) as f64;
-            let w = loss.powf(self.loss_exp) * fresh.powf(self.staleness_exp);
-            -u.ln() / w
+            total_order_key(self.key(s, round, seed))
         });
     }
 
@@ -394,5 +487,177 @@ mod tests {
         let mut out = Vec::new();
         UniformSampler.sample(&fleet, 100, 0, 1, &mut out);
         assert_eq!(out, (0..8).collect::<Vec<u32>>());
+    }
+
+    /// Splitmix64 step: a tiny deterministic generator for random fleets.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A fleet of `n` clients whose ids are a strided permutation of
+    /// `0..n`, so an id is rarely its index, with random energy, loss and
+    /// history.
+    fn random_fleet(n: usize, seed: u64) -> Vec<ClientStat> {
+        let mut state = seed;
+        let stride = (0..).map(|s| 7 + 2 * s).find(|s| gcd(*s, n) == 1).unwrap();
+        (0..n)
+            .map(|i| {
+                let r = next(&mut state);
+                ClientStat {
+                    id: ((i * stride + 3) % n) as u32,
+                    samples: 100,
+                    energy_j_est: 10.0 + (r % 290) as f32,
+                    last_loss: ((r >> 16) % 300) as f32 / 100.0,
+                    last_selected: if r >> 40 & 1 == 0 {
+                        u32::MAX
+                    } else {
+                        ((r >> 41) % 30) as u32
+                    },
+                    kind: DeviceKind::JetsonTx2,
+                }
+            })
+            .collect()
+    }
+
+    fn gcd(a: usize, b: usize) -> usize {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+
+    /// The naive reference: fully sort by `(total_cmp key, id)`, keep the
+    /// first `cohort`, return them sorted by id.
+    fn reference(
+        fleet: &[ClientStat],
+        cohort: usize,
+        key: impl Fn(&ClientStat) -> f64,
+    ) -> Vec<u32> {
+        let mut all: Vec<(f64, u32)> = fleet.iter().map(|s| (key(s), s.id)).collect();
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut ids: Vec<u32> = all.iter().take(cohort).map(|&(_, id)| id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Checks the kernel against [`reference`] at every chunk count, for
+    /// cohorts 0, 1, a middle size, `len` and beyond.
+    fn assert_matches_reference(fleet: &[ClientStat], key: impl Fn(&ClientStat) -> f64 + Sync) {
+        let n = fleet.len();
+        let mut out = Vec::new();
+        for cohort in [0, 1, n / 3, n.saturating_sub(1), n, n + 5] {
+            let want = reference(fleet, cohort, &key);
+            for chunks in [1, 2, 3, 7] {
+                smallest_k_chunked(fleet, cohort, chunks, &mut out, |s| total_order_key(key(s)));
+                assert_eq!(out, want, "cohort {cohort} chunks {chunks} fleet {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn total_order_key_orders_like_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -f64::NAN,
+            f64::NAN,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::from_bits(0x7FF0_0000_0000_0001),
+            f64::from_bits(0xFFFF_FFFF_FFFF_FFFF),
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_breaks_ties_by_id() {
+        let fleet = random_fleet(301, 1);
+        assert_matches_reference(&fleet, |_| 0.5);
+    }
+
+    #[test]
+    fn kernel_orders_signed_zeros_infinities_and_nans() {
+        let specials = [
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            1.0,
+            -2.0,
+        ];
+        let fleet = random_fleet(250, 2);
+        assert_matches_reference(&fleet, |s| specials[s.id as usize % specials.len()]);
+    }
+
+    #[test]
+    fn kernel_matches_reference_on_random_keys() {
+        for (n, seed) in [(1, 3), (2, 4), (9, 5), (1000, 6), (4099, 7)] {
+            let fleet = random_fleet(n, seed);
+            assert_matches_reference(&fleet, |s| {
+                let mut st = u64::from(s.id) ^ seed;
+                // Coarse keys force many ties on top of the random order.
+                (next(&mut st) % 97) as f64 - 48.0
+            });
+        }
+    }
+
+    #[test]
+    fn samplers_match_reference_at_every_chunk_count() {
+        let mut out = Vec::new();
+        for (n, seed) in [(700, 8), (3001, 9)] {
+            let fleet = random_fleet(n, seed);
+            for round in [0, 17] {
+                let energy = EnergyAwareSampler { alpha: 1.5 };
+                let loss = LossStalenessSampler::default();
+                assert_matches_reference(&fleet, |s| unit_draw(seed, round, s.id));
+                assert_matches_reference(&fleet, |s| energy.key(s, round, seed));
+                assert_matches_reference(&fleet, |s| loss.key(s, round, seed));
+
+                // The public entry points agree, including the uniform
+                // sampler's integer keys.
+                let cohort = n / 10;
+                UniformSampler.sample(&fleet, cohort, round, seed, &mut out);
+                assert_eq!(
+                    out,
+                    reference(&fleet, cohort, |s| unit_draw(seed, round, s.id))
+                );
+                for chunks in [2, 3, 7] {
+                    smallest_k_chunked(&fleet, cohort, chunks, &mut out, |s| {
+                        draw_bits(seed, round, s.id) as i64
+                    });
+                    assert_eq!(
+                        out,
+                        reference(&fleet, cohort, |s| unit_draw(seed, round, s.id))
+                    );
+                }
+                energy.sample(&fleet, cohort, round, seed, &mut out);
+                assert_eq!(
+                    out,
+                    reference(&fleet, cohort, |s| energy.key(s, round, seed))
+                );
+                loss.sample(&fleet, cohort, round, seed, &mut out);
+                assert_eq!(out, reference(&fleet, cohort, |s| loss.key(s, round, seed)));
+            }
+        }
     }
 }
