@@ -1,5 +1,21 @@
 use crate::{GpError, Kernel, KernelKind, NelderMead};
 use bofl_linalg::{Cholesky, Matrix, Standardizer};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of [`GaussianProcess`] identities. Every fit and every
+/// fantasy conditioning draws a fresh id, so a [`PredictCache`] can tell
+/// "the model my rows describe", "its one-point fantasy" and "anything
+/// else" apart. `0` is never issued.
+static NEXT_MODEL_ID: AtomicU64 = AtomicU64::new(1);
+
+fn next_model_id() -> u64 {
+    NEXT_MODEL_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Rows added past the current observation count when a
+/// [`PredictCache`] is (re)built, so a batch of fantasies appends in
+/// place; a longer chain rebuilds the cache once per overflow.
+const CACHE_HEADROOM: usize = 16;
 
 /// Posterior predictive distribution of the latent function at one point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,6 +115,73 @@ pub struct GaussianProcess {
     chol: Cholesky,
     alpha: Vec<f64>,
     dim: usize,
+    /// Identity of this posterior (see [`PredictCache`]); a clone keeps
+    /// it, since it is the same posterior.
+    id: u64,
+    /// Id of the model this one was conditioned from, `0` for a fit.
+    parent: u64,
+}
+
+/// Per-candidate scan state a chunk of queries carries along a
+/// Kriging-believer fantasy chain ([`GaussianProcess::predict_batch_cached`]).
+///
+/// For each query `c` it keeps the kernel row `k*(c)`, the half-solve
+/// `v = L⁻¹k*` and the running `Σ vᵢ²`, one flat buffer of
+/// `queries × stride` per vector. Conditioning appends one bordered row
+/// to the Cholesky factor and one training point, and leaves every
+/// earlier row, point and hyperparameter as it was, so moving the cache
+/// one fantasy down the chain costs one kernel evaluation and one
+/// forward-substitution row per query instead of `n` evaluations and an
+/// `O(n²)` solve.
+///
+/// The cache is tagged with the id of the model its rows describe and a
+/// copy of the query coordinates. It is reused only by that model, and
+/// extended only by that model's one-point fantasy on the same queries;
+/// any other model — a fresh fit, other hyperparameters, fewer
+/// observations, a sibling fantasy — or other queries rebuild it from
+/// scratch. A default (empty) cache always rebuilds.
+#[derive(Debug, Default)]
+pub struct PredictCache {
+    /// Id of the model the rows describe; `0` when empty or invalidated.
+    model: u64,
+    /// Flattened coordinates of the queries the rows were built for.
+    queries: Vec<f64>,
+    /// Observations reflected in each row.
+    n: usize,
+    /// Row capacity per query.
+    stride: usize,
+    k: Vec<f64>,
+    v: Vec<f64>,
+    sumsq: Vec<f64>,
+}
+
+impl PredictCache {
+    /// `true` if the rows were built for exactly these query points.
+    fn holds_queries(&self, queries: &[Vec<f64>]) -> bool {
+        let mut flat = self.queries.iter();
+        queries
+            .iter()
+            .flatten()
+            .all(|q| flat.next().is_some_and(|c| c.to_bits() == q.to_bits()))
+            && flat.next().is_none()
+    }
+
+    /// Drops all rows and sizes the buffers for `queries` at `n`
+    /// observations plus headroom.
+    fn rebuild(&mut self, queries: &[Vec<f64>], n: usize) {
+        let m = queries.len();
+        self.model = 0;
+        self.queries.clear();
+        self.queries.extend(queries.iter().flatten());
+        self.n = 0;
+        self.stride = n + CACHE_HEADROOM;
+        self.k.clear();
+        self.k.resize(m * self.stride, 0.0);
+        self.v.clear();
+        self.v.resize(m * self.stride, 0.0);
+        self.sumsq.clear();
+        self.sumsq.resize(m, 0.0);
+    }
 }
 
 impl Clone for GaussianProcess {
@@ -114,6 +197,8 @@ impl Clone for GaussianProcess {
             chol: self.chol.clone(),
             alpha: self.alpha.clone(),
             dim: self.dim,
+            id: self.id,
+            parent: self.parent,
         }
     }
 }
@@ -204,6 +289,8 @@ impl GaussianProcess {
             chol,
             alpha,
             dim,
+            id: next_model_id(),
+            parent: 0,
         })
     }
 
@@ -395,6 +482,101 @@ impl GaussianProcess {
     /// Returns [`GpError::DimensionMismatch`] if `x` has the wrong
     /// dimension and [`GpError::NonFinite`] if it contains NaN/infinities.
     pub fn predict(&self, x: &[f64]) -> Result<Posterior, GpError> {
+        self.validate_query(x)?;
+        let k_star: Vec<f64> = self.xs.iter().map(|xi| self.kernel.eval(xi, x)).collect();
+        let mean_std: f64 = k_star.iter().zip(&self.alpha).map(|(k, a)| k * a).sum();
+        let v = self.chol.solve_half(&k_star)?;
+        Ok(self.posterior(mean_std, v.iter().map(|vi| vi * vi).sum::<f64>()))
+    }
+
+    /// Posterior predictive distributions at a batch of query points.
+    ///
+    /// Equivalent to calling [`GaussianProcess::predict`] per query, but
+    /// validates once and fills one flat scratch buffer for the whole
+    /// batch, so scanning a large candidate set does not allocate per
+    /// point. It is [`GaussianProcess::predict_batch_cached`] with a
+    /// fresh cache.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`GaussianProcess::predict`]; validation covers
+    /// the whole batch before any prediction is computed.
+    pub fn predict_batch(&self, queries: &[Vec<f64>]) -> Result<Vec<Posterior>, GpError> {
+        self.predict_batch_cached(queries, &mut PredictCache::default())
+    }
+
+    /// [`GaussianProcess::predict_batch`] that carries its per-query
+    /// state in `cache` from one model of a fantasy chain to the next.
+    ///
+    /// When `cache` holds rows for this model's parent (the model
+    /// [`GaussianProcess::condition_on`] was called on) over the same
+    /// queries, each query costs one kernel evaluation, one
+    /// forward-substitution row ([`Cholesky::solve_half_from`]) and the
+    /// `O(n)` mean dot; for this model itself, only the mean dot. Any
+    /// other cache is rebuilt at the cost of a from-scratch prediction.
+    ///
+    /// The result is bitwise identical to a fresh cache's (that is, to
+    /// [`GaussianProcess::predict_batch`]): each `vᵢ` is
+    /// the same `dot_kernel` call over the same row prefix, `Σ vᵢ²`
+    /// continues the same left-to-right fold, and the mean is the same
+    /// `k*·α` expression (α changes entirely with every fantasy, so it
+    /// is recomputed, not cached).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`GaussianProcess::predict_batch`]. A failed
+    /// solve leaves the cache invalidated, so the next call rebuilds it.
+    pub fn predict_batch_cached(
+        &self,
+        queries: &[Vec<f64>],
+        cache: &mut PredictCache,
+    ) -> Result<Vec<Posterior>, GpError> {
+        queries.iter().try_for_each(|x| self.validate_query(x))?;
+        let n = self.xs.len();
+        let reusable = cache.model != 0 && cache.holds_queries(queries);
+        let from = if reusable && cache.model == self.id && cache.n == n {
+            n
+        } else if reusable && cache.model == self.parent && cache.n + 1 == n && n <= cache.stride {
+            cache.n
+        } else {
+            cache.rebuild(queries, n);
+            0
+        };
+        // Rows are half-updated until the loop finishes.
+        cache.model = 0;
+        let stride = cache.stride;
+        let mut out = Vec::with_capacity(queries.len());
+        for (c, x) in queries.iter().enumerate() {
+            let row = c * stride..c * stride + n;
+            let k_star = &mut cache.k[row.clone()];
+            for (k, xi) in k_star[from..].iter_mut().zip(&self.xs[from..]) {
+                *k = self.kernel.eval(xi, x);
+            }
+            let mean_std: f64 = k_star.iter().zip(&self.alpha).map(|(k, a)| k * a).sum();
+            let v = &mut cache.v[row];
+            self.chol.solve_half_from(k_star, v, from)?;
+            // Same association order as `predict` (a left-to-right fold),
+            // so a fresh cache agrees with scalar prediction bitwise and
+            // continuing the fold from the cached prefix sum adds the
+            // terms in the same order.
+            let sumsq = if from == 0 {
+                v.iter().map(|vi| vi * vi).sum::<f64>()
+            } else {
+                v[from..]
+                    .iter()
+                    .fold(cache.sumsq[c], |acc, vi| acc + vi * vi)
+            };
+            cache.sumsq[c] = sumsq;
+            out.push(self.posterior(mean_std, sumsq));
+        }
+        cache.n = n;
+        cache.model = self.id;
+        Ok(out)
+    }
+
+    /// Rejects a query of the wrong dimension or with non-finite
+    /// coordinates.
+    fn validate_query(&self, x: &[f64]) -> Result<(), GpError> {
         if x.len() != self.dim {
             return Err(GpError::DimensionMismatch {
                 detail: format!("query dim {} vs model dim {}", x.len(), self.dim),
@@ -403,58 +585,17 @@ impl GaussianProcess {
         if x.iter().any(|v| !v.is_finite()) {
             return Err(GpError::NonFinite);
         }
-        let k_star: Vec<f64> = self.xs.iter().map(|xi| self.kernel.eval(xi, x)).collect();
-        let mean_std: f64 = k_star.iter().zip(&self.alpha).map(|(k, a)| k * a).sum();
-        let v = self.chol.solve_half(&k_star)?;
-        let var_std = (self.kernel.variance() - v.iter().map(|vi| vi * vi).sum::<f64>()).max(0.0);
-        Ok(Posterior {
-            mean: self.y_transform.invert(mean_std),
-            variance: var_std * self.y_transform.scale() * self.y_transform.scale(),
-        })
+        Ok(())
     }
 
-    /// Posterior predictive distributions at a batch of query points.
-    ///
-    /// Equivalent to calling [`GaussianProcess::predict`] per query, but
-    /// validates once and reuses the `k_star`/half-solve scratch buffers
-    /// across queries, so scanning a large candidate set does not allocate
-    /// per point.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GaussianProcess::predict`]; validation covers
-    /// the whole batch before any prediction is computed.
-    pub fn predict_batch(&self, queries: &[Vec<f64>]) -> Result<Vec<Posterior>, GpError> {
-        for x in queries {
-            if x.len() != self.dim {
-                return Err(GpError::DimensionMismatch {
-                    detail: format!("query dim {} vs model dim {}", x.len(), self.dim),
-                });
-            }
-            if x.iter().any(|v| !v.is_finite()) {
-                return Err(GpError::NonFinite);
-            }
+    /// Posterior in output units from the standardized mean `k*·α` and
+    /// the quadratic form `‖L⁻¹k*‖²`.
+    fn posterior(&self, mean_std: f64, sumsq: f64) -> Posterior {
+        let var_std = (self.kernel.variance() - sumsq).max(0.0);
+        Posterior {
+            mean: self.y_transform.invert(mean_std),
+            variance: var_std * self.y_transform.scale() * self.y_transform.scale(),
         }
-        let n = self.xs.len();
-        let prior = self.kernel.variance();
-        let mut k_star = vec![0.0; n];
-        let mut v = vec![0.0; n];
-        let mut out = Vec::with_capacity(queries.len());
-        for x in queries {
-            for (k, xi) in k_star.iter_mut().zip(&self.xs) {
-                *k = self.kernel.eval(xi, x);
-            }
-            let mean_std: f64 = k_star.iter().zip(&self.alpha).map(|(k, a)| k * a).sum();
-            self.chol.solve_half_into(&k_star, &mut v)?;
-            let var_std = (prior - v.iter().map(|vi| vi * vi).sum::<f64>()).max(0.0);
-            // Same association order as `predict`, so batch and scalar
-            // prediction agree bitwise.
-            out.push(Posterior {
-                mean: self.y_transform.invert(mean_std),
-                variance: var_std * self.y_transform.scale() * self.y_transform.scale(),
-            });
-        }
-        Ok(out)
     }
 
     /// Returns a new GP conditioned on one additional *fantasized*
@@ -472,12 +613,8 @@ impl GaussianProcess {
     /// Same conditions as [`GaussianProcess::predict`], plus
     /// [`GpError::Linalg`] if the extended Gram matrix cannot be factored.
     pub fn condition_on(&self, x: &[f64], y: f64) -> Result<GaussianProcess, GpError> {
-        if x.len() != self.dim {
-            return Err(GpError::DimensionMismatch {
-                detail: format!("query dim {} vs model dim {}", x.len(), self.dim),
-            });
-        }
-        if x.iter().any(|v| !v.is_finite()) || !y.is_finite() {
+        self.validate_query(x)?;
+        if !y.is_finite() {
             return Err(GpError::NonFinite);
         }
         let k_star: Vec<f64> = self.xs.iter().map(|xi| self.kernel.eval(xi, x)).collect();
@@ -499,6 +636,8 @@ impl GaussianProcess {
             chol,
             alpha,
             dim: self.dim,
+            id: next_model_id(),
+            parent: self.id,
         })
     }
 }
@@ -710,6 +849,8 @@ mod tests {
                 chol: chol.clone(),
                 alpha: alpha.clone(),
                 dim: 1,
+                id: next_model_id(),
+                parent: 0,
             };
             let pi = inc.predict(&[q]).unwrap();
             let ps = scratch.predict(&[q]).unwrap();

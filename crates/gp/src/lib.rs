@@ -81,7 +81,7 @@ mod rff;
 mod surrogate;
 
 pub use error::GpError;
-pub use gp::{GaussianProcess, GpConfig, Posterior, WarmStart};
+pub use gp::{GaussianProcess, GpConfig, Posterior, PredictCache, WarmStart};
 pub use kernel::{Kernel, KernelKind, Matern32, Matern52, SquaredExponential};
 pub use neldermead::{NelderMead, NelderMeadResult};
 pub use rff::{RandomFourierFeatures, RffConfig};

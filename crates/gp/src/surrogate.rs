@@ -1,11 +1,12 @@
-use crate::{GpError, Posterior, WarmStart};
+use crate::{GpError, Posterior, PredictCache, WarmStart};
 
 /// Object-safe seam over the surrogate models the MBO engine can drive:
 /// the exact [`crate::GaussianProcess`] and the approximate
 /// [`crate::RandomFourierFeatures`] regressor.
 ///
 /// The engine only ever needs four capabilities — point prediction, batch
-/// prediction with shared scratch, Kriging-believer conditioning on a
+/// prediction with shared scratch (optionally carried along a fantasy
+/// chain in a [`PredictCache`]), Kriging-believer conditioning on a
 /// fantasized observation, and reading back the fitted hyperparameters to
 /// warm-start the next fit — so that is the whole trait. Conditioning
 /// returns a boxed trait object because the fantasy chain must stay
@@ -27,6 +28,29 @@ pub trait SurrogateModel: std::fmt::Debug + Send + Sync {
     /// Same conditions as [`SurrogateModel::predict`]; the whole batch is
     /// validated before anything is computed.
     fn predict_batch(&self, queries: &[Vec<f64>]) -> Result<Vec<Posterior>, GpError>;
+
+    /// [`SurrogateModel::predict_batch`] over queries that are scanned
+    /// again after each fantasy of a Kriging-believer chain, with `cache`
+    /// carrying per-query state from one model of the chain to the next.
+    /// Bitwise identical to `predict_batch` for any cache contents: a
+    /// cache built for a model outside this one's chain is rebuilt, never
+    /// reused.
+    ///
+    /// The default ignores the cache (the RFF posterior is `O(D²)` per
+    /// query whatever the chain); the exact GP overrides it with the
+    /// incremental scan of [`crate::GaussianProcess::predict_batch_cached`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SurrogateModel::predict_batch`].
+    fn predict_batch_cached(
+        &self,
+        queries: &[Vec<f64>],
+        cache: &mut PredictCache,
+    ) -> Result<Vec<Posterior>, GpError> {
+        let _ = cache;
+        self.predict_batch(queries)
+    }
 
     /// Returns a new surrogate conditioned on one additional fantasized
     /// observation `(x, y)` at fixed hyperparameters (the Kriging-believer
@@ -64,6 +88,14 @@ impl SurrogateModel for crate::GaussianProcess {
         crate::GaussianProcess::predict_batch(self, queries)
     }
 
+    fn predict_batch_cached(
+        &self,
+        queries: &[Vec<f64>],
+        cache: &mut PredictCache,
+    ) -> Result<Vec<Posterior>, GpError> {
+        crate::GaussianProcess::predict_batch_cached(self, queries, cache)
+    }
+
     fn condition_on_boxed(&self, x: &[f64], y: f64) -> Result<Box<dyn SurrogateModel>, GpError> {
         Ok(Box::new(self.condition_on(x, y)?))
     }
@@ -88,7 +120,7 @@ impl SurrogateModel for crate::GaussianProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GaussianProcess, GpConfig};
+    use crate::{GaussianProcess, GpConfig, RandomFourierFeatures, RffConfig};
 
     #[test]
     fn gp_behind_the_trait_matches_inherent_calls() {
@@ -103,6 +135,13 @@ mod tests {
         assert_eq!(dynamic.predict(&q).unwrap(), gp.predict(&q).unwrap());
         let batch = dynamic.predict_batch(&[q.to_vec()]).unwrap();
         assert_eq!(batch[0], gp.predict(&q).unwrap());
+        let mut cache = PredictCache::default();
+        assert_eq!(
+            dynamic
+                .predict_batch_cached(&[q.to_vec()], &mut cache)
+                .unwrap(),
+            batch
+        );
         let hypers = dynamic.hyperparameters();
         assert_eq!(hypers.variance, gp.kernel().variance());
         assert_eq!(hypers.noise, gp.noise_variance());
@@ -114,5 +153,21 @@ mod tests {
             fantasy.predict(&[0.8]).unwrap(),
             direct.predict(&[0.8]).unwrap()
         );
+    }
+
+    #[test]
+    fn rff_cached_batch_is_its_plain_batch() {
+        let xs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| (4.0 * x[0]).sin()).collect();
+        let rff = RandomFourierFeatures::fit(&xs, &ys, RffConfig::default()).unwrap();
+        let dynamic: &dyn SurrogateModel = &rff;
+        let queries = vec![vec![0.1], vec![0.6]];
+        let mut cache = PredictCache::default();
+        for _ in 0..2 {
+            assert_eq!(
+                dynamic.predict_batch_cached(&queries, &mut cache).unwrap(),
+                rff.predict_batch(&queries).unwrap()
+            );
+        }
     }
 }

@@ -1,11 +1,59 @@
 //! Property-based tests for the GP surrogate.
 
 use bofl_gp::{
-    GaussianProcess, GpConfig, Kernel, KernelKind, Matern32, Matern52, RandomFourierFeatures,
-    RffConfig, WarmStart,
+    GaussianProcess, GpConfig, Kernel, KernelKind, Matern32, Matern52, Posterior, PredictCache,
+    RandomFourierFeatures, RffConfig, SurrogateModel, WarmStart,
 };
 use bofl_linalg::{Cholesky, Matrix};
 use proptest::prelude::*;
+
+/// SplitMix64 points in the unit cube, so one proptest seed can size
+/// problems the vendored strategies cannot.
+fn unit_points(seed: u64, count: usize, dim: usize) -> Vec<Vec<f64>> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..count)
+        .map(|_| (0..dim).map(|_| next()).collect())
+        .collect()
+}
+
+/// Posteriors as raw bits, so `-0.0`/`0.0` or NaN payload differences
+/// fail too.
+fn bits(ps: &[Posterior]) -> Vec<(u64, u64)> {
+    ps.iter()
+        .map(|p| (p.mean.to_bits(), p.variance.to_bits()))
+        .collect()
+}
+
+/// A cheap exact GP (heuristic hyperparameters, no likelihood search).
+fn quick_gp(xs: &[Vec<f64>], lengthscale: f64) -> GaussianProcess {
+    let ys: Vec<f64> = xs
+        .iter()
+        .map(|x| {
+            x.iter()
+                .enumerate()
+                .map(|(i, v)| ((i + 2) as f64 * v).sin())
+                .sum()
+        })
+        .collect();
+    let config = GpConfig {
+        restarts: 0,
+        warm_start: Some(WarmStart {
+            variance: 1.3,
+            lengthscales: vec![lengthscale; xs[0].len()],
+            noise: 1e-4,
+        }),
+        ..GpConfig::default()
+    };
+    GaussianProcess::fit(xs, &ys, config).unwrap()
+}
 
 /// Any kernel covariance matrix over distinct points must be positive
 /// semi-definite (we verify PD after a tiny diagonal bump).
@@ -119,6 +167,49 @@ proptest! {
                 (pi.variance - variance).abs() <= 1e-8 * scale,
                 "variance diverged at {}: {} vs {}", probe, pi.variance, variance
             );
+        }
+    }
+
+    /// The cached fantasy scan equals `predict_batch` (and per-point
+    /// `predict`) on the explicitly conditioned model, bit for bit, along chains of 0–12 fantasies,
+    /// for n from 1 to 70 (crossing the dot kernel's 4-lane blocks and
+    /// tails), in 1 and 3 dimensions, with the queries split into 1, 2, 3
+    /// or 7 chunks that each carry their own cache. Every other step also
+    /// re-scans the same model, which must reuse the rows unchanged.
+    #[test]
+    fn cached_scan_matches_predict_batch_along_fantasy_chains(
+        seed in 0u64..1_000_000,
+        n in 1usize..71,
+        three_d in 0usize..2,
+        chain in 0usize..13,
+        m in 1usize..40,
+        ls in 0.1f64..1.5,
+    ) {
+        let dim = if three_d == 1 { 3 } else { 1 };
+        let xs = unit_points(seed, n, dim);
+        let queries = unit_points(seed ^ 0xA5A5, m, dim);
+        let base = quick_gp(&xs, ls);
+        for chunks in [1usize, 2, 3, 7] {
+            let size = m.div_ceil(chunks);
+            let mut caches: Vec<PredictCache> = (0..chunks).map(|_| PredictCache::default()).collect();
+            let mut model = base.clone();
+            for step in 0..=chain {
+                for _ in 0..1 + step % 2 {
+                    for (w, cache) in caches.iter_mut().enumerate() {
+                        let part = &queries[(w * size).min(m)..((w + 1) * size).min(m)];
+                        let cached = model.predict_batch_cached(part, cache).unwrap();
+                        let direct = model.predict_batch(part).unwrap();
+                        prop_assert_eq!(bits(&cached), bits(&direct));
+                        let scalar: Vec<Posterior> =
+                            part.iter().map(|q| model.predict(q).unwrap()).collect();
+                        prop_assert_eq!(bits(&direct), bits(&scalar));
+                    }
+                }
+                // Kriging believer on one of the scanned queries.
+                let x = &queries[(step * 7 + 3) % m];
+                let y = model.predict(x).unwrap().mean;
+                model = model.condition_on(x, y).unwrap();
+            }
         }
     }
 
@@ -268,4 +359,72 @@ fn squared_exponential_also_fits() {
     )
     .unwrap();
     assert!((gp.predict(&[0.4]).unwrap().mean - (1.2f64).cos()).abs() < 0.1);
+}
+
+/// A cache handed a model outside its fantasy chain rebuilds instead of
+/// serving stale rows: a fresh fit of the same data, other
+/// hyperparameters, fewer observations, a sibling fantasy, the parent of
+/// the model it last served, and other queries all scan exactly like
+/// `predict_batch`. Through the `SurrogateModel` seam too.
+#[test]
+fn predict_cache_never_serves_stale_rows() {
+    let xs = unit_points(11, 24, 3);
+    let queries = unit_points(12, 50, 3);
+    let base = quick_gp(&xs, 0.4);
+    let check = |model: &GaussianProcess, queries: &[Vec<f64>], cache: &mut PredictCache| {
+        let cached = model.predict_batch_cached(queries, cache).unwrap();
+        assert_eq!(bits(&cached), bits(&model.predict_batch(queries).unwrap()));
+    };
+    let mut cache = PredictCache::default();
+    check(&base, &queries, &mut cache);
+    let child = base.condition_on(&queries[0], 0.3).unwrap();
+    check(&child, &queries, &mut cache);
+
+    // A fresh fit (same data), other hyperparameters, fewer observations.
+    check(&quick_gp(&xs, 0.4), &queries, &mut cache);
+    check(&quick_gp(&xs, 0.9), &queries, &mut cache);
+    // One observation more than the rows, but not their fantasy.
+    check(&child, &queries, &mut cache);
+    check(&quick_gp(&xs[..20], 0.4), &queries, &mut cache);
+
+    // Siblings: two fantasies of one parent, at the same observation count,
+    // then a fantasy of the second handed to rows of the first.
+    check(&base, &queries, &mut cache);
+    let first = base.condition_on(&queries[1], 0.1).unwrap();
+    let second = base.condition_on(&queries[2], -0.4).unwrap();
+    check(&first, &queries, &mut cache);
+    check(&second, &queries, &mut cache);
+    check(&first, &queries, &mut cache);
+    check(
+        &second.condition_on(&queries[6], 0.2).unwrap(),
+        &queries,
+        &mut cache,
+    );
+    // Back up the chain: the parent of the model last served.
+    let grandchild = child.condition_on(&queries[3], 0.8).unwrap();
+    check(&child, &queries, &mut cache);
+    check(&grandchild, &queries, &mut cache);
+    check(&child, &queries, &mut cache);
+    // Skipping a generation, and a clone (same posterior, same rows).
+    check(&base, &queries, &mut cache);
+    check(&grandchild, &queries, &mut cache);
+    check(&grandchild.clone(), &queries, &mut cache);
+    // The same chain over other (and fewer) queries.
+    check(&grandchild, &queries[5..40], &mut cache);
+    let mut moved = queries.clone();
+    moved[7][1] += 1e-9;
+    let great = grandchild.condition_on(&queries[4], 0.0).unwrap();
+    check(&great, &moved, &mut cache);
+
+    // Past the cache's headroom the cache rebuilds and still agrees.
+    let mut model = base.clone();
+    let mut seam_cache = PredictCache::default();
+    for i in 0..40 {
+        let dynamic: &dyn SurrogateModel = &model;
+        let cached = dynamic
+            .predict_batch_cached(&queries, &mut seam_cache)
+            .unwrap();
+        assert_eq!(bits(&cached), bits(&model.predict_batch(&queries).unwrap()));
+        model = model.condition_on(&queries[i], 0.05 * i as f64).unwrap();
+    }
 }

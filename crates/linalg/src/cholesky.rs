@@ -248,15 +248,40 @@ impl Cholesky {
     /// `out.len()` differs from `self.dim()`, and
     /// [`LinalgError::SingularTriangular`] on a (near-)zero diagonal.
     pub fn solve_half_into(&self, b: &[f64], out: &mut [f64]) -> Result<(), LinalgError> {
+        self.solve_half_from(b, out, 0)
+    }
+
+    /// Resumes [`Cholesky::solve_half_into`] at row `from`, reading
+    /// `out[..from]` as the already-solved prefix.
+    ///
+    /// Row `i` of the half-solve reads only `L[i][..=i]`, `b[i]` and
+    /// `out[..i]`, and [`Cholesky::extend`] copies the existing rows of
+    /// `L` unchanged. So when `out[..from]` holds the half-solve of
+    /// `b[..from]` against the leading `from×from` block of this factor —
+    /// e.g. the solve computed before `extend` appended rows — the result
+    /// is bitwise identical to a full `solve_half_into` at `O(n·(n−from))`
+    /// instead of `O(n²)`. `from = 0` is the full solve.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `b.len()` or
+    /// `out.len()` differs from `self.dim()` or `from > self.dim()`, and
+    /// [`LinalgError::SingularTriangular`] on a (near-)zero diagonal.
+    pub fn solve_half_from(
+        &self,
+        b: &[f64],
+        out: &mut [f64],
+        from: usize,
+    ) -> Result<(), LinalgError> {
         let n = self.dim();
-        if b.len() != n || out.len() != n {
+        if b.len() != n || out.len() != n || from > n {
             return Err(LinalgError::DimensionMismatch {
                 left: (n, n),
-                right: (b.len().max(out.len()), 1),
+                right: (b.len().max(out.len()).max(from), 1),
                 op: "solve_half_into",
             });
         }
-        for i in 0..n {
+        for i in from..n {
             let prefix = crate::kernels::dot_kernel(&self.l.row(i)[..i], &out[..i]);
             let d = self.l[(i, i)];
             if !d.is_normal() {

@@ -249,6 +249,47 @@ proptest! {
         prop_assert!((ext.log_det() - direct.log_det()).abs() <= 1e-9 * (1.0 + direct.log_det().abs()));
     }
 
+    /// Resuming the half-solve at any row `j` from the full solve's prefix
+    /// reproduces the full solve bit for bit, and so does resuming on an
+    /// `extend`ed factor from the prefix solved against the smaller one
+    /// (the fantasy-scan cache's contract). Sizes cross the dot kernel's
+    /// 4-lane blocks and tails.
+    #[test]
+    fn solve_half_from_matches_solve_half_into(
+        a in (1usize..14).prop_flat_map(spd_matrix),
+        b in proptest::collection::vec(-3.0f64..3.0, 14),
+        border in proptest::collection::vec(-2.0f64..2.0, 15),
+    ) {
+        let n = a.rows();
+        let chol = Cholesky::factor(&a).unwrap();
+        let b = &b[..n];
+        let mut full = vec![0.0; n];
+        chol.solve_half_into(b, &mut full).unwrap();
+        for j in 0..=n {
+            let mut out = vec![f64::NAN; n];
+            out[..j].copy_from_slice(&full[..j]);
+            chol.solve_half_from(b, &mut out, j).unwrap();
+            let same = out.iter().zip(&full).all(|(x, y)| x.to_bits() == y.to_bits());
+            prop_assert!(same, "resumed at row {}: {:?} vs {:?}", j, out, full);
+        }
+        let mut short = vec![0.0; n];
+        prop_assert!(chol.solve_half_from(b, &mut short, n + 1).is_err());
+
+        let row: Vec<f64> = border[..n].iter().map(|v| v * 0.3).collect();
+        let ext = chol.extend(&row, n as f64 * 0.5 + 4.0 + border[n].abs()).unwrap();
+        let mut b_ext = b.to_vec();
+        b_ext.push(border[n]);
+        let mut direct = vec![0.0; n + 1];
+        ext.solve_half_into(&b_ext, &mut direct).unwrap();
+        let mut resumed = full.clone();
+        resumed.push(f64::NAN);
+        ext.solve_half_from(&b_ext, &mut resumed, n).unwrap();
+        prop_assert_eq!(
+            resumed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+    }
+
     #[test]
     fn triangular_solve_residual(
         diag in proptest::collection::vec(0.5f64..4.0, 2..6),

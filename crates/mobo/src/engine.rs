@@ -2,7 +2,8 @@ use crate::ehvi::{BiGaussian, EhviCells};
 use crate::hypervolume::hypervolume;
 use crate::{MoboError, ParetoFront};
 use bofl_gp::{
-    GaussianProcess, GpConfig, RandomFourierFeatures, RffConfig, SurrogateModel, WarmStart,
+    GaussianProcess, GpConfig, PredictCache, RandomFourierFeatures, RffConfig, SurrogateModel,
+    WarmStart,
 };
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -21,6 +22,10 @@ type ScanBest = Option<(usize, f64, BiGaussian)>;
 /// The boxed per-objective surrogate pair [`MoboEngine::fit_surrogates`]
 /// hands to the suggestion loop (exact GP or RFF, per [`RffSwitch`]).
 type SurrogatePair = (Box<dyn SurrogateModel>, Box<dyn SurrogateModel>);
+
+/// One objective's fitted surrogate and the warm cache to store once the
+/// fit is accepted.
+type FitOutcome = Result<(Box<dyn SurrogateModel>, WarmCache), MoboError>;
 
 /// One evaluated point: input coordinates (unit-cube scaled) and the two
 /// measured objective values `(objective 0, objective 1)` — in BoFL,
@@ -129,6 +134,13 @@ pub struct MoboConfig {
     /// [`MoboEngine::suggest`]. `0` picks
     /// `min(available_parallelism, 8)`. The suggestion batch is
     /// byte-identical at any worker count.
+    ///
+    /// The same count decides the surrogate fit: when it resolves to at
+    /// least 2, objective 1 fits on a scoped thread while objective 0
+    /// fits on the caller, so a fit uses at most 2 threads. The scan
+    /// threads are idle during the fit, so the thread budget is
+    /// unchanged. Each objective keeps its own warm cache and refit
+    /// schedule, so the fitted models are the same either way.
     pub scan_workers: usize,
     /// Exact-vs-approximate surrogate switch (see [`RffSwitch`]).
     pub rff: RffSwitch,
@@ -354,6 +366,9 @@ impl MoboEngine {
         let mut front = self.pareto_front();
         let mut chosen: Vec<usize> = Vec::with_capacity(k);
         let mut chosen_set: HashSet<usize> = HashSet::with_capacity(k);
+        // One cache pair per scan chunk, carried across the slots.
+        let mut caches: Vec<(PredictCache, PredictCache)> =
+            (0..workers).map(|_| Default::default()).collect();
 
         for _ in 0..k {
             let cells = EhviCells::new(&front, r);
@@ -364,7 +379,7 @@ impl MoboEngine {
                 candidates,
                 &eligible,
                 &chosen_set,
-                workers,
+                &mut caches,
             )?;
             let Some((i, _, post)) = best else {
                 break; // candidate set exhausted
@@ -471,102 +486,46 @@ impl MoboEngine {
     /// [`RandomFourierFeatures`] regressor (same refit schedule, but the
     /// full refit runs on a stride subsample and the RFF fit itself does
     /// no hyperparameter search).
+    ///
+    /// The two fits are independent — each reads only its own warm
+    /// cache — so when [`MoboConfig::scan_workers`] resolves to at least
+    /// 2, objective 1 fits on a scoped thread beside objective 0. Caches
+    /// are stored as the serial order would leave them: an error in
+    /// objective 0 is returned first and stores neither.
     fn fit_surrogates(&mut self) -> Result<SurrogatePair, MoboError> {
         let xs: Vec<Vec<f64>> = self.observations.iter().map(|o| o.point.clone()).collect();
         let y0: Vec<f64> = self.observations.iter().map(|o| o.objectives[0]).collect();
         let y1: Vec<f64> = self.observations.iter().map(|o| o.objectives[1]).collect();
-        let gp0 = self.fit_one(0, &xs, &y0)?;
-        let gp1 = self.fit_one(1, &xs, &y1)?;
+        let fit = |obj: usize, ys: &[f64]| {
+            fit_objective(&self.config, self.warm[obj].as_ref(), obj, &xs, ys)
+        };
+        let (fit0, fit1) = if self.resolved_workers() >= 2 {
+            std::thread::scope(|scope| {
+                let fit1 = scope.spawn(|| fit(1, &y1));
+                let fit0 = fit(0, &y0);
+                (fit0, fit1.join().expect("surrogate fit must not panic"))
+            })
+        } else {
+            let fit0 = fit(0, &y0)?;
+            (Ok(fit0), fit(1, &y1))
+        };
+        let (gp0, cache0) = fit0?;
+        self.warm[0] = Some(cache0);
+        let (gp1, cache1) = fit1?;
+        self.warm[1] = Some(cache1);
         Ok((gp0, gp1))
     }
 
-    fn fit_one(
-        &mut self,
-        obj: usize,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-    ) -> Result<Box<dyn SurrogateModel>, MoboError> {
-        let n = xs.len();
-        if n >= self.config.rff.threshold {
-            return self.fit_one_rff(obj, xs, ys);
+    /// The configured scan worker count, `min(available_parallelism, 8)`
+    /// when `scan_workers == 0`.
+    fn resolved_workers(&self) -> usize {
+        match self.config.scan_workers {
+            0 => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(MAX_AUTO_WORKERS),
+            w => w,
         }
-        let mut cfg = self.config.gp.clone();
-        let mut full = true;
-        if let Some(cache) = &self.warm[obj] {
-            cfg.warm_start = Some(cache.hypers.clone());
-            if n < cache.full_fit_len + self.config.refit_every.max(1) {
-                // Warm path: seed from the previous optimum, one restart.
-                cfg.restarts = cfg.restarts.min(1);
-                full = false;
-            }
-        }
-        let gp = GaussianProcess::fit(xs, ys, cfg)?;
-        let full_fit_len = match (&self.warm[obj], full) {
-            (Some(cache), false) => cache.full_fit_len,
-            _ => n,
-        };
-        self.warm[obj] = Some(WarmCache {
-            hypers: WarmStart {
-                variance: gp.kernel().variance(),
-                lengthscales: gp.kernel().lengthscales().to_vec(),
-                noise: gp.noise_variance(),
-            },
-            full_fit_len,
-        });
-        Ok(Box::new(gp))
-    }
-
-    /// RFF-path fit: hyperparameters come from the warm cache, refreshed
-    /// on the `refit_every` schedule by an exact-GP multi-start fit on a
-    /// deterministic stride subsample (never the full data set — that is
-    /// the point of the switch). The feature draws are seeded per
-    /// objective so the two surrogates use independent spectra.
-    fn fit_one_rff(
-        &mut self,
-        obj: usize,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-    ) -> Result<Box<dyn SurrogateModel>, MoboError> {
-        let n = xs.len();
-        let due_full = match &self.warm[obj] {
-            Some(cache) => n >= cache.full_fit_len + self.config.refit_every.max(1),
-            None => true,
-        };
-        let hypers = if due_full {
-            let m = self.config.rff.hyper_subsample.clamp(1, n);
-            let stride = n / m;
-            let sub_xs: Vec<Vec<f64>> = (0..m).map(|i| xs[i * stride].clone()).collect();
-            let sub_ys: Vec<f64> = (0..m).map(|i| ys[i * stride]).collect();
-            let mut cfg = self.config.gp.clone();
-            if let Some(cache) = &self.warm[obj] {
-                cfg.warm_start = Some(cache.hypers.clone());
-            }
-            let gp = GaussianProcess::fit(&sub_xs, &sub_ys, cfg)?;
-            let hypers = WarmStart {
-                variance: gp.kernel().variance(),
-                lengthscales: gp.kernel().lengthscales().to_vec(),
-                noise: gp.noise_variance(),
-            };
-            self.warm[obj] = Some(WarmCache {
-                hypers: hypers.clone(),
-                full_fit_len: n,
-            });
-            hypers
-        } else {
-            self.warm[obj]
-                .as_ref()
-                .expect("warm cache exists when a full refit is not due")
-                .hypers
-                .clone()
-        };
-        let cfg = RffConfig {
-            kernel: self.config.gp.kernel,
-            n_features: self.config.rff.n_features,
-            seed: self.config.rff.seed ^ (obj as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            noise_variance: self.config.gp.noise_variance,
-            hyperparameters: Some(hypers),
-        };
-        Ok(Box::new(RandomFourierFeatures::fit(xs, ys, cfg)?))
     }
 
     /// Resolves the scan worker count: the configured value, or
@@ -576,28 +535,105 @@ impl MoboEngine {
         if candidates < MIN_PARALLEL_SCAN {
             return 1;
         }
-        let w = match self.config.scan_workers {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(MAX_AUTO_WORKERS),
-            w => w,
-        };
-        w.min(candidates).max(1)
+        self.resolved_workers().min(candidates).max(1)
     }
+}
+
+/// Fits objective `obj`'s surrogate from its warm cache `warm` (see
+/// [`MoboEngine::fit_surrogates`]) and returns it with the cache entry to
+/// store. Pure in its inputs, so the two objectives can fit on separate
+/// threads.
+fn fit_objective(
+    config: &MoboConfig,
+    warm: Option<&WarmCache>,
+    obj: usize,
+    xs: &[Vec<f64>],
+    ys: &[f64],
+) -> FitOutcome {
+    let n = xs.len();
+    if n >= config.rff.threshold {
+        return fit_objective_rff(config, warm, obj, xs, ys);
+    }
+    let mut cfg = config.gp.clone();
+    let mut full_fit_len = n;
+    if let Some(cache) = warm {
+        cfg.warm_start = Some(cache.hypers.clone());
+        if n < cache.full_fit_len + config.refit_every.max(1) {
+            // Warm path: seed from the previous optimum, one restart.
+            cfg.restarts = cfg.restarts.min(1);
+            full_fit_len = cache.full_fit_len;
+        }
+    }
+    let gp = GaussianProcess::fit(xs, ys, cfg)?;
+    let cache = WarmCache {
+        hypers: gp.hyperparameters(),
+        full_fit_len,
+    };
+    Ok((Box::new(gp), cache))
+}
+
+/// RFF-path fit: hyperparameters come from the warm cache, refreshed on
+/// the `refit_every` schedule by an exact-GP multi-start fit on a
+/// deterministic stride subsample (never the full data set — that is the
+/// point of the switch). The feature draws are seeded per objective so
+/// the two surrogates use independent spectra.
+fn fit_objective_rff(
+    config: &MoboConfig,
+    warm: Option<&WarmCache>,
+    obj: usize,
+    xs: &[Vec<f64>],
+    ys: &[f64],
+) -> FitOutcome {
+    let n = xs.len();
+    let cache = match warm {
+        Some(cache) if n < cache.full_fit_len + config.refit_every.max(1) => cache.clone(),
+        _ => {
+            let m = config.rff.hyper_subsample.clamp(1, n);
+            let stride = n / m;
+            let sub_xs: Vec<Vec<f64>> = (0..m).map(|i| xs[i * stride].clone()).collect();
+            let sub_ys: Vec<f64> = (0..m).map(|i| ys[i * stride]).collect();
+            let mut cfg = config.gp.clone();
+            if let Some(cache) = warm {
+                cfg.warm_start = Some(cache.hypers.clone());
+            }
+            let gp = GaussianProcess::fit(&sub_xs, &sub_ys, cfg)?;
+            WarmCache {
+                hypers: gp.hyperparameters(),
+                full_fit_len: n,
+            }
+        }
+    };
+    let cfg = RffConfig {
+        kernel: config.gp.kernel,
+        n_features: config.rff.n_features,
+        seed: config.rff.seed ^ (obj as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        noise_variance: config.gp.noise_variance,
+        hyperparameters: Some(cache.hypers.clone()),
+    };
+    Ok((Box::new(RandomFourierFeatures::fit(xs, ys, cfg)?), cache))
 }
 
 /// One slot of the sequential-greedy scan: EHVI-score every eligible
 /// candidate under the current fantasized models and return the argmax
 /// `(index, ehvi, posterior)`.
 ///
-/// The scan is split into `workers` contiguous chunks, each handled by a
-/// scoped thread via [`SurrogateModel::predict_batch`]. Determinism is
-/// by construction: every candidate's score is a pure function of its
-/// coordinates (no cross-candidate accumulation), each chunk keeps its
-/// *first* strict maximum, and chunks are reduced in ascending order with
-/// a `(ehvi, Reverse(index))` comparison — so the result is byte-identical
-/// at any worker count, for the exact and the RFF surrogate alike.
+/// The scan is split into one contiguous chunk per entry of `caches`,
+/// each handled by a scoped thread via
+/// [`SurrogateModel::predict_batch_cached`] with that chunk's own cache
+/// pair. The chunking is the same in every slot, so each cache follows
+/// its model's fantasy chain: on the exact GP, slot 1 pays the full
+/// `O(n²)` per-candidate prediction and every later slot appends one
+/// kernel evaluation and one forward-substitution row per candidate.
+/// The cached posteriors are bitwise identical to `predict_batch` (see
+/// [`bofl_gp::GaussianProcess::predict_batch_cached`]), so the picks are
+/// the ones the from-scratch scan makes.
+///
+/// Determinism is by construction: every candidate's score is a pure
+/// function of its coordinates (no cross-candidate accumulation), each
+/// chunk keeps its *first* strict maximum, and chunks are reduced in
+/// ascending order with a `(ehvi, Reverse(index))` comparison — so the
+/// result is byte-identical at any worker count, for the exact and the
+/// RFF surrogate alike.
 fn scan_candidates(
     gp0: &dyn SurrogateModel,
     gp1: &dyn SurrogateModel,
@@ -605,14 +641,17 @@ fn scan_candidates(
     candidates: &[Vec<f64>],
     eligible: &[bool],
     chosen: &HashSet<usize>,
-    workers: usize,
+    caches: &mut [(PredictCache, PredictCache)],
 ) -> Result<ScanBest, MoboError> {
-    let scan_chunk = |lo: usize, hi: usize| -> Result<ScanBest, MoboError> {
+    let scan_chunk = |lo: usize,
+                      hi: usize,
+                      (c0, c1): &mut (PredictCache, PredictCache)|
+     -> Result<ScanBest, MoboError> {
         if lo >= hi {
             return Ok(None);
         }
-        let p0 = gp0.predict_batch(&candidates[lo..hi])?;
-        let p1 = gp1.predict_batch(&candidates[lo..hi])?;
+        let p0 = gp0.predict_batch_cached(&candidates[lo..hi], c0)?;
+        let p1 = gp1.predict_batch_cached(&candidates[lo..hi], c1)?;
         let mut best: ScanBest = None;
         for (off, (a, b)) in p0.iter().zip(&p1).enumerate() {
             let i = lo + off;
@@ -633,17 +672,19 @@ fn scan_candidates(
         Ok(best)
     };
 
-    let chunk_results: Vec<Result<ScanBest, MoboError>> = if workers <= 1 {
-        vec![scan_chunk(0, candidates.len())]
+    let chunk = candidates.len().div_ceil(caches.len().max(1));
+    let chunk_results: Vec<Result<ScanBest, MoboError>> = if let [pair] = caches {
+        vec![scan_chunk(0, candidates.len(), pair)]
     } else {
-        let chunk = candidates.len().div_ceil(workers);
         let scan_chunk = &scan_chunk;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
+            let handles: Vec<_> = caches
+                .iter_mut()
+                .enumerate()
+                .map(|(w, pair)| {
                     let lo = w * chunk;
                     let hi = ((w + 1) * chunk).min(candidates.len());
-                    scope.spawn(move || scan_chunk(lo, hi))
+                    scope.spawn(move || scan_chunk(lo, hi, pair))
                 })
                 .collect();
             handles

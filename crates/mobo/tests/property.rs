@@ -1,6 +1,6 @@
 //! Property-based tests for Pareto/hypervolume/EHVI invariants.
 
-use bofl_mobo::ehvi::{expected_hypervolume_improvement, BiGaussian};
+use bofl_mobo::ehvi::{expected_hypervolume_improvement, psi, BiGaussian, EhviCells};
 use bofl_mobo::hypervolume::{hypervolume, hypervolume_improvement};
 use bofl_mobo::pareto::dominates;
 use bofl_mobo::{
@@ -13,7 +13,79 @@ fn points(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<[f64; 2]>> {
         .prop_map(|v| v.into_iter().map(|(a, b)| [a, b]).collect())
 }
 
+/// The per-strip EHVI formula as it stood before adjacent strips shared
+/// their edge's `ψ`: every strip evaluates `ψ(β_hi) − ψ(β_lo)` itself.
+/// Kept verbatim as the bitwise reference for [`EhviCells::evaluate`].
+fn ehvi_per_strip(front: &ParetoFront, post: BiGaussian, r: [f64; 2]) -> f64 {
+    let pts: Vec<[f64; 2]> = front
+        .points()
+        .iter()
+        .copied()
+        .filter(|p| p[0] < r[0] && p[1] < r[1])
+        .collect();
+    let n = pts.len();
+    let s0 = post.std0.max(1e-12);
+    let s1 = post.std1.max(1e-12);
+    let mut total = 0.0;
+    for i in 0..=n {
+        let b_lo = if i == 0 {
+            f64::NEG_INFINITY
+        } else {
+            pts[i - 1][0]
+        };
+        let b_hi = if i < n { pts[i][0] } else { r[0] };
+        let ceiling = if i == 0 { r[1] } else { pts[i - 1][1] };
+        if b_hi <= b_lo {
+            continue;
+        }
+        let beta_hi = (b_hi - post.mean0) / s0;
+        let beta_lo = if b_lo == f64::NEG_INFINITY {
+            f64::NEG_INFINITY
+        } else {
+            (b_lo - post.mean0) / s0
+        };
+        let width_term = s0 * (psi(beta_hi) - psi(beta_lo));
+        let height_term = s1 * psi((ceiling - post.mean1) / s1);
+        total += width_term * height_term;
+    }
+    total.max(0.0)
+}
+
 proptest! {
+    /// Sharing each strip edge's `ψ` with the neighbouring strip changes
+    /// no bit of the EHVI. Fronts are built from inputs with repeated
+    /// objective-0 values (a front keeps at most one of each, so the
+    /// others must vanish without leaving a strip behind), points
+    /// outside the reference box, and posteriors down to σ = 0.
+    #[test]
+    fn shared_strip_edges_match_the_per_strip_formula(
+        pts in points(0..14),
+        repeats in proptest::collection::vec((0usize..14, 0.01f64..10.0), 0..4),
+        r in (2.0f64..9.0, 2.0f64..9.0),
+        mean in (-1.0f64..11.0, -1.0f64..11.0),
+        stds in (0.0f64..2.0, 0.0f64..2.0),
+        tiny in 0usize..4,
+    ) {
+        let mut pts = pts;
+        for &(i, y1) in &repeats {
+            if let Some(&p) = pts.get(i) {
+                pts.push([p[0], y1]);
+            }
+        }
+        let front = ParetoFront::from_points(&pts);
+        let r = [r.0, r.1];
+        let scale = [1.0, 1e-9, 1e-13, 0.0][tiny];
+        let post = BiGaussian {
+            mean0: mean.0,
+            std0: stds.0 * scale,
+            mean1: mean.1,
+            std1: stds.1,
+        };
+        let expect = ehvi_per_strip(&front, post, r).to_bits();
+        prop_assert_eq!(EhviCells::new(&front, r).evaluate(post).to_bits(), expect);
+        prop_assert_eq!(expected_hypervolume_improvement(&front, post, r).to_bits(), expect);
+    }
+
     /// Dominance is a strict partial order: irreflexive, asymmetric,
     /// transitive.
     #[test]
