@@ -1,6 +1,5 @@
-//! Perf-trajectory harness: times the repo's hot paths directly (the
-//! vendored criterion stub only prints medians, it cannot export them)
-//! and writes a dated `results/BENCH_<date>.json` artifact so perf can be
+//! Perf-trajectory harness: times the repo's hot paths directly and
+//! writes a dated `results/BENCH_<date>.json` artifact so perf can be
 //! tracked commit over commit.
 //!
 //! Workloads:
@@ -12,8 +11,8 @@
 //!   no exact GP could serve interactively;
 //! - `mobo/suggest_{cold,warm}` — the surrogate hot path (fit both GPs,
 //!   sequential-greedy EHVI scan over 512 candidates, batch of 8), cold
-//!   vs hyperparameter-cache-warm, matching `benches/microbench.rs`; the
-//!   warm 128-observation variant exercises the engine's RFF switch;
+//!   vs hyperparameter-cache-warm; the warm 128-observation variant
+//!   exercises the engine's RFF switch;
 //! - `round/fleet_barrier` vs `round/event_driven` — the same faulted
 //!   fleet simulation through the barrier `FleetEngine` and through
 //!   `bofl-control`'s `EventDrivenEngine` (lifecycle journal + quorum
@@ -171,7 +170,7 @@ fn gp_workloads(results: &mut Vec<BenchResult>) {
     });
 }
 
-/// The surrogate hot path at `n` observations (mirrors microbench.rs).
+/// The surrogate hot path at `n` observations.
 /// At 64 observations both suggest variants run the exact GP; the warm
 /// 128-observation variant crosses the engine's RFF threshold.
 fn mobo_workloads(results: &mut Vec<BenchResult>) {

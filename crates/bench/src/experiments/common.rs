@@ -7,7 +7,7 @@ use bofl::BoflController;
 use bofl_device::ConfigIndex;
 use bofl_workload::{TaskKind, Testbed};
 
-/// Scale of an experiment: full paper scale, or reduced for benches/tests.
+/// Scale of an experiment: full paper scale, or reduced for `--quick` and tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentScale {
     /// FL rounds per run (paper: 100).

@@ -51,7 +51,7 @@ use bofl_fl::client::FlClient;
 use bofl_fl::engine::{ClientJob, ClientOutcome, RoundEngine};
 use bofl_fl::network::RetryPolicy;
 use bofl_fl::server::AggregationPolicy;
-use bofl_fleet::compress::{CompressedUpdate, Compressor};
+use bofl_fleet::compress::{CompressedUpdate, Compressor, COMPRESS_SALT};
 use bofl_fleet::engine::upload_backoff_seed;
 use bofl_fleet::fault::{stream_seed, ChurnStatus, FaultPlan};
 use bofl_fleet::shard::ShardPlan;
@@ -63,11 +63,6 @@ use crate::liveness::LivenessPolicy;
 use crate::plane::ControlPlane;
 use crate::state::{ClientEvent, ClientState, TransitionError};
 use crate::transport::{Envelope, Transport, VirtualTransport};
-
-/// Salt for the per-`(round, client)` compression streams — the same
-/// stream family `bofl_fleet::scale` uses, so an engine and a scale
-/// simulation given the same seed quantize identically.
-const COMPRESS_SALT: u64 = 0xC0_4B_1E_55_ED_B1_75;
 
 /// A shared, lockable handle onto an engine's [`ControlPlane`]. The
 /// federation owns the boxed engine, so callers that want to read the

@@ -98,14 +98,12 @@ impl ControlSimulation {
                         wire.reordered,
                         wire.partition_held,
                     );
+                    metrics.annotate_wire_bytes(round, wire.bytes_on_wire, wire.bytes_raw);
                 }
                 let (suspected, expired, healed) = plane.journal().liveness_counts(round as u32);
                 metrics.annotate_liveness(round, suspected, expired, healed);
                 if let Some(close) = plane.closes().iter().find(|c| c.round == round as u32) {
                     metrics.annotate_shards(round, close.shards, close.shard_shortfalls);
-                }
-                if let Some(wire) = plane.wire_stats(round) {
-                    metrics.annotate_wire_bytes(round, wire.bytes_on_wire, wire.bytes_raw);
                 }
             }
             rounds.push(record);

@@ -51,7 +51,7 @@ fn oracle_sim(
         .build()
 }
 
-/// The acceptance criterion, ported verbatim onto the event-driven
+/// The acceptance check, ported verbatim onto the event-driven
 /// engine: strictly lower miss rate AND strictly more aggregated updates
 /// per round than the no-recovery baseline, on the same seed and plan.
 #[test]

@@ -14,7 +14,6 @@ use std::collections::HashMap;
 /// out of the training set while still counting them, so the caller can
 /// surface "observations rejected" in its metrics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QuarantinePolicy {
     /// Whether quarantine runs at all (off = every sample is folded in,
     /// the pre-quarantine behavior).
@@ -70,7 +69,6 @@ impl Default for QuarantinePolicy {
 /// jobs) precisely so these averages are trustworthy; the store performs
 /// the aggregation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AggregatedObservation {
     /// The observed configuration.
     pub config: DvfsConfig,

@@ -20,7 +20,6 @@ use std::time::Duration;
 /// `T_min = T(x_max) × W` and `T_max = ratio × T_min` with
 /// `ratio ∈ [2, 4]` (§6.1).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeadlineSchedule {
     t_min_s: f64,
     deadlines: Vec<f64>,

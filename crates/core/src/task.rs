@@ -6,7 +6,6 @@ use std::time::Duration;
 /// round it is, how many minibatch jobs must run, and the server-assigned
 /// training deadline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RoundSpec {
     /// Zero-based round index.
     pub index: usize,
@@ -38,7 +37,6 @@ impl RoundSpec {
 
 /// BoFL's operational phase for a given round (paper Fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Phase {
     /// Phase 1: safe random exploration of Sobol start points.
     RandomExploration,

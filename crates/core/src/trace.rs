@@ -10,7 +10,6 @@ use bofl_device::{ConfigSpace, DvfsConfig, JobCost};
 
 /// One traced job execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct JobEvent {
     /// Zero-based index of the job within the trace.
     pub job: usize,

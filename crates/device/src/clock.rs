@@ -17,7 +17,6 @@
 /// assert_eq!(clock.now_s(), 1.75);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VirtualClock {
     now_s: f64,
 }

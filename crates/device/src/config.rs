@@ -16,7 +16,6 @@ use crate::{FreqMHz, FreqTable};
 /// assert_eq!(x.cpu.as_mhz(), 2265);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DvfsConfig {
     /// CPU cluster frequency.
     pub cpu: FreqMHz,
@@ -67,7 +66,6 @@ impl std::fmt::Display for DvfsConfig {
 /// A newtype so grid indices cannot be mixed up with job counts or round
 /// numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConfigIndex(pub usize);
 
 impl std::fmt::Display for ConfigIndex {
@@ -92,7 +90,6 @@ impl std::fmt::Display for ConfigIndex {
 /// assert_eq!(space.len(), 2100); // the AGX grid of the paper's Table 1
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConfigSpace {
     cpu: FreqTable,
     gpu: FreqTable,

@@ -8,7 +8,6 @@ use rand::Rng;
 /// One row of a full offline profile: a configuration and its ground-truth
 /// cost (the input the Oracle baseline is allowed to use).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProfileEntry {
     /// The profiled configuration.
     pub config: DvfsConfig,

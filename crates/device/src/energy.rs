@@ -13,7 +13,6 @@
 /// assert!(!b.dominates(&a));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct JobCost {
     /// Execution latency per minibatch, seconds.
     pub latency_s: f64,

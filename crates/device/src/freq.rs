@@ -15,7 +15,6 @@
 /// assert!(FreqMHz::new(2265) > f);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FreqMHz(u32);
 
 impl FreqMHz {
@@ -74,7 +73,6 @@ impl From<FreqMHz> for u32 {
 /// assert_eq!(t.max().as_mhz(), 2265);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FreqTable {
     steps: Vec<FreqMHz>,
 }

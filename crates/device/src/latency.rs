@@ -9,7 +9,6 @@ use bofl_workload::{FlTask, GpuArch};
 /// the TX2's weaker Denver2/A57 complex is modeled relative to the AGX's
 /// Carmel cores).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuModel {
     /// Relative instructions-per-cycle factor (AGX Carmel = 1.0).
     pub ipc_factor: f64,
@@ -19,7 +18,6 @@ pub struct CpuModel {
 
 /// GPU performance parameters of a simulated device.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpuModel {
     /// Micro-architecture family, used to look up the workload's sustained
     /// kernel efficiency.
@@ -30,7 +28,6 @@ pub struct GpuModel {
 
 /// Memory-controller performance parameters of a simulated device.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryModel {
     /// Effective (sustained) bytes transferred per EMC cycle.
     pub bytes_per_cycle: f64,
@@ -42,7 +39,6 @@ pub struct MemoryModel {
 /// `fixed + max(gpu_path, cpu_pipeline)` where
 /// `gpu_path = roofline(compute, memory) + serial`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencyBreakdown {
     /// GPU compute time at the configured GPU clock.
     pub gpu_compute_s: f64,
@@ -103,7 +99,6 @@ impl LatencyBreakdown {
 /// workloads (the paper's Fig. 3a saturation) and launch-heavy RNNs scale
 /// with CPU frequency (Fig. 4a).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencyModel {
     /// CPU parameters.
     pub cpu: CpuModel,

@@ -17,7 +17,6 @@ use crate::{DvfsConfig, LatencyBreakdown};
 /// "race-to-idle" sometimes beats "slow-and-steady" and the energy surface
 /// is non-monotonic (paper Fig. 3b).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RailModel {
     /// Effective switched capacitance, in watts per (GHz·V²).
     pub coeff: f64,
@@ -46,7 +45,6 @@ impl RailModel {
 
 /// Average power decomposition over one minibatch, in watts.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerBreakdown {
     /// CPU rail power.
     pub cpu_w: f64,
@@ -62,7 +60,6 @@ pub struct PowerBreakdown {
 
 /// The whole-board power model `P(x, utilization)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerModel {
     /// CPU rail parameters.
     pub cpu: RailModel,

@@ -10,7 +10,6 @@ use rand::Rng;
 /// reproduces that effect so the τ-averaging code path is genuinely
 /// exercised.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SensorSpec {
     /// Sampling period in seconds (INA3221 continuous mode ≈ 1–2 ms
     /// per channel pair; we use the effective sysfs polling period).

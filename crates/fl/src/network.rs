@@ -25,7 +25,6 @@ use rand::Rng;
 /// `nominal × exp(σ·Z − σ²/2)` (mean-preserving lognormal), so transfers
 /// vary the way congested wireless links do.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetworkModel {
     /// Nominal uplink bandwidth, bytes per second.
     pub nominal_bps: f64,
@@ -84,7 +83,6 @@ impl NetworkModel {
 /// to upload `n` bytes?" with a configurable safety factor, so the
 /// inferred training deadline errs toward finishing early.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BandwidthEstimator {
     alpha: f64,
     pessimism: f64,
@@ -181,7 +179,6 @@ impl Default for BandwidthEstimator {
 /// exact same retry schedule replays on any thread or worker count (the
 /// fleet engine feeds a per-`(client, round)` seed).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RetryPolicy {
     /// Total upload attempts allowed, including the first (`1` = never
     /// retry, the legacy behavior).
@@ -253,7 +250,6 @@ impl Default for RetryPolicy {
 /// A server-assigned *reporting* deadline plus the conversion to the
 /// training deadline BoFL consumes (paper footnote 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReportingDeadline {
     /// Seconds from round start by which the server must have *received*
     /// the update.

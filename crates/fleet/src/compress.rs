@@ -20,6 +20,12 @@
 //! the repo-wide byte-identical-trace contract intact at any shard or
 //! worker count.
 
+/// Salt for the per-`(round, client)` compression streams
+/// (`fault::stream_seed(seed, round, client, COMPRESS_SALT)`). Every engine
+/// that compresses uplinks draws from this one stream family, so an engine
+/// and a scale simulation given the same seed quantize identically.
+pub const COMPRESS_SALT: u64 = 0xC0_4B_1E_55_ED_B1_75;
+
 /// Wire encoding of one compressed client update.
 ///
 /// One reusable buffer object per worker: compressors overwrite it in

@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use crate::compress::{CompressedUpdate, Compressor, Int8Quantizer};
+use crate::compress::{CompressedUpdate, Compressor, Int8Quantizer, COMPRESS_SALT};
 use crate::fault::{stream_seed, ChurnStatus, FaultPlan};
 use crate::generator::DeviceKind;
 use crate::metrics::write_atomic;
@@ -35,8 +35,6 @@ use crate::shard::{drain_tasks, ShardPlan, ShardRoundStats, UpdateAccumulator};
 
 /// Salt for the synthetic-update stream.
 const UPDATE_SALT: u64 = 0x0B5E_55ED_0DA7_A5A1;
-/// Salt for the uplink-compression stream.
-const COMPRESS_SALT: u64 = 0xC0_4B_1E_55_ED_B1_75;
 /// Salt for the loss-evolution stream.
 const LOSS_SALT: u64 = 0x10_55_DE_CA_ED_05;
 

@@ -168,15 +168,9 @@ impl FleetSimulationBuilder {
     /// Builds the simulation.
     pub fn build(self) -> FleetSimulation {
         let spec = self.spec;
-        let engine = if self.workers == 1 {
-            FleetEngine::sequential()
-                .with_faults(self.faults)
-                .with_retry(self.retry)
-        } else {
-            FleetEngine::new(self.workers)
-                .with_faults(self.faults)
-                .with_retry(self.retry)
-        };
+        let engine = FleetEngine::new(self.workers)
+            .with_faults(self.faults)
+            .with_retry(self.retry);
         let rounds = self.config.rounds;
         let mut builder = Federation::builder(self.config)
             .device_factory(move |id| spec.device(id))

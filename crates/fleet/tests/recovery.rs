@@ -58,7 +58,7 @@ fn oracle_sim(
         .build()
 }
 
-/// The headline acceptance criterion: on the same fleet seed and the same
+/// The headline acceptance check: on the same fleet seed and the same
 /// fault plan, the recovery configuration achieves a strictly lower
 /// deadline-miss rate AND strictly more aggregated updates per round than
 /// the no-recovery baseline.
@@ -125,7 +125,7 @@ fn recovery_stack_beats_no_recovery_baseline() {
     assert!(csv.lines().skip(1).all(|l| l.split(',').count() == cols));
 }
 
-/// Satellite criterion: under the reference fault plan, the quorum +
+/// Satellite check: under the reference fault plan, the quorum +
 /// over-selection + retry policy strictly lowers the number of *wasted*
 /// rounds (zero aggregated updates) relative to the default policy.
 #[test]

@@ -59,7 +59,6 @@ fn validate(variance: f64, lengthscales: &[f64]) {
 
 /// Kernel family tags, for configuration surfaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum KernelKind {
     /// Matérn ν = 5/2 (the paper's prior, §4.3).
@@ -97,7 +96,6 @@ impl KernelKind {
 /// assert!(k.eval(&[0.0], &[1.0]) < 2.0);          // decays with distance
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matern52 {
     variance: f64,
     lengthscales: Vec<f64>,
@@ -140,7 +138,6 @@ impl Kernel for Matern52 {
 
 /// The Matérn-3/2 kernel `σ² (1 + √3 r) exp(−√3 r)`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matern32 {
     variance: f64,
     lengthscales: Vec<f64>,
@@ -183,7 +180,6 @@ impl Kernel for Matern32 {
 
 /// The squared-exponential (RBF) kernel `σ² exp(−r²/2)`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SquaredExponential {
     variance: f64,
     lengthscales: Vec<f64>,

@@ -17,7 +17,6 @@ use std::fmt;
 
 /// Per-job cost of one candidate configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConfigCost {
     /// Per-job latency, seconds.
     pub latency_s: f64,
@@ -27,7 +26,6 @@ pub struct ConfigCost {
 
 /// The chosen job mix: `counts[k]` jobs run at candidate `k`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Profile {
     /// Jobs per candidate, summing to `W`.
     pub counts: Vec<u64>,

@@ -10,7 +10,6 @@ const EPS: f64 = 1e-9;
 
 /// Constraint sense.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Relation {
     /// `coeffs · x ≤ rhs`
     Le,
@@ -22,7 +21,6 @@ pub enum Relation {
 
 /// One linear constraint over non-negative variables.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Constraint {
     /// Coefficients, one per structural variable.
     pub coeffs: Vec<f64>,
@@ -35,7 +33,6 @@ pub struct Constraint {
 /// A linear program `min objective · x` subject to `constraints`, with
 /// `x ≥ 0`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LpProblem {
     /// Objective coefficients (minimized).
     pub objective: Vec<f64>,

@@ -19,7 +19,6 @@ use crate::LinalgError;
 /// assert_eq!(s.population_variance(), 4.0);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -135,7 +134,6 @@ impl OnlineStats {
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Standardizer {
     shift: f64,
     scale: f64,

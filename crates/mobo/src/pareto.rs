@@ -61,7 +61,6 @@ pub fn pareto_front_indices(points: &[[f64; 2]]) -> Vec<usize> {
 /// assert_eq!(front.len(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ParetoFront {
     // Invariant: sorted ascending by [0], strictly descending by [1],
     // mutually non-dominated.

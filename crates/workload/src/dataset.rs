@@ -15,7 +15,6 @@
 /// assert_eq!(d.sample_bytes(), 32 * 32 * 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dataset {
     name: String,
     sample_bytes: u64,

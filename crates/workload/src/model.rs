@@ -6,7 +6,6 @@
 /// (§2.2(3), Fig. 5): the same network speeds up by very different factors
 /// when moved from a Pascal-class TX2 to a Volta-class AGX.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum GpuArch {
     /// Volta-class GPU (Jetson AGX Xavier).
@@ -27,7 +26,6 @@ impl std::fmt::Display for GpuArch {
 /// Broad class of a neural network, following the paper's taxonomy
 /// (Transformer / CNN / RNN).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum ModelClass {
     /// Transformer models (large GEMMs, moderate launch overhead).
@@ -53,7 +51,6 @@ impl std::fmt::Display for ModelClass {
 /// Values are in `(0, 1]`; they capture kernel-level efficiency (occupancy,
 /// tensor-core usage, launch granularity) fitted per architecture.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArchEfficiency {
     /// Sustained fraction on Volta-class GPUs.
     pub volta: f64,
@@ -101,7 +98,6 @@ impl ArchEfficiency {
 /// assert!(vit.efficiency().for_arch(GpuArch::Volta) > 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NnModel {
     name: String,
     class: ModelClass,

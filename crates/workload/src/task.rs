@@ -2,7 +2,6 @@ use crate::{Dataset, NnModel};
 
 /// Which physical testbed a preset targets (the paper's Table 1 devices).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Testbed {
     /// Nvidia Jetson AGX Xavier (8-core Carmel CPU, 512-core Volta GPU).
@@ -29,7 +28,6 @@ impl std::fmt::Display for Testbed {
 
 /// The three evaluation tasks of the paper's §6.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum TaskKind {
     /// Vision Transformer on CIFAR10.
@@ -84,7 +82,6 @@ impl std::fmt::Display for TaskKind {
 /// assert_eq!(t.jobs_per_round(), 60);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlTask {
     model: NnModel,
     dataset: Dataset,
