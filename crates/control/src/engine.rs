@@ -250,9 +250,11 @@ impl EventDrivenEngine {
     }
 
     /// Arm the crash-safety write-ahead log: every journalled transition
-    /// and round close is fsync'd to `wal` before the engine proceeds.
-    /// Apply this *after* [`EventDrivenEngine::with_journal_capacity`],
-    /// which replaces the plane.
+    /// and round close is written to `wal` before the engine proceeds,
+    /// and each round is durable once its close is (the group-commit
+    /// contract in [`crate::wal`]). Apply this *after*
+    /// [`EventDrivenEngine::with_journal_capacity`], which replaces the
+    /// plane.
     #[must_use]
     pub fn with_wal(self, wal: Arc<Mutex<crate::wal::JournalWal>>) -> Self {
         self.plane
@@ -265,9 +267,12 @@ impl EventDrivenEngine {
     /// Adopt a plane reconstructed by `ControlPlane::resume` and restart
     /// the virtual clock at `now_s` (the resume report's commit-point
     /// clock). The resumed run continues from the round after the last
-    /// committed close.
+    /// committed close. Over-selection escalation is re-armed from that
+    /// close: a live run sets it to the close's `degraded` flag, and the
+    /// flag is only consulted with liveness armed.
     #[must_use]
     pub fn with_resumed(mut self, plane: ControlPlane, now_s: f64) -> Self {
+        self.escalated = plane.closes().last().is_some_and(|c| c.degraded);
         self.plane = Arc::new(Mutex::new(plane));
         self.now_s = now_s;
         self

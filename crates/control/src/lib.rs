@@ -35,8 +35,9 @@
 //! - [`chaos`] — [`ChaosTransport`] decorates any carrier with seeded
 //!   delay, drop, duplication, reordering and partitions drawn from a
 //!   [`ChaosPlan`] (same stream discipline as `FaultPlan`).
-//! - [`wal`] — [`JournalWal`], an fsync'd append-only write-ahead log of
-//!   journal records with torn-tail truncation on open, powering
+//! - [`wal`] — [`JournalWal`], a group-committed append-only
+//!   write-ahead log of journal records (one fsync per round close)
+//!   with torn-tail truncation on open, powering
 //!   [`ControlPlane::resume`] (crash-safe coordinator restart) and
 //!   [`JournalTail`] (a follow-mode reader that never perturbs the
 //!   writer — the `journal_tail` bin).

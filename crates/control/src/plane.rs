@@ -18,10 +18,11 @@ use crate::wal::{JournalWal, WalError, WalRecord};
 /// Tracks every client's lifecycle state and journals transitions.
 ///
 /// With a WAL attached ([`ControlPlane::attach_wal`]) every journalled
-/// transition and round close is also appended — fsync'd — to an on-disk
-/// write-ahead log, and [`ControlPlane::resume`] can rebuild the plane
-/// from that log after a coordinator crash. Wire statistics are *not*
-/// persisted: they are derived observability, reproduced by re-running.
+/// transition and round close is also logged to an on-disk write-ahead
+/// log under its group-commit contract ([`crate::wal`]), and
+/// [`ControlPlane::resume`] can rebuild the plane from that log after a
+/// coordinator crash. Wire statistics are *not* persisted: they are
+/// derived observability, reproduced by re-running.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
     states: Vec<ClientState>,
@@ -56,8 +57,10 @@ impl ControlPlane {
     }
 
     /// Arm the write-ahead log: from now on every journalled transition
-    /// and round close is appended (and fsync'd) to `wal` before the
-    /// call that produced it returns.
+    /// and round close is written to `wal` before the call that produced
+    /// it returns. Transitions are visible there at once and durable once
+    /// their round's close is (the group-commit contract in
+    /// [`crate::wal`]).
     pub fn attach_wal(&mut self, wal: Arc<Mutex<JournalWal>>) {
         self.wal = Some(wal);
     }
@@ -136,8 +139,8 @@ impl ControlPlane {
             };
             wal.lock()
                 .expect("journal WAL poisoned")
-                .append_event(&entry)
-                .expect("journal WAL append failed — the run is no longer crash-safe");
+                .write_event(&entry)
+                .expect("journal WAL write failed — the run is no longer crash-safe");
         }
         Ok(to)
     }
@@ -694,7 +697,7 @@ mod tests {
         let path = wal_path("seq-gap");
         {
             let mut wal = crate::wal::JournalWal::create(&path).unwrap();
-            wal.append_event(&EventEntry {
+            wal.write_event(&EventEntry {
                 seq: 5, // gap: first record must be seq 0
                 round: 0,
                 client: 0,

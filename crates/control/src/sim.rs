@@ -319,8 +319,10 @@ impl ControlSimulationBuilder {
 
     /// Arms the crash-safety write-ahead log at `path` (truncating any
     /// existing file): every journalled transition and round close is
-    /// fsync'd there before the engine proceeds, so a killed coordinator
-    /// can be revived with [`ControlSimulationBuilder::resume_from_wal`].
+    /// written there before the engine proceeds, and each round is
+    /// durable once its close is (the group-commit contract in
+    /// [`crate::wal`]), so a killed coordinator can be revived with
+    /// [`ControlSimulationBuilder::resume_from_wal`].
     ///
     /// # Panics
     ///

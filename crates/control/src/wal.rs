@@ -3,11 +3,9 @@
 //!
 //! [`JournalWal`] is an append-only file of binary records, one per
 //! journalled transition ([`EventEntry`]) or round close ([`RoundClose`]).
-//! Every append is `fsync`'d before it returns, so the moment
-//! `ControlPlane::apply` hands a state change back to the engine the
-//! transition is durable. Record framing reuses the socket codec's
-//! discipline ([`bofl_fleet::wire`]): magic, kind, length prefix, payload,
-//! CRC-32 over everything after the magic —
+//! Record framing reuses the socket codec's discipline
+//! ([`bofl_fleet::wire`]): magic, kind, length prefix, payload, CRC-32
+//! over everything after the magic —
 //!
 //! ```text
 //! offset  size  field
@@ -25,6 +23,26 @@
 //! `closed_early`, bit 2 `degraded`), `shards: u32`,
 //! `shard_shortfalls: u32`. Wire statistics are *not* logged — they are
 //! derived observability, reproduced by re-running the round.
+//!
+//! # Durability: group commit
+//!
+//! This is the one statement of the log's contract; the control plane,
+//! engine and simulation builder point here.
+//!
+//! - An Event record is **visible** to readers ([`JournalTail`], a
+//!   concurrent `journal_tail --follow`) as soon as
+//!   [`JournalWal::write_event`] returns: it is written, not fsync'd.
+//! - A round is **durable** once its Close record is:
+//!   [`JournalWal::append_close`] writes the Close and fsyncs the file,
+//!   which makes every Event record written before it durable too. One
+//!   fsync per round, not one per record.
+//! - [`JournalWal::append`] keeps write + fsync for a single record of
+//!   either kind; [`JournalWal::open`] and [`JournalWal::truncate_to`]
+//!   fsync the truncations they make.
+//!
+//! Nothing recoverable is lost by this: resume already discards every
+//! record after the last Close (below), so an Event record that a crash
+//! catches before its round's Close was never going to survive.
 //!
 //! # Crash semantics
 //!
@@ -259,8 +277,8 @@ pub fn decode_record(buf: &[u8], offset: u64) -> Result<Option<(WalRecord, usize
 }
 
 /// The append side of the write-ahead log: an open file plus its logical
-/// length. Every append writes one whole record and `fsync`s before
-/// returning.
+/// length. Every call writes whole records; which calls also `fsync` is
+/// the group-commit contract in the [module docs](self).
 #[derive(Debug)]
 pub struct JournalWal {
     file: File,
@@ -338,30 +356,39 @@ impl JournalWal {
         Ok((wal, records, torn))
     }
 
-    /// Append one record and `fsync` it.
+    /// Write one record without `fsync`: readers see it at once, and it
+    /// becomes durable with the next `fsync` of the file.
+    fn write(&mut self, record: &WalRecord) -> io::Result<()> {
+        let bytes = encode_record(record);
+        self.file.write_all(&bytes)?;
+        self.len += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Append one record and `fsync` it (with every record written
+    /// before it).
     ///
     /// # Errors
     ///
     /// Propagates the underlying file error; on error the record must be
     /// considered *not* durable.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        let bytes = encode_record(record);
-        self.file.write_all(&bytes)?;
-        self.file.sync_data()?;
-        self.len += bytes.len() as u64;
-        Ok(())
+        self.write(record)?;
+        self.file.sync_data()
     }
 
-    /// Append one journalled transition.
+    /// Write one journalled transition, without `fsync`: it is durable
+    /// once the Close record of its round is appended.
     ///
     /// # Errors
     ///
     /// Propagates the underlying file error.
-    pub fn append_event(&mut self, entry: &EventEntry) -> io::Result<()> {
-        self.append(&WalRecord::Event(*entry))
+    pub fn write_event(&mut self, entry: &EventEntry) -> io::Result<()> {
+        self.write(&WalRecord::Event(*entry))
     }
 
-    /// Append one round-close commit marker.
+    /// Append one round-close commit marker and `fsync`, making the
+    /// round's Event records durable with it.
     ///
     /// # Errors
     ///
@@ -384,7 +411,7 @@ impl JournalWal {
         Ok(())
     }
 
-    /// Logical length in bytes (the clean, durable prefix).
+    /// Logical length in bytes: the clean prefix written so far.
     pub fn len(&self) -> u64 {
         self.len
     }
@@ -561,8 +588,8 @@ mod tests {
     fn open_truncates_the_torn_tail() {
         let path = temp("torn");
         let mut wal = JournalWal::create(&path).unwrap();
-        wal.append_event(&event(0)).unwrap();
-        wal.append_event(&event(1)).unwrap();
+        wal.write_event(&event(0)).unwrap();
+        wal.write_event(&event(1)).unwrap();
         wal.append_close(&close()).unwrap();
         let clean_len = wal.len();
         drop(wal);
@@ -589,7 +616,7 @@ mod tests {
     fn append_after_recovery_continues_the_clean_prefix() {
         let path = temp("resume-append");
         let mut wal = JournalWal::create(&path).unwrap();
-        wal.append_event(&event(0)).unwrap();
+        wal.write_event(&event(0)).unwrap();
         drop(wal);
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -598,7 +625,7 @@ mod tests {
         let (mut wal, records, discarded) = JournalWal::open(&path).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(discarded, 2);
-        wal.append_event(&event(1)).unwrap();
+        wal.write_event(&event(1)).unwrap();
         drop(wal);
         let (_, records, discarded) = JournalWal::open(&path).unwrap();
         assert_eq!(discarded, 0);
@@ -617,7 +644,7 @@ mod tests {
     fn tail_reads_everything_and_waits_at_a_partial_record() {
         let path = temp("tail");
         let mut wal = JournalWal::create(&path).unwrap();
-        wal.append_event(&event(0)).unwrap();
+        wal.write_event(&event(0)).unwrap();
         wal.append_close(&close()).unwrap();
 
         let mut tail = JournalTail::open(&path).unwrap();
@@ -626,7 +653,7 @@ mod tests {
         assert_eq!(tail.poll().unwrap(), None);
 
         // The writer appends while the tail is open: the tail catches up.
-        wal.append_event(&event(1)).unwrap();
+        wal.write_event(&event(1)).unwrap();
         assert_eq!(tail.poll().unwrap(), Some(WalRecord::Event(event(1))));
 
         // A half-written record is "not yet", not corruption.
@@ -649,7 +676,7 @@ mod tests {
         let path = temp("drain");
         let mut wal = JournalWal::create(&path).unwrap();
         for seq in 0..5 {
-            wal.append_event(&event(seq)).unwrap();
+            wal.write_event(&event(seq)).unwrap();
         }
         let records = JournalTail::open(&path).unwrap().drain().unwrap();
         let seqs: Vec<u64> = records

@@ -23,8 +23,9 @@ fn wal_path(name: &str) -> PathBuf {
 
 /// Deterministic but non-trivial: stragglers and dropout are seeded per
 /// `(round, client)`, so the resumed tail re-derives the exact same
-/// faults the uninterrupted run saw. Liveness stays off — over-selection
-/// escalation is engine-local state, not WAL'd.
+/// faults the uninterrupted run saw. Liveness stays off here; resume
+/// re-arms over-selection escalation from the last committed close's
+/// `degraded` flag (see `resume_escalation.rs` and `crash_sweep.rs`).
 fn builder(seed: u64, workers: usize) -> ControlSimulationBuilder {
     ControlSimulation::builder(FleetSpec::mixed(10, seed))
         .federation(FederationConfig {

@@ -51,6 +51,13 @@ pub trait TrainableModel: Send {
     /// Classification accuracy on a dataset.
     fn accuracy(&self, features: &[Vec<f64>], labels: &[usize]) -> f64;
 
+    /// `(accuracy, loss)` on a dataset in one call, bit for bit the two
+    /// separate calls. Models that can score both in one pass override
+    /// this.
+    fn evaluate(&self, features: &[Vec<f64>], labels: &[usize]) -> (f64, f64) {
+        (self.accuracy(features, labels), self.loss(features, labels))
+    }
+
     /// Clones the model behind a box (object-safe clone).
     fn clone_box(&self) -> Box<dyn TrainableModel>;
 }
@@ -71,6 +78,15 @@ fn softmax_in_place(logits: &mut [f64]) {
     for v in logits.iter_mut() {
         *v /= sum;
     }
+}
+
+/// Index of the largest probability (the last one on ties).
+fn argmax(p: &[f64]) -> usize {
+    p.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("probabilities are finite"))
+        .map(|(i, _)| i)
+        .expect("at least two classes")
 }
 
 /// Multinomial logistic regression (softmax) with bias, trained by SGD.
@@ -126,37 +142,37 @@ impl SoftmaxModel {
         self.classes
     }
 
-    fn logits(&self, x: &[f64]) -> Vec<f64> {
+    /// The probability kernel: writes the logits of `x` into `out`
+    /// (one slot per class), then softmaxes them in place. The caller
+    /// owns the buffer, so SGD and evaluation reuse one per pass.
+    fn proba_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.features, "feature dimension mismatch");
-        let stride = self.features + 1;
-        (0..self.classes)
-            .map(|c| {
-                let row = &self.weights[c * stride..(c + 1) * stride];
-                row[..self.features]
-                    .iter()
-                    .zip(x)
-                    .map(|(w, xi)| w * xi)
-                    .sum::<f64>()
-                    + row[self.features]
-            })
-            .collect()
+        debug_assert_eq!(out.len(), self.classes);
+        for (row, o) in self
+            .weights
+            .chunks_exact(self.features + 1)
+            .zip(out.iter_mut())
+        {
+            *o = row[..self.features]
+                .iter()
+                .zip(x)
+                .map(|(w, xi)| w * xi)
+                .sum::<f64>()
+                + row[self.features];
+        }
+        softmax_in_place(out);
     }
 
     /// Class probabilities for one sample.
     pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let mut l = self.logits(x);
-        softmax_in_place(&mut l);
-        l
+        let mut p = vec![0.0; self.classes];
+        self.proba_into(x, &mut p);
+        p
     }
 
     /// Most likely class for one sample.
     pub fn predict(&self, x: &[f64]) -> usize {
-        let p = self.predict_proba(x);
-        p.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("probabilities are finite"))
-            .map(|(i, _)| i)
-            .expect("at least two classes")
+        argmax(&self.predict_proba(x))
     }
 }
 
@@ -180,10 +196,10 @@ impl TrainableModel for SoftmaxModel {
         let scale = learning_rate / batch.len() as f64;
         let mut total_loss = 0.0;
         let mut grad = vec![0.0; self.weights.len()];
+        let mut p = vec![0.0; self.classes];
         for (x, &y) in batch.features.iter().zip(batch.labels) {
             assert!(y < self.classes, "label {y} out of range");
-            let mut p = self.logits(x);
-            softmax_in_place(&mut p);
+            self.proba_into(x, &mut p);
             total_loss -= p[y].max(1e-12).ln();
             for c in 0..self.classes {
                 let err = p[c] - if c == y { 1.0 } else { 0.0 };
@@ -224,6 +240,28 @@ impl TrainableModel for SoftmaxModel {
             .filter(|(x, &y)| self.predict(x) == y)
             .count();
         hits as f64 / features.len() as f64
+    }
+
+    /// One pass over the data: each sample's probabilities are computed
+    /// once and scored for both the hit count and the loss.
+    fn evaluate(&self, features: &[Vec<f64>], labels: &[usize]) -> (f64, f64) {
+        assert_eq!(features.len(), labels.len());
+        if features.is_empty() {
+            return (0.0, 0.0);
+        }
+        let mut p = vec![0.0; self.classes];
+        let mut hits = 0usize;
+        let loss = features
+            .iter()
+            .zip(labels)
+            .map(|(x, &y)| {
+                self.proba_into(x, &mut p);
+                hits += usize::from(argmax(&p) == y);
+                -p[y].max(1e-12).ln()
+            })
+            .sum::<f64>()
+            / features.len() as f64;
+        (hits as f64 / features.len() as f64, loss)
     }
 
     fn clone_box(&self) -> Box<dyn TrainableModel> {
@@ -300,12 +338,7 @@ impl MlpModel {
 
     /// Most likely class for one sample.
     pub fn predict(&self, x: &[f64]) -> usize {
-        let (_, p) = self.forward(x);
-        p.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("probabilities are finite"))
-            .map(|(i, _)| i)
-            .expect("at least two classes")
+        argmax(&self.forward(x).1)
     }
 }
 

@@ -450,6 +450,9 @@ impl Federation {
             .quorum(self.config.clients_per_round);
         let quorum_shortfall = quorum.saturating_sub(aggregated.len());
 
+        let (test_accuracy, test_loss) = self
+            .global
+            .evaluate(self.test_set.features(), self.test_set.labels());
         let record = RoundRecord {
             round,
             selected: ids,
@@ -458,12 +461,8 @@ impl Federation {
             quorum,
             quorum_shortfall,
             energy_j,
-            test_accuracy: self
-                .global
-                .accuracy(self.test_set.features(), self.test_set.labels()),
-            test_loss: self
-                .global
-                .loss(self.test_set.features(), self.test_set.labels()),
+            test_accuracy,
+            test_loss,
         };
         (record, outcomes)
     }
@@ -472,6 +471,11 @@ impl Federation {
     pub fn test_accuracy(&self) -> f64 {
         self.global
             .accuracy(self.test_set.features(), self.test_set.labels())
+    }
+
+    /// The global model's current flat parameter vector.
+    pub fn global_parameters(&self) -> Vec<f64> {
+        self.global.parameters()
     }
 
     /// Number of clients in the pool.
