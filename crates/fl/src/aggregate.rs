@@ -243,8 +243,29 @@ impl UpdateAccumulator {
 /// Quantizes one parameter to signed 64.32 fixed point.
 #[inline]
 fn fix(p: f64) -> i64 {
-    (p * SCALE).round() as i64
+    round_to_i64(p * SCALE)
 }
+
+/// Exactly `x.round() as i64` (half away from zero), inline.
+///
+/// On baseline x86-64 (SSE2 only) `f64::round` is an out-of-line libcall,
+/// once per parameter of every fold. Below 2^52 the truncation `t` and the
+/// remainder `x - t` are exact, so the tie test decides the rounding
+/// exactly; larger magnitudes, infinities and NaN are already integral or
+/// special and take the library path.
+#[inline]
+fn round_to_i64(x: f64) -> i64 {
+    if x.abs() < TWO_POW_52 {
+        let t = x as i64;
+        let f = x - t as f64;
+        t + i64::from(f >= 0.5) - i64::from(f <= -0.5)
+    } else {
+        x.round() as i64
+    }
+}
+
+/// 2^52: from here up every `f64` is an integer.
+const TWO_POW_52: f64 = (1u64 << 52) as f64;
 
 #[inline]
 fn fnv1a(mut h: u64, word: u64) -> u64 {
@@ -286,6 +307,7 @@ pub fn aggregate_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn synth_update(seed: u64, dim: usize) -> Vec<f64> {
         (0..dim)
@@ -444,5 +466,66 @@ mod tests {
         acc.reset(32);
         assert_eq!(acc.sum.capacity(), cap, "reset must keep the allocation");
         assert_eq!(acc.dim(), 32);
+    }
+
+    /// Inputs (each also negated) where an inline round is easiest to get
+    /// wrong: zero, half-integers, the largest double below one half, both
+    /// sides of 2^52, magnitudes beyond `i64`, infinity, NaN, the smallest
+    /// normal and both ends of the subnormals.
+    const EDGES: [f64; 16] = [
+        0.0,
+        0.5,
+        1.5,
+        2.5,
+        0.499_999_999_999_999_94,
+        4_503_599_627_370_495.5,
+        4_503_599_627_370_496.0,
+        4_503_599_627_370_497.0,
+        9.3e18,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NAN,
+        f64::MIN_POSITIVE,
+        2.225_073_858_507_201e-308,
+        5e-324,
+        1.0 - f64::EPSILON / 2.0,
+    ];
+
+    #[test]
+    fn inline_round_matches_the_library_on_edge_cases() {
+        for x in EDGES.into_iter().flat_map(|x| [x, -x]) {
+            assert_eq!(round_to_i64(x), x.round() as i64, "round({x:e})");
+        }
+    }
+
+    proptest! {
+        /// Random bit patterns, `k + 0.5` ties across every magnitude
+        /// below 2^52 with their neighbouring doubles, and random doubles
+        /// with exponents around the integer range.
+        #[test]
+        fn inline_round_matches_the_library_bit_for_bit(seed in 0u64..u64::MAX) {
+            let mut rng = proptest::TestRng::new(seed);
+            for _ in 0..2048 {
+                let r = rng.next_u64();
+                let k = ((r >> 11) as i64 - (1 << 52)) >> (r % 53);
+                let tie = k as f64 + 0.5;
+                let exponent = (1023 - 8 + (r >> 1) % 72) << 52;
+                let near = f64::from_bits(rng.next_u64() & 0x800F_FFFF_FFFF_FFFF | exponent);
+                for x in [
+                    f64::from_bits(r),
+                    tie,
+                    f64::from_bits(tie.to_bits() + 1),
+                    f64::from_bits(tie.to_bits() - 1),
+                    near,
+                ] {
+                    prop_assert!(
+                        round_to_i64(x) == x.round() as i64,
+                        "round({x:e}) = {}, library {}",
+                        round_to_i64(x),
+                        x.round() as i64
+                    );
+                }
+            }
+        }
     }
 }

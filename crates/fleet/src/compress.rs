@@ -219,7 +219,7 @@ impl Compressor for Int8Quantizer {
                 0i8
             } else {
                 let x = v / scale;
-                let lo = x.floor();
+                let lo = floor(x);
                 let frac = x - lo;
                 let up = unit(seed, d as u64) < frac;
                 (lo as i32 + i32::from(up)).clamp(-127, 127) as i8
@@ -238,6 +238,27 @@ impl Compressor for Int8Quantizer {
         Box::new(*self)
     }
 }
+
+/// Exactly [`f64::floor`], inline.
+///
+/// On baseline x86-64 (SSE2 only) `f64::floor` is an out-of-line libcall,
+/// once per quantized parameter. Below 2^52 the truncation `t` is exact
+/// and `floor` is `t` or `t - 1`; `copysign` keeps the sign of a zero
+/// result (`floor(-0.0) == -0.0`). Larger magnitudes, infinities and NaN
+/// take the library path.
+#[inline]
+fn floor(x: f64) -> f64 {
+    if x.abs() < TWO_POW_52 {
+        let t = x as i64 as f64;
+        let lo = if t > x { t - 1.0 } else { t };
+        lo.copysign(x)
+    } else {
+        x.floor()
+    }
+}
+
+/// 2^52: from here up every `f64` is an integer.
+const TWO_POW_52: f64 = (1u64 << 52) as f64;
 
 /// Top-k magnitude sparsification with error feedback: send the `k`
 /// largest-magnitude entries exactly, carry everything else forward in
@@ -351,6 +372,7 @@ fn unit(seed: u64, lane: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn synth(seed: u64, dim: usize) -> Vec<f64> {
         (0..dim).map(|d| unit(seed, d as u64) * 2.0 - 1.0).collect()
@@ -480,5 +502,66 @@ mod tests {
         let mut decoded = Vec::new();
         out.decode_into(&mut decoded);
         assert_eq!(decoded, update);
+    }
+
+    /// Inputs (each also negated) where an inline floor is easiest to get
+    /// wrong: zero, half-integers, the largest double below one half, both
+    /// sides of 2^52, magnitudes beyond `i64`, infinity, NaN, the smallest
+    /// normal and both ends of the subnormals.
+    const EDGES: [f64; 16] = [
+        0.0,
+        0.5,
+        1.5,
+        2.5,
+        0.499_999_999_999_999_94,
+        4_503_599_627_370_495.5,
+        4_503_599_627_370_496.0,
+        4_503_599_627_370_497.0,
+        9.3e18,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NAN,
+        f64::MIN_POSITIVE,
+        2.225_073_858_507_201e-308,
+        5e-324,
+        1.0 - f64::EPSILON / 2.0,
+    ];
+
+    #[test]
+    fn inline_floor_matches_the_library_on_edge_cases() {
+        for x in EDGES.into_iter().flat_map(|x| [x, -x]) {
+            assert_eq!(floor(x).to_bits(), x.floor().to_bits(), "floor({x:e})");
+        }
+    }
+
+    proptest! {
+        /// Random bit patterns, `k + 0.5` ties across every magnitude
+        /// below 2^52 with their neighbouring doubles, and random doubles
+        /// with exponents around the integer range.
+        #[test]
+        fn inline_floor_matches_the_library_bit_for_bit(seed in 0u64..u64::MAX) {
+            let mut rng = proptest::TestRng::new(seed);
+            for _ in 0..2048 {
+                let r = rng.next_u64();
+                let k = ((r >> 11) as i64 - (1 << 52)) >> (r % 53);
+                let tie = k as f64 + 0.5;
+                let exponent = (1023 - 8 + (r >> 1) % 72) << 52;
+                let near = f64::from_bits(rng.next_u64() & 0x800F_FFFF_FFFF_FFFF | exponent);
+                for x in [
+                    f64::from_bits(r),
+                    tie,
+                    f64::from_bits(tie.to_bits() + 1),
+                    f64::from_bits(tie.to_bits() - 1),
+                    near,
+                ] {
+                    prop_assert!(
+                        floor(x).to_bits() == x.floor().to_bits(),
+                        "floor({x:e}) = {:e}, library {:e}",
+                        floor(x),
+                        x.floor()
+                    );
+                }
+            }
+        }
     }
 }

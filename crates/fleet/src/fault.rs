@@ -18,9 +18,15 @@ use rand::{Rng, SeedableRng};
 /// transports, liveness jitter) extend the discipline instead of
 /// inventing their own.
 pub fn stream_seed(seed: u64, round: usize, client_id: usize, salt: u64) -> u64 {
-    seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (client_id as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-        ^ salt
+    seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ client_term(client_id) ^ salt
+}
+
+/// The client's share of [`stream_seed`]. XOR is associative, so
+/// `stream_seed(seed, round, id, salt)` equals
+/// `stream_seed(seed, round, 0, salt) ^ client_term(id)`: a scan over many
+/// clients in one round mixes the round part once.
+pub(crate) fn client_term(client_id: usize) -> u64 {
+    (client_id as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
 }
 
 /// The faults injected into one client's round.

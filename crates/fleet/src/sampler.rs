@@ -16,13 +16,19 @@
 //! keys win), which gives exact weighted sampling *without replacement*
 //! — no shuffling of a million-entry vector.
 //!
+//! Client `id`'s draw is the splitmix64 finalizer of
+//! `stream_seed(seed, round, id, salt)`. That mix XORs a per-round part
+//! with a per-client part, so each `sample` call computes the round's part
+//! once and the scan adds only the client's term: the same bits, for one
+//! multiply, one XOR and the finalizer per client.
+//!
 //! # The selection kernel
 //!
 //! All three samplers reduce to "the `cohort` smallest `(key, id)` pairs",
 //! with ties on the key broken by id. Keys are integers that order
 //! exactly like [`f64::total_cmp`] on the float key (the weighted
 //! samplers) or like the draw itself (the uniform sampler orders by the
-//! 53 raw bits behind [`unit_draw`]). One pass over the fleet admits
+//! 53 raw bits behind [`RoundDraws::unit`]). One pass over the fleet admits
 //! pairs below a running cut into a buffer of `2 · cohort`; each time the
 //! buffer fills, a linear-time select shrinks it back to `cohort` and
 //! tightens the cut. That is O(fleet) expected with no heap.
@@ -36,7 +42,7 @@
 //! is idle, so its thread count follows the host rather than
 //! `ScaleConfig::workers`; smaller fleets stay on the calling thread.
 
-use crate::fault::stream_seed;
+use crate::fault::{client_term, stream_seed};
 use crate::generator::DeviceKind;
 
 /// Salt distinguishing the sampler's draw stream from fault/chaos draws.
@@ -149,8 +155,8 @@ impl Default for LossStalenessSampler {
 
 impl EnergyAwareSampler {
     /// Efraimidis–Spirakis key for weight `energy^-alpha`.
-    fn key(&self, s: &ClientStat, round: usize, seed: u64) -> f64 {
-        let u = unit_draw(seed, round, s.id);
+    fn key(&self, s: &ClientStat, draws: RoundDraws) -> f64 {
+        let u = draws.unit(s.id);
         let energy = (s.energy_j_est as f64).max(1e-6);
         -u.ln() * energy.powf(self.alpha)
     }
@@ -158,8 +164,8 @@ impl EnergyAwareSampler {
 
 impl LossStalenessSampler {
     /// Efraimidis–Spirakis key for the loss × staleness weight.
-    fn key(&self, s: &ClientStat, round: usize, seed: u64) -> f64 {
-        let u = unit_draw(seed, round, s.id);
+    fn key(&self, s: &ClientStat, draws: RoundDraws, round: usize) -> f64 {
+        let u = draws.unit(s.id);
         let loss = (s.last_loss as f64 + 0.05).max(1e-6);
         let fresh = 1.0 + s.staleness(round) as f64;
         let w = loss.powf(self.loss_exp) * fresh.powf(self.staleness_exp);
@@ -167,22 +173,38 @@ impl LossStalenessSampler {
     }
 }
 
-/// The 53 uniform bits behind [`unit_draw`], pure in `(seed, round, id)`.
-fn draw_bits(seed: u64, round: usize, id: u32) -> u64 {
-    let mut h = stream_seed(seed, round, id as usize, SAMPLER_SALT);
-    // splitmix64 finalizer: turns the XOR mix into well-distributed bits.
-    h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^= h >> 31;
-    h >> 11
+/// One round's sampler draws, pure in `(seed, round, id)`: `new` mixes
+/// the round's part of `stream_seed(seed, round, id, SAMPLER_SALT)` once,
+/// and each draw adds only the client's term (see the module docs).
+#[derive(Debug, Clone, Copy)]
+struct RoundDraws {
+    base: u64,
 }
 
-/// A uniform draw in `(0, 1]`, pure in `(seed, round, id)`. The open
-/// lower bound keeps `ln` finite for the weighted keys. The map from
-/// [`draw_bits`] is exact and strictly increasing.
-fn unit_draw(seed: u64, round: usize, id: u32) -> f64 {
-    (draw_bits(seed, round, id) as f64 + 1.0) / (1u64 << 53) as f64
+impl RoundDraws {
+    fn new(seed: u64, round: usize) -> Self {
+        RoundDraws {
+            base: stream_seed(seed, round, 0, SAMPLER_SALT),
+        }
+    }
+
+    /// The 53 uniform bits behind [`RoundDraws::unit`].
+    fn bits(self, id: u32) -> u64 {
+        let mut h = self.base ^ client_term(id as usize);
+        // splitmix64 finalizer: turns the XOR mix into well-distributed bits.
+        h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        h ^= h >> 31;
+        h >> 11
+    }
+
+    /// A uniform draw in `(0, 1]`. The open lower bound keeps `ln` finite
+    /// for the weighted keys. The map from [`RoundDraws::bits`] is exact
+    /// and strictly increasing.
+    fn unit(self, id: u32) -> f64 {
+        (self.bits(id) as f64 + 1.0) / (1u64 << 53) as f64
+    }
 }
 
 /// An integer that orders exactly like `x` under [`f64::total_cmp`]
@@ -304,7 +326,8 @@ impl ClientSampler for UniformSampler {
         seed: u64,
         out: &mut Vec<u32>,
     ) {
-        smallest_k(fleet, cohort, out, |s| draw_bits(seed, round, s.id) as i64);
+        let draws = RoundDraws::new(seed, round);
+        smallest_k(fleet, cohort, out, move |s| draws.bits(s.id) as i64);
     }
 
     fn clone_box(&self) -> Box<dyn ClientSampler> {
@@ -325,8 +348,9 @@ impl ClientSampler for EnergyAwareSampler {
         seed: u64,
         out: &mut Vec<u32>,
     ) {
-        smallest_k(fleet, cohort, out, |s| {
-            total_order_key(self.key(s, round, seed))
+        let draws = RoundDraws::new(seed, round);
+        smallest_k(fleet, cohort, out, move |s| {
+            total_order_key(self.key(s, draws))
         });
     }
 
@@ -348,8 +372,9 @@ impl ClientSampler for LossStalenessSampler {
         seed: u64,
         out: &mut Vec<u32>,
     ) {
-        smallest_k(fleet, cohort, out, |s| {
-            total_order_key(self.key(s, round, seed))
+        let draws = RoundDraws::new(seed, round);
+        smallest_k(fleet, cohort, out, move |s| {
+            total_order_key(self.key(s, draws, round))
         });
     }
 
@@ -621,42 +646,76 @@ mod tests {
         }
     }
 
+    /// The draw bits the way the sampler first computed them: the whole
+    /// `stream_seed` mix for every client, then the splitmix64 finalizer.
+    fn full_mix_bits(seed: u64, round: usize, id: u32) -> u64 {
+        let mut h = stream_seed(seed, round, id as usize, SAMPLER_SALT);
+        h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        h ^= h >> 31;
+        h >> 11
+    }
+
+    fn full_mix_unit(seed: u64, round: usize, id: u32) -> f64 {
+        (full_mix_bits(seed, round, id) as f64 + 1.0) / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn round_draws_match_the_full_stream_mix() {
+        let mut state = 17;
+        let edges = [0, 1, 2, u32::MAX / 2, u32::MAX - 1, u32::MAX];
+        for _ in 0..200 {
+            let seed = next(&mut state);
+            let round = match next(&mut state) % 3 {
+                0 => 0,
+                1 => (next(&mut state) % 10_000) as usize,
+                _ => next(&mut state) as usize,
+            };
+            let draws = RoundDraws::new(seed, round);
+            let random = (0..64).map(|_| next(&mut state) as u32);
+            for id in edges.into_iter().chain(random) {
+                assert_eq!(draws.bits(id), full_mix_bits(seed, round, id));
+                assert_eq!(
+                    draws.unit(id).to_bits(),
+                    full_mix_unit(seed, round, id).to_bits()
+                );
+            }
+        }
+    }
+
     #[test]
     fn samplers_match_reference_at_every_chunk_count() {
         let mut out = Vec::new();
         for (n, seed) in [(700, 8), (3001, 9)] {
             let fleet = random_fleet(n, seed);
             for round in [0, 17] {
+                let draws = RoundDraws::new(seed, round);
                 let energy = EnergyAwareSampler { alpha: 1.5 };
                 let loss = LossStalenessSampler::default();
-                assert_matches_reference(&fleet, |s| unit_draw(seed, round, s.id));
-                assert_matches_reference(&fleet, |s| energy.key(s, round, seed));
-                assert_matches_reference(&fleet, |s| loss.key(s, round, seed));
+                assert_matches_reference(&fleet, |s| draws.unit(s.id));
+                assert_matches_reference(&fleet, |s| energy.key(s, draws));
+                assert_matches_reference(&fleet, |s| loss.key(s, draws, round));
 
                 // The public entry points agree, including the uniform
                 // sampler's integer keys.
                 let cohort = n / 10;
+                let uniform = reference(&fleet, cohort, |s| full_mix_unit(seed, round, s.id));
                 UniformSampler.sample(&fleet, cohort, round, seed, &mut out);
-                assert_eq!(
-                    out,
-                    reference(&fleet, cohort, |s| unit_draw(seed, round, s.id))
-                );
+                assert_eq!(out, uniform);
                 for chunks in [2, 3, 7] {
                     smallest_k_chunked(&fleet, cohort, chunks, &mut out, |s| {
-                        draw_bits(seed, round, s.id) as i64
+                        draws.bits(s.id) as i64
                     });
-                    assert_eq!(
-                        out,
-                        reference(&fleet, cohort, |s| unit_draw(seed, round, s.id))
-                    );
+                    assert_eq!(out, uniform);
                 }
                 energy.sample(&fleet, cohort, round, seed, &mut out);
+                assert_eq!(out, reference(&fleet, cohort, |s| energy.key(s, draws)));
+                loss.sample(&fleet, cohort, round, seed, &mut out);
                 assert_eq!(
                     out,
-                    reference(&fleet, cohort, |s| energy.key(s, round, seed))
+                    reference(&fleet, cohort, |s| loss.key(s, draws, round))
                 );
-                loss.sample(&fleet, cohort, round, seed, &mut out);
-                assert_eq!(out, reference(&fleet, cohort, |s| loss.key(s, round, seed)));
             }
         }
     }

@@ -688,8 +688,9 @@ fn member_outcome(
     out.energy_mj = (stat.energy_j_est as f64 * duration_factor * 1000.0).round() as u64;
     let trained = !draw.dropped && !out.missed_deadline;
     if trained {
+        // Attempt 1 is the draw's own `upload_failed`; only retries redraw.
         let mut attempt = 1u32;
-        let mut failed = faults.upload_attempt_failed(round, id, attempt);
+        let mut failed = draw.upload_failed;
         while failed && attempt < cfg.max_upload_attempts {
             attempt += 1;
             failed = faults.upload_attempt_failed(round, id, attempt);

@@ -6,6 +6,9 @@
 //!
 //! The registry has 2^18 clients, enough for the selection scan to split
 //! across cores on a multi-core host, so the chunked path is pinned too.
+//! The error-feedback run's hashes were recorded with the library
+//! `f64::floor`/`f64::round` calls in the quantizer and the fold, so they
+//! also pin the inline replacements of those calls.
 
 use bofl_fleet::prelude::*;
 use bofl_fleet::scale::ScaleConfig;
@@ -72,6 +75,30 @@ fn scale_run_matches_the_pinned_hashes_at_any_worker_count() {
         assert_eq!(
             report.model_hash(),
             0xd8cd_1701_30ca_1176,
+            "model at workers={workers}"
+        );
+    }
+}
+
+/// The same run with per-client error-feedback residuals, which pins the
+/// residual branch of the int8 quantizer at scale.
+#[test]
+fn error_feedback_scale_run_matches_the_pinned_hashes_at_any_worker_count() {
+    for workers in [1usize, 2] {
+        let report = ScaleSimulation::builder(ScaleConfig {
+            error_feedback: true,
+            ..scale_config(workers)
+        })
+        .build()
+        .run();
+        assert_eq!(
+            report.trace_hash(),
+            0xc6a0_23a8_c10f_c336,
+            "trace at workers={workers}"
+        );
+        assert_eq!(
+            report.model_hash(),
+            0xf4f0_bf2f_60ba_4a36,
             "model at workers={workers}"
         );
     }
