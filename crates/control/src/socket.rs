@@ -389,9 +389,6 @@ impl Transport for SocketTransport {
             return Carried::default();
         }
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind coordinator listener");
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
         let addr = listener.local_addr().expect("listener address");
 
         let (tx, rx) = mpsc::channel::<Delivery>();
@@ -409,31 +406,27 @@ impl Transport for SocketTransport {
             let seen_ref = &seen;
             let drops_ref = &drops_left;
             let accept_tx = tx.clone();
-            // Accept loop: spawns one handler per connection on the same
-            // scope, so everything joins before carry returns.
+            // Accept loop: blocks in `accept` and spawns one handler per
+            // connection on the same scope, so everything joins before
+            // carry returns. Once `done` is set, one wake-up connect
+            // unblocks it; that connection is never served.
             s.spawn(move || {
-                while !done_ref.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            // Fault injection: drop the first N accepted
-                            // connections cold, forcing reconnects.
-                            if drops_ref
-                                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                                    n.checked_sub(1)
-                                })
-                                .is_ok()
-                            {
-                                drop(stream);
-                                continue;
-                            }
-                            let tx = accept_tx.clone();
-                            s.spawn(move || serve_connection(stream, tx, done_ref, seen_ref));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(_) => break,
+                for stream in listener.incoming() {
+                    if done_ref.load(Ordering::SeqCst) {
+                        break;
                     }
+                    let Ok(stream) = stream else { break };
+                    // Fault injection: drop the first N accepted
+                    // connections cold, forcing reconnects.
+                    if drops_ref
+                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                        .is_ok()
+                    {
+                        drop(stream);
+                        continue;
+                    }
+                    let tx = accept_tx.clone();
+                    s.spawn(move || serve_connection(stream, tx, done_ref, seen_ref));
                 }
             });
 
@@ -465,6 +458,9 @@ impl Transport for SocketTransport {
                 }
             }
             done.store(true, Ordering::SeqCst);
+            // Wake the blocked accept so it sees `done`. If the connect
+            // fails, the accept loop has already exited on an error.
+            let _ = TcpStream::connect(addr);
         });
         drop(tx);
 

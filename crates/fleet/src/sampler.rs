@@ -16,31 +16,44 @@
 //! keys win), which gives exact weighted sampling *without replacement*
 //! — no shuffling of a million-entry vector.
 //!
-//! Client `id`'s draw is the splitmix64 finalizer of
-//! `stream_seed(seed, round, id, salt)`. That mix XORs a per-round part
-//! with a per-client part, so each `sample` call computes the round's part
-//! once and the scan adds only the client's term: the same bits, for one
-//! multiply, one XOR and the finalizer per client.
+//! A client's id is its index in the registry slice (`0..fleet.len()`);
+//! the record itself carries no id. Client `id`'s draw is the splitmix64
+//! finalizer of `stream_seed(seed, round, id, salt)`. That mix XORs a
+//! per-round part with a per-client part, so each `sample` call computes
+//! the round's part once and the scan adds only the client's term: the
+//! same bits, for one multiply, one XOR and the finalizer per client.
 //!
 //! # The selection kernel
 //!
 //! All three samplers reduce to "the `cohort` smallest `(key, id)` pairs",
-//! with ties on the key broken by id. Keys are integers that order
-//! exactly like [`f64::total_cmp`] on the float key (the weighted
-//! samplers) or like the draw itself (the uniform sampler orders by the
-//! 53 raw bits behind [`RoundDraws::unit`]). One pass over the fleet admits
-//! pairs below a running cut into a buffer of `2 · cohort`; each time the
-//! buffer fills, a linear-time select shrinks it back to `cohort` and
-//! tightens the cut. That is O(fleet) expected with no heap.
+//! with ties on the key broken by id. The kernel sees only a key function
+//! of the id. Keys are integers that order exactly like
+//! [`f64::total_cmp`] on the float key (the weighted samplers, which read
+//! `fleet[id]`) or like the draw itself (the uniform sampler orders by
+//! the 53 raw bits behind [`RoundDraws::unit`] and reads no record at
+//! all). One pass over the ids in ascending order admits keys below a
+//! running cut into a buffer of `2 · cohort`; each time the buffer fills,
+//! a linear-time select shrinks it back to `cohort` and tightens the cut.
+//! That is O(fleet) expected with no heap.
+//!
+//! The weighted samplers start with no cut and fill the buffer with the
+//! first `2 · cohort` pairs. The uniform sampler's keys are uniform on
+//! `[0, 2^53)`, so it seeds the cut just above the expected
+//! `cohort`-th smallest key: the pass then admits about `cohort` pairs
+//! and runs one select, at the merge. A seeded cut only drops pairs that
+//! cannot win while at least `cohort` are admitted; when fewer are, the
+//! kernel rescans with no cut, so the result is exact either way.
 //!
 //! Fleets of at least `2 · 2^17` clients are scanned across cores: the
-//! fleet splits into contiguous chunks of at least 2^17 clients, at most
-//! one per available core, and each chunk keeps its own `cohort`
-//! smallest pairs. The `cohort` smallest of their union are exactly the
-//! global `cohort` smallest, so the cohort is the same at any chunk
-//! count. The scan runs before the round's shard pass, while that pool
-//! is idle, so its thread count follows the host rather than
-//! `ScaleConfig::workers`; smaller fleets stay on the calling thread.
+//! ids split into contiguous chunks of at least 2^17, at most one per
+//! available core, and each chunk keeps its own `cohort` smallest
+//! pairs. The `cohort` smallest of their union are exactly the global
+//! `cohort` smallest, so the cohort is the same at any chunk count. The
+//! scan runs before the round's shard pass, while that pool is idle, so
+//! its thread count follows the host rather than `ScaleConfig::workers`;
+//! smaller fleets stay on the calling thread.
+
+use std::ops::Range;
 
 use crate::fault::{client_term, stream_seed};
 use crate::generator::DeviceKind;
@@ -48,14 +61,13 @@ use crate::generator::DeviceKind;
 /// Salt distinguishing the sampler's draw stream from fault/chaos draws.
 const SAMPLER_SALT: u64 = 0x005A_3917_C040_57A7;
 
-/// The compact per-client record a scale fleet keeps in RAM — a few
-/// dozen bytes per client instead of a live `FlClient`, which is what
-/// makes a million-client registry a ~24 MB table rather than gigabytes
-/// of model replicas.
+/// The compact per-client record a scale fleet keeps in RAM — 20 bytes
+/// per client instead of a live `FlClient`, which is what makes a
+/// million-client registry a ~20 MB table rather than gigabytes of model
+/// replicas. A client's id is its index in the registry, so the record
+/// does not store it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientStat {
-    /// Client id (dense, `0..fleet_size`).
-    pub id: u32,
     /// Local dataset size — the FedAvg aggregation weight.
     pub samples: u32,
     /// Estimated full-round energy at `x_max`, joules (device-class
@@ -84,9 +96,9 @@ impl ClientStat {
 /// Chooses each round's cohort out of the registered fleet.
 ///
 /// Contract: `sample` must be a pure function of its arguments, must
-/// return at most `cohort` *distinct* ids, and must leave `out` sorted
-/// ascending (the canonical cohort order every downstream consumer —
-/// shard planner, trace, journal — assumes).
+/// return at most `cohort` *distinct* ids (indices into `fleet`), and
+/// must leave `out` sorted ascending (the canonical cohort order every
+/// downstream consumer — shard planner, trace, journal — assumes).
 pub trait ClientSampler: Send + Sync {
     /// Short policy name for traces and artifacts.
     fn label(&self) -> &'static str;
@@ -155,8 +167,8 @@ impl Default for LossStalenessSampler {
 
 impl EnergyAwareSampler {
     /// Efraimidis–Spirakis key for weight `energy^-alpha`.
-    fn key(&self, s: &ClientStat, draws: RoundDraws) -> f64 {
-        let u = draws.unit(s.id);
+    fn key(&self, s: &ClientStat, id: u32, draws: RoundDraws) -> f64 {
+        let u = draws.unit(id);
         let energy = (s.energy_j_est as f64).max(1e-6);
         -u.ln() * energy.powf(self.alpha)
     }
@@ -164,8 +176,8 @@ impl EnergyAwareSampler {
 
 impl LossStalenessSampler {
     /// Efraimidis–Spirakis key for the loss × staleness weight.
-    fn key(&self, s: &ClientStat, draws: RoundDraws, round: usize) -> f64 {
-        let u = draws.unit(s.id);
+    fn key(&self, s: &ClientStat, id: u32, draws: RoundDraws, round: usize) -> f64 {
+        let u = draws.unit(id);
         let loss = (s.last_loss as f64 + 0.05).max(1e-6);
         let fresh = 1.0 + s.staleness(round) as f64;
         let w = loss.powf(self.loss_exp) * fresh.powf(self.staleness_exp);
@@ -222,36 +234,53 @@ type Candidate = (i64, u32);
 /// twice this size are scanned on the calling thread.
 const MIN_SCAN_CHUNK: usize = 1 << 17;
 
-/// Shared smallest-`cohort`-keys selection: the winners, sorted ascending
-/// by id. Large fleets are scanned across the host's cores.
-fn smallest_k(
-    fleet: &[ClientStat],
-    cohort: usize,
-    out: &mut Vec<u32>,
-    key: impl Fn(&ClientStat) -> i64 + Sync,
-) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let chunks = cores.min(fleet.len() / MIN_SCAN_CHUNK).max(1);
-    smallest_k_chunked(fleet, cohort, chunks, out, key);
+/// Standard deviations of the admitted count that the uniform sampler's
+/// seeded cut leaves above `cohort`, so the no-cut rescan is rare.
+const SEED_MARGIN_SIGMAS: f64 = 4.0;
+
+/// The uniform sampler's starting cut: the key below which about
+/// `k + SEED_MARGIN_SIGMAS · √k` of `n` keys uniform on `[0, 2^53)`
+/// fall (`k <= n`; meaningless, and unused, when `k == 0`).
+fn seeded_uniform_cut(k: usize, n: usize) -> i64 {
+    let expected = k as f64 + SEED_MARGIN_SIGMAS * (k as f64).sqrt();
+    (expected / n as f64 * (1u64 << 53) as f64) as i64
 }
 
-/// [`smallest_k`] over `chunks >= 1` contiguous chunks of equal size
+/// Shared smallest-`cohort`-keys selection over the ids `0..len`: the
+/// winners, sorted ascending. Keys at or above the seeded `cut` are
+/// never admitted unless that leaves fewer than `cohort`. Large fleets
+/// are scanned across the host's cores.
+fn smallest_k(
+    len: usize,
+    cohort: usize,
+    cut: Option<i64>,
+    out: &mut Vec<u32>,
+    key: impl Fn(usize) -> i64 + Sync,
+) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let chunks = cores.min(len / MIN_SCAN_CHUNK).max(1);
+    smallest_k_chunked(len, cohort, chunks, cut, out, key);
+}
+
+/// [`smallest_k`] over `chunks >= 1` contiguous id ranges of equal size
 /// (fewer when the fleet is smaller), each scanned on its own thread, the
-/// first on the calling thread. The result does not depend on `chunks`.
+/// first on the calling thread. The result depends on neither `chunks`
+/// nor `cut`.
 fn smallest_k_chunked(
-    fleet: &[ClientStat],
+    len: usize,
     cohort: usize,
     chunks: usize,
+    cut: Option<i64>,
     out: &mut Vec<u32>,
-    key: impl Fn(&ClientStat) -> i64 + Sync,
+    key: impl Fn(usize) -> i64 + Sync,
 ) {
     out.clear();
-    let k = cohort.min(fleet.len());
+    let k = cohort.min(len);
     if k == 0 {
         return;
     }
-    let size = fleet.len().div_ceil(chunks);
-    let mut parts = fleet.chunks(size);
+    let size = len.div_ceil(chunks);
+    let mut parts = (0..len).step_by(size).map(|lo| lo..len.min(lo + size));
     let head = parts.next().expect("fleet is non-empty");
     let mut winners = Vec::with_capacity(2 * k);
     std::thread::scope(|scope| {
@@ -260,44 +289,59 @@ fn smallest_k_chunked(
             .map(|part| {
                 scope.spawn(move || {
                     let mut found = Vec::new();
-                    scan_chunk(part, k, key, &mut found);
+                    scan_chunk(part, k, cut, key, &mut found);
                     found
                 })
             })
             .collect();
-        scan_chunk(head, k, key, &mut winners);
+        scan_chunk(head, k, cut, key, &mut winners);
         for tail in tails {
             winners.extend(tail.join().expect("sampler scan thread panicked"));
         }
     });
+    if winners.len() < k && cut.is_some() {
+        // The seeded cut was too tight to leave `k`: scan again without it.
+        return smallest_k_chunked(len, cohort, chunks, None, out, key);
+    }
     keep_smallest(&mut winners, k);
     out.extend(winners.iter().map(|&(_, id)| id));
     out.sort_unstable();
 }
 
-/// Leaves the `k` smallest candidates of `part` in `found` (unordered).
+/// Leaves the `k` smallest candidates of the ids in `part` in `found`
+/// (unordered), admitting only keys below `cut` when one is given.
+///
+/// Ids are scanned in ascending order, so a newcomer's id exceeds every
+/// buffered id and a newcomer tied with the cut's key would lose the tie:
+/// comparing keys alone is exact.
 fn scan_chunk(
-    part: &[ClientStat],
+    mut part: Range<usize>,
     k: usize,
-    key: &impl Fn(&ClientStat) -> i64,
+    cut: Option<i64>,
+    key: &impl Fn(usize) -> i64,
     found: &mut Vec<Candidate>,
 ) {
     found.clear();
     let cap = 2 * k;
-    let mut rest = part.iter();
-    found.extend(rest.by_ref().take(cap).map(|s| (key(s), s.id)));
-    if found.len() == cap {
-        // A select leaves the k-th smallest last: a newcomer must beat it.
-        keep_smallest(found, k);
-        let mut cut = found[k - 1];
-        for stat in rest {
-            let candidate = (key(stat), stat.id);
-            if candidate < cut {
-                found.push(candidate);
-                if found.len() == cap {
-                    keep_smallest(found, k);
-                    cut = found[k - 1];
-                }
+    let mut cut = match cut {
+        Some(cut) => cut,
+        None => {
+            found.extend(part.by_ref().take(cap).map(|i| (key(i), i as u32)));
+            keep_smallest(found, k);
+            if found.len() < k {
+                return;
+            }
+            // A select leaves the k-th smallest last: a newcomer must beat it.
+            found[k - 1].0
+        }
+    };
+    for i in part {
+        let key = key(i);
+        if key < cut {
+            found.push((key, i as u32));
+            if found.len() == cap {
+                keep_smallest(found, k);
+                cut = found[k - 1].0;
             }
         }
     }
@@ -327,7 +371,11 @@ impl ClientSampler for UniformSampler {
         out: &mut Vec<u32>,
     ) {
         let draws = RoundDraws::new(seed, round);
-        smallest_k(fleet, cohort, out, move |s| draws.bits(s.id) as i64);
+        let n = fleet.len();
+        let cut = seeded_uniform_cut(cohort.min(n), n);
+        smallest_k(n, cohort, Some(cut), out, move |i| {
+            draws.bits(i as u32) as i64
+        });
     }
 
     fn clone_box(&self) -> Box<dyn ClientSampler> {
@@ -349,8 +397,8 @@ impl ClientSampler for EnergyAwareSampler {
         out: &mut Vec<u32>,
     ) {
         let draws = RoundDraws::new(seed, round);
-        smallest_k(fleet, cohort, out, move |s| {
-            total_order_key(self.key(s, draws))
+        smallest_k(fleet.len(), cohort, None, out, move |i| {
+            total_order_key(self.key(&fleet[i], i as u32, draws))
         });
     }
 
@@ -373,8 +421,8 @@ impl ClientSampler for LossStalenessSampler {
         out: &mut Vec<u32>,
     ) {
         let draws = RoundDraws::new(seed, round);
-        smallest_k(fleet, cohort, out, move |s| {
-            total_order_key(self.key(s, draws, round))
+        smallest_k(fleet.len(), cohort, None, out, move |i| {
+            total_order_key(self.key(&fleet[i], i as u32, draws, round))
         });
     }
 
@@ -390,7 +438,6 @@ mod tests {
     fn fleet(n: usize) -> Vec<ClientStat> {
         (0..n)
             .map(|id| ClientStat {
-                id: id as u32,
                 samples: 100,
                 energy_j_est: if id % 2 == 0 { 50.0 } else { 200.0 },
                 last_loss: if id < n / 2 { 0.2 } else { 2.0 },
@@ -404,6 +451,11 @@ mod tests {
         assert_eq!(out.len(), cohort.min(fleet_len));
         assert!(out.windows(2).all(|w| w[0] < w[1]), "sorted + distinct");
         assert!(out.iter().all(|&id| (id as usize) < fleet_len));
+    }
+
+    #[test]
+    fn client_stat_is_20_bytes() {
+        assert_eq!(std::mem::size_of::<ClientStat>(), 20);
     }
 
     #[test]
@@ -523,17 +575,14 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// A fleet of `n` clients whose ids are a strided permutation of
-    /// `0..n`, so an id is rarely its index, with random energy, loss and
+    /// A dense registry of `n` clients with random energy, loss and
     /// history.
     fn random_fleet(n: usize, seed: u64) -> Vec<ClientStat> {
         let mut state = seed;
-        let stride = (0..).map(|s| 7 + 2 * s).find(|s| gcd(*s, n) == 1).unwrap();
         (0..n)
-            .map(|i| {
+            .map(|_| {
                 let r = next(&mut state);
                 ClientStat {
-                    id: ((i * stride + 3) % n) as u32,
                     samples: 100,
                     energy_j_est: 10.0 + (r % 290) as f32,
                     last_loss: ((r >> 16) % 300) as f32 / 100.0,
@@ -548,22 +597,10 @@ mod tests {
             .collect()
     }
 
-    fn gcd(a: usize, b: usize) -> usize {
-        if b == 0 {
-            a
-        } else {
-            gcd(b, a % b)
-        }
-    }
-
-    /// The naive reference: fully sort by `(total_cmp key, id)`, keep the
-    /// first `cohort`, return them sorted by id.
-    fn reference(
-        fleet: &[ClientStat],
-        cohort: usize,
-        key: impl Fn(&ClientStat) -> f64,
-    ) -> Vec<u32> {
-        let mut all: Vec<(f64, u32)> = fleet.iter().map(|s| (key(s), s.id)).collect();
+    /// The naive reference: fully sort the ids `0..len` by
+    /// `(total_cmp key, id)`, keep the first `cohort`, return them sorted.
+    fn reference(len: usize, cohort: usize, key: impl Fn(usize) -> f64) -> Vec<u32> {
+        let mut all: Vec<(f64, u32)> = (0..len).map(|i| (key(i), i as u32)).collect();
         all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut ids: Vec<u32> = all.iter().take(cohort).map(|&(_, id)| id).collect();
         ids.sort_unstable();
@@ -571,15 +608,35 @@ mod tests {
     }
 
     /// Checks the kernel against [`reference`] at every chunk count, for
-    /// cohorts 0, 1, a middle size, `len` and beyond.
-    fn assert_matches_reference(fleet: &[ClientStat], key: impl Fn(&ClientStat) -> f64 + Sync) {
-        let n = fleet.len();
+    /// cohorts 0, 1, a middle size, `len` and beyond, with no cut and with
+    /// seeded cuts: one that admits nothing, one at the median key, and
+    /// the cohort-th and next smallest keys (which, without ties, admit
+    /// one fewer than the cohort, forcing the rescan, and exactly the
+    /// cohort).
+    fn assert_matches_reference(len: usize, key: impl Fn(usize) -> f64 + Sync) {
+        let mut keys: Vec<i64> = (0..len).map(|i| total_order_key(key(i))).collect();
+        keys.sort_unstable();
+        let at = |i: usize| keys.get(i).copied().unwrap_or(i64::MAX);
         let mut out = Vec::new();
-        for cohort in [0, 1, n / 3, n.saturating_sub(1), n, n + 5] {
-            let want = reference(fleet, cohort, &key);
+        for cohort in [0, 1, len / 3, len.saturating_sub(1), len, len + 5] {
+            let want = reference(len, cohort, &key);
+            let cuts = [
+                None,
+                Some(i64::MIN),
+                Some(at(len / 2)),
+                Some(at(cohort.saturating_sub(1))),
+                Some(at(cohort)),
+            ];
             for chunks in [1, 2, 3, 7] {
-                smallest_k_chunked(fleet, cohort, chunks, &mut out, |s| total_order_key(key(s)));
-                assert_eq!(out, want, "cohort {cohort} chunks {chunks} fleet {n}");
+                for cut in cuts {
+                    smallest_k_chunked(len, cohort, chunks, cut, &mut out, |i| {
+                        total_order_key(key(i))
+                    });
+                    assert_eq!(
+                        out, want,
+                        "cohort {cohort} chunks {chunks} cut {cut:?} fleet {len}"
+                    );
+                }
             }
         }
     }
@@ -614,8 +671,7 @@ mod tests {
 
     #[test]
     fn kernel_breaks_ties_by_id() {
-        let fleet = random_fleet(301, 1);
-        assert_matches_reference(&fleet, |_| 0.5);
+        assert_matches_reference(301, |_| 0.5);
     }
 
     #[test]
@@ -630,16 +686,15 @@ mod tests {
             1.0,
             -2.0,
         ];
-        let fleet = random_fleet(250, 2);
-        assert_matches_reference(&fleet, |s| specials[s.id as usize % specials.len()]);
+        // 250 is no multiple of 3 or 7 (or of the 8 specials).
+        assert_matches_reference(250, |i| specials[(i * 5 + 3) % specials.len()]);
     }
 
     #[test]
     fn kernel_matches_reference_on_random_keys() {
-        for (n, seed) in [(1, 3), (2, 4), (9, 5), (1000, 6), (4099, 7)] {
-            let fleet = random_fleet(n, seed);
-            assert_matches_reference(&fleet, |s| {
-                let mut st = u64::from(s.id) ^ seed;
+        for (n, seed) in [(0, 2), (1, 3), (2, 4), (9, 5), (1000, 6), (4099, 7)] {
+            assert_matches_reference(n, |i| {
+                let mut st = i as u64 ^ seed;
                 // Coarse keys force many ties on top of the random order.
                 (next(&mut st) % 97) as f64 - 48.0
             });
@@ -687,36 +742,57 @@ mod tests {
     #[test]
     fn samplers_match_reference_at_every_chunk_count() {
         let mut out = Vec::new();
-        for (n, seed) in [(700, 8), (3001, 9)] {
+        // Sizes 0 and 1, and sizes that are no multiple of 2, 3 or 7.
+        for (n, seed) in [(0, 10), (1, 11), (5, 12), (701, 8), (3001, 9)] {
             let fleet = random_fleet(n, seed);
             for round in [0, 17] {
                 let draws = RoundDraws::new(seed, round);
                 let energy = EnergyAwareSampler { alpha: 1.5 };
                 let loss = LossStalenessSampler::default();
-                assert_matches_reference(&fleet, |s| draws.unit(s.id));
-                assert_matches_reference(&fleet, |s| energy.key(s, draws));
-                assert_matches_reference(&fleet, |s| loss.key(s, draws, round));
+                let uniform_key = |i: usize| full_mix_unit(seed, round, i as u32);
+                let energy_key = |i: usize| energy.key(&fleet[i], i as u32, draws);
+                let loss_key = |i: usize| loss.key(&fleet[i], i as u32, draws, round);
+                assert_matches_reference(n, uniform_key);
+                assert_matches_reference(n, energy_key);
+                assert_matches_reference(n, loss_key);
 
                 // The public entry points agree, including the uniform
-                // sampler's integer keys.
-                let cohort = n / 10;
-                let uniform = reference(&fleet, cohort, |s| full_mix_unit(seed, round, s.id));
-                UniformSampler.sample(&fleet, cohort, round, seed, &mut out);
-                assert_eq!(out, uniform);
-                for chunks in [2, 3, 7] {
-                    smallest_k_chunked(&fleet, cohort, chunks, &mut out, |s| {
-                        draws.bits(s.id) as i64
-                    });
-                    assert_eq!(out, uniform);
+                // sampler's integer keys under its seeded cut.
+                for cohort in [0, 1, n / 10, n, n + 3] {
+                    let uniform = reference(n, cohort, uniform_key);
+                    UniformSampler.sample(&fleet, cohort, round, seed, &mut out);
+                    assert_eq!(out, uniform, "uniform cohort {cohort} fleet {n}");
+                    let cut = seeded_uniform_cut(cohort.min(n), n);
+                    for chunks in [1, 2, 3, 7] {
+                        smallest_k_chunked(n, cohort, chunks, Some(cut), &mut out, |i| {
+                            draws.bits(i as u32) as i64
+                        });
+                        assert_eq!(out, uniform, "cohort {cohort} chunks {chunks} fleet {n}");
+                    }
+                    energy.sample(&fleet, cohort, round, seed, &mut out);
+                    assert_eq!(out, reference(n, cohort, energy_key));
+                    loss.sample(&fleet, cohort, round, seed, &mut out);
+                    assert_eq!(out, reference(n, cohort, loss_key));
                 }
-                energy.sample(&fleet, cohort, round, seed, &mut out);
-                assert_eq!(out, reference(&fleet, cohort, |s| energy.key(s, draws)));
-                loss.sample(&fleet, cohort, round, seed, &mut out);
-                assert_eq!(
-                    out,
-                    reference(&fleet, cohort, |s| loss.key(s, draws, round))
-                );
             }
+        }
+    }
+
+    #[test]
+    fn seeded_uniform_cut_admits_a_little_over_the_cohort() {
+        // Across many rounds the seeded cut admits at least the cohort
+        // (no rescan) and not much more (about one select's worth).
+        let (n, cohort) = (50_000, 512);
+        let cut = seeded_uniform_cut(cohort, n);
+        for round in 0..50 {
+            let draws = RoundDraws::new(99, round);
+            let admitted = (0..n)
+                .filter(|&i| (draws.bits(i as u32) as i64) < cut)
+                .count();
+            assert!(
+                (cohort..cohort + cohort / 2).contains(&admitted),
+                "round {round}: {admitted} admitted for a cohort of {cohort}"
+            );
         }
     }
 }

@@ -4,7 +4,7 @@
 //! [`crate::sim::FleetSimulation`] runs *real* clients — live models, SGD
 //! steps, device simulators — which tops out around thousands. This
 //! module is the other end of the telescope: each client is a compact
-//! [`ClientStat`] record (~24 bytes), its per-round behaviour (faults,
+//! [`ClientStat`] record (20 bytes), its per-round behaviour (faults,
 //! retries, energy, synthetic update) is a pure function of
 //! `(seed, round, id)`, and the server work is the real thing — the same
 //! [`ShardPlan`]/[`UpdateAccumulator`] reduction, the same [`FaultPlan`]
@@ -104,7 +104,6 @@ fn registry(config: &ScaleConfig) -> Vec<ClientStat> {
             let h2 = mix(h ^ 0x9E37_79B9_7F4A_7C15);
             let h3 = mix(h2 ^ 0x2545_F491_4F6C_DD1D);
             ClientStat {
-                id: id as u32,
                 // Local dataset sizes spread 32..=256 (FedAvg weights).
                 samples: 32 + (h2 % 225) as u32,
                 // Unit-level spread of ±15% around the class baseline.
@@ -118,8 +117,8 @@ fn registry(config: &ScaleConfig) -> Vec<ClientStat> {
         .collect()
 }
 
-/// What happened to one cohort member this round (pure pre-pass result;
-/// the parallel shard pass only consumes it).
+/// What happened to one cohort member this round: pure in the config,
+/// fault plan, round and client, so its shard task draws it.
 #[derive(Debug, Clone, Copy, Default)]
 struct MemberOutcome {
     aggregated: bool,
@@ -134,13 +133,12 @@ struct MemberOutcome {
     next_loss: f32,
 }
 
-/// A cohort member's slot for the parallel pass: identity, pre-drawn
-/// outcome, and (with error feedback) its residual, temporarily moved
-/// out of the registry map so shard workers get disjoint ownership.
+/// A cohort member's slot for the parallel pass: identity, the outcome
+/// its shard task draws, and (with error feedback) its residual,
+/// temporarily moved out of the registry map so shard workers get
+/// disjoint ownership.
 struct Cell {
     id: u32,
-    samples: u32,
-    loss: f32,
     outcome: MemberOutcome,
     residual: Option<Vec<f64>>,
 }
@@ -505,30 +503,24 @@ impl ScaleSimulation {
         self.sampler
             .sample(&self.clients, cfg.cohort, round, cfg.seed, &mut self.cohort);
 
-        // 2. Sequential pre-pass in id order: pure fault/retry/energy
-        //    outcomes per member. Nothing here depends on shards or
-        //    workers, so it fixes the round's ground truth once.
+        // 2. Sequential pre-pass in id order: one cell per member, holding
+        //    (with error feedback) any residual it carries.
         self.cells.clear();
-        for i in 0..self.cohort.len() {
-            let id = self.cohort[i];
-            let stat = self.clients[id as usize];
-            let outcome = member_outcome(&cfg, &self.faults, round, &stat);
-            let residual = if cfg.error_feedback && outcome.aggregated {
-                Some(self.residuals.remove(&id).unwrap_or_default())
-            } else {
-                None
-            };
+        for &id in &self.cohort {
             self.cells.push(Cell {
                 id,
-                samples: stat.samples,
-                loss: stat.last_loss,
-                outcome,
-                residual,
+                outcome: MemberOutcome::default(),
+                residual: if cfg.error_feedback {
+                    self.residuals.remove(&id)
+                } else {
+                    None
+                },
             });
         }
 
-        // 3. Parallel shard pass: each shard folds its contiguous member
-        //    slice into its private fixed-point slot. Workers only ever
+        // 3. Parallel shard pass: each shard draws its contiguous member
+        //    slice's pure fault/retry/energy outcomes and folds the
+        //    updates into its private fixed-point slot. Workers only ever
         //    touch their current task's slot + cells, so scheduling is
         //    invisible.
         let count = cfg.shard_plan.shard_count(self.cells.len());
@@ -555,6 +547,8 @@ impl ScaleSimulation {
             debug_assert_eq!(consumed, total_cells);
 
             let compressor = &*self.compressor;
+            let faults = &self.faults;
+            let clients = &self.clients;
             let faults_seed = cfg.seed;
             drain_tasks(
                 cfg.workers,
@@ -568,15 +562,20 @@ impl ScaleSimulation {
                         ..ShardRoundStats::default()
                     };
                     for cell in cells.iter_mut() {
+                        let stat = &clients[cell.id as usize];
+                        cell.outcome = member_outcome(&cfg, faults, round, cell.id as usize, stat);
                         tally(&mut slot.stats, &cell.outcome);
                         if !cell.outcome.aggregated {
                             continue;
+                        }
+                        if cfg.error_feedback {
+                            cell.residual.get_or_insert_with(Vec::new);
                         }
                         synth_update(
                             faults_seed,
                             round,
                             cell.id,
-                            cell.loss,
+                            stat.last_loss,
                             cfg.dim,
                             &mut scratch.update,
                         );
@@ -591,9 +590,9 @@ impl ScaleSimulation {
                         slot.stats.wire_bytes += scratch.wire.wire_bytes();
                         slot.stats.raw_bytes += scratch.wire.raw_bytes();
                         scratch.wire.decode_into(&mut scratch.decoded);
-                        slot.acc.fold(&scratch.decoded, cell.samples as u64);
+                        slot.acc.fold(&scratch.decoded, stat.samples as u64);
                         slot.stats.aggregated += 1;
-                        slot.stats.weight += cell.samples as u64;
+                        slot.stats.weight += stat.samples as u64;
                     }
                     // Shard-local quorum: a label for the operator, never
                     // a filter — identical philosophy to round quorums.
@@ -622,8 +621,8 @@ impl ScaleSimulation {
             }
         }
 
-        // 5. Sequential post-pass: registry stats evolve, residuals go
-        //    back to their owners.
+        // 5. Sequential post-pass in id order: registry stats evolve,
+        //    residuals go back to their owners.
         for cell in self.cells.iter_mut() {
             let stat = &mut self.clients[cell.id as usize];
             stat.last_selected = round as u32;
@@ -661,9 +660,9 @@ fn member_outcome(
     cfg: &ScaleConfig,
     faults: &FaultPlan,
     round: usize,
+    id: usize,
     stat: &ClientStat,
 ) -> MemberOutcome {
-    let id = stat.id as usize;
     let mut out = MemberOutcome::default();
     let churn = faults.churn_status(round, id);
     if matches!(churn, ChurnStatus::Departing | ChurnStatus::Absent) {
