@@ -1,4 +1,4 @@
-use crate::ehvi::{BiGaussian, EhviCells};
+use crate::ehvi::{BiGaussian, EhviCells, EhviCertificate};
 use crate::hypervolume::hypervolume;
 use crate::{MoboError, ParetoFront};
 use bofl_gp::{
@@ -15,13 +15,25 @@ const MIN_PARALLEL_SCAN: usize = 64;
 /// Hard cap on scan workers when `scan_workers == 0` (auto).
 const MAX_AUTO_WORKERS: usize = 8;
 
-/// Best candidate of one scan (chunk): `(index, ehvi, posterior)`, `None`
-/// when every candidate in range was ineligible.
-type ScanBest = Option<(usize, f64, BiGaussian)>;
-
 /// The boxed per-objective surrogate pair [`MoboEngine::fit_surrogates`]
 /// hands to the suggestion loop (exact GP or RFF, per [`RffSwitch`]).
 type SurrogatePair = (Box<dyn SurrogateModel>, Box<dyn SurrogateModel>);
+
+/// A running argmax `(index, value)` over a scan, `None` before the
+/// first offer.
+type ScanBest = Option<(usize, f64)>;
+
+/// One pick of a sequential-greedy batch ([`greedy_batch`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pick {
+    /// Index into the candidate set.
+    pub index: usize,
+    /// The candidate's EHVI in the slot that picked it.
+    pub ehvi: f64,
+    /// The candidate's posterior in that slot; its means are the
+    /// Kriging-believer fantasy the later slots condition on.
+    pub posterior: BiGaussian,
+}
 
 /// One objective's fitted surrogate and the warm cache to store once the
 /// fit is accepted.
@@ -348,10 +360,7 @@ impl MoboEngine {
         let start = Instant::now();
         let r = self.validate_suggest_inputs(candidates)?;
 
-        let (mut gp0, mut gp1) = self.fit_surrogates()?;
-
-        // Precompute everything invariant across slots: the observed-point
-        // hash set, candidate eligibility, and the worker count.
+        let surrogates = self.fit_surrogates()?;
         let observed: HashSet<Vec<u64>> = self
             .observations
             .iter()
@@ -361,43 +370,18 @@ impl MoboEngine {
             .iter()
             .map(|c| !observed.contains(&hash_point(c)))
             .collect();
-        let workers = self.scan_worker_count(candidates.len());
-
         let mut front = self.pareto_front();
-        let mut chosen: Vec<usize> = Vec::with_capacity(k);
-        let mut chosen_set: HashSet<usize> = HashSet::with_capacity(k);
-        // One cache pair per scan chunk, carried across the slots.
-        let mut caches: Vec<(PredictCache, PredictCache)> =
-            (0..workers).map(|_| Default::default()).collect();
-
-        for _ in 0..k {
-            let cells = EhviCells::new(&front, r);
-            let best = scan_candidates(
-                gp0.as_ref(),
-                gp1.as_ref(),
-                &cells,
-                candidates,
-                &eligible,
-                &chosen_set,
-                &mut caches,
-            )?;
-            let Some((i, _, post)) = best else {
-                break; // candidate set exhausted
-            };
-            chosen.push(i);
-            chosen_set.insert(i);
-            // Kriging believer: fantasize the posterior mean as the
-            // observation and condition both models on it (§4.3 step 2).
-            // Conditioning extends the exact posterior in O(n²) (Cholesky
-            // append) or the RFF posterior in O(D²) (Sherman–Morrison), so
-            // the whole batch avoids a refit per pick.
-            gp0 = gp0.condition_on_boxed(&candidates[i], post.mean0)?;
-            gp1 = gp1.condition_on_boxed(&candidates[i], post.mean1)?;
-            front.insert([post.mean0, post.mean1]);
-        }
-
+        let picks = greedy_batch(
+            surrogates,
+            &mut front,
+            r,
+            candidates,
+            &eligible,
+            k,
+            self.resolved_workers(),
+        )?;
         self.last_suggest_duration = Some(start.elapsed());
-        Ok(chosen)
+        Ok(picks.iter().map(|p| p.index).collect())
     }
 
     /// Ablation variant of [`MoboEngine::suggest`]: scores every candidate
@@ -527,16 +511,6 @@ impl MoboEngine {
             w => w,
         }
     }
-
-    /// Resolves the scan worker count: the configured value, or
-    /// `min(available_parallelism, 8)` when `scan_workers == 0`, clamped
-    /// so no worker gets an empty chunk. Small scans stay serial.
-    fn scan_worker_count(&self, candidates: usize) -> usize {
-        if candidates < MIN_PARALLEL_SCAN {
-            return 1;
-        }
-        self.resolved_workers().min(candidates).max(1)
-    }
 }
 
 /// Fits objective `obj`'s surrogate from its warm cache `warm` (see
@@ -613,78 +587,198 @@ fn fit_objective_rff(
     Ok((Box::new(RandomFourierFeatures::fit(xs, ys, cfg)?), cache))
 }
 
-/// One slot of the sequential-greedy scan: EHVI-score every eligible
-/// candidate under the current fantasized models and return the argmax
-/// `(index, ehvi, posterior)`.
+/// Sequential-greedy EHVI batch selection with Kriging-believer
+/// fantasies (§4.3 "Batch Selection Strategy"), the scan behind
+/// [`MoboEngine::suggest`].
 ///
-/// The scan is split into one contiguous chunk per entry of `caches`,
-/// each handled by a scoped thread via
-/// [`SurrogateModel::predict_batch_cached`] with that chunk's own cache
-/// pair. The chunking is the same in every slot, so each cache follows
-/// its model's fantasy chain: on the exact GP, slot 1 pays the full
-/// `O(n²)` per-candidate prediction and every later slot appends one
-/// kernel evaluation and one forward-substitution row per candidate.
-/// The cached posteriors are bitwise identical to `predict_batch` (see
-/// [`bofl_gp::GaussianProcess::predict_batch_cached`]), so the picks are
-/// the ones the from-scratch scan makes.
+/// Each of up to `k` slots picks the eligible (`eligible[i]`, one flag
+/// per candidate), not yet picked candidate with the largest EHVI
+/// against `front` and reference `r` (the smallest index on a tie), then
+/// conditions both `surrogates` on the pick's posterior means and
+/// inserts them into `front`. Fewer than `k` picks come back only when
+/// the eligible candidates run out. On return `front` holds every
+/// fantasy.
 ///
-/// Determinism is by construction: every candidate's score is a pure
-/// function of its coordinates (no cross-candidate accumulation), each
-/// chunk keeps its *first* strict maximum, and chunks are reduced in
-/// ascending order with a `(ehvi, Reverse(index))` comparison — so the
-/// result is byte-identical at any worker count, for the exact and the
-/// RFF surrogate alike.
-fn scan_candidates(
+/// Every slot updates each candidate's posterior through
+/// [`SurrogateModel::predict_batch_cached`], split into one contiguous
+/// chunk per worker (`workers` threads, clamped to `1..=` the candidate
+/// count; scans under 64 candidates stay on the caller). The chunking is
+/// the same in every slot, so each chunk's [`PredictCache`] pair follows
+/// its model's fantasy chain: on the exact GP, slot 1 pays the full `O(n²)`
+/// prediction per candidate and every later slot one kernel evaluation,
+/// one forward-substitution row and the mean dot.
+///
+/// Slot 1 evaluates every candidate's EHVI. Later slots are lazy: a
+/// candidate keeps the `EhviCertificate` of the last slot that
+/// evaluated it, and the slot evaluates it again only when the certified
+/// `EhviCells::upper_bound` on its new EHVI reaches the running best.
+/// Candidates whose bound is `+∞` (no certificate yet, a σ that grew, a
+/// non-finite input) are evaluated in the parallel chunks; then, on the
+/// caller, the largest finite bound is evaluated first and every other
+/// candidate in index order whose bound is not strictly below the best
+/// so far. A skipped candidate's EHVI is provably below the slot's
+/// best, so it can neither be the argmax nor tie with it: the picks,
+/// their posteriors and the fantasies are those of scoring every
+/// candidate in every slot, at any worker count.
+///
+/// # Errors
+///
+/// [`MoboError::Gp`] if a prediction or a fantasy conditioning fails.
+pub fn greedy_batch(
+    surrogates: SurrogatePair,
+    front: &mut ParetoFront,
+    r: [f64; 2],
+    candidates: &[Vec<f64>],
+    eligible: &[bool],
+    k: usize,
+    workers: usize,
+) -> Result<Vec<Pick>, MoboError> {
+    let (mut gp0, mut gp1) = surrogates;
+    let n = candidates.len();
+    assert_eq!(eligible.len(), n, "one eligibility flag per candidate");
+    let workers = if n < MIN_PARALLEL_SCAN {
+        1
+    } else {
+        workers.clamp(1, n)
+    };
+    // One cache pair per scan chunk, carried across the slots.
+    let mut caches: Vec<(PredictCache, PredictCache)> =
+        (0..workers).map(|_| Default::default()).collect();
+    let mut open = eligible.to_vec();
+    let mut scan = vec![ScanEntry::NEW; n];
+    let mut picks = Vec::with_capacity(k);
+    for _ in 0..k {
+        let cells = EhviCells::new(front, r);
+        let Some((i, ehvi)) = scan_slot(
+            gp0.as_ref(),
+            gp1.as_ref(),
+            &cells,
+            candidates,
+            &open,
+            &mut scan,
+            &mut caches,
+        )?
+        else {
+            break; // candidate set exhausted
+        };
+        let post = scan[i].post;
+        picks.push(Pick {
+            index: i,
+            ehvi,
+            posterior: post,
+        });
+        open[i] = false;
+        // Kriging believer: fantasize the posterior mean as the
+        // observation and condition both models on it (§4.3 step 2).
+        // Conditioning extends the exact posterior in O(n²) (Cholesky
+        // append) or the RFF posterior in O(D²) (Sherman–Morrison), so
+        // the whole batch avoids a refit per pick.
+        gp0 = gp0.condition_on_boxed(&candidates[i], post.mean0)?;
+        gp1 = gp1.condition_on_boxed(&candidates[i], post.mean1)?;
+        front.insert([post.mean0, post.mean1]);
+    }
+    Ok(picks)
+}
+
+/// One candidate's state in the batch scan.
+#[derive(Debug, Clone, Copy)]
+struct ScanEntry {
+    /// Posterior under the current slot's models.
+    post: BiGaussian,
+    /// From the last slot that evaluated the candidate.
+    cert: EhviCertificate,
+    /// Upper bound on the current slot's EHVI: `+∞` means evaluated in
+    /// the parallel pass, `−∞` not open.
+    bound: f64,
+}
+
+impl ScanEntry {
+    const NEW: ScanEntry = ScanEntry {
+        post: BiGaussian {
+            mean0: 0.0,
+            std0: 0.0,
+            mean1: 0.0,
+            std1: 0.0,
+        },
+        cert: EhviCertificate::NONE,
+        bound: f64::INFINITY,
+    };
+
+    /// Evaluates the EHVI at the current posterior and renews the
+    /// certificate.
+    fn evaluate(&mut self, cells: &EhviCells) -> f64 {
+        let (e, cert) = cells.certify(self.post);
+        self.cert = cert;
+        e
+    }
+}
+
+/// Offers `(i, v)` to a running argmax (largest value, then smallest
+/// index).
+fn offer(best: &mut ScanBest, i: usize, v: f64) {
+    if best.is_none_or(|(bi, bv)| v > bv || (v == bv && i < bi)) {
+        *best = Some((i, v));
+    }
+}
+
+/// One slot of [`greedy_batch`]: updates every posterior and bound in
+/// parallel chunks (evaluating the candidates whose bound is `+∞`), then
+/// finishes the lazy argmax on the caller. Returns `None` when no
+/// candidate is open.
+fn scan_slot(
     gp0: &dyn SurrogateModel,
     gp1: &dyn SurrogateModel,
     cells: &EhviCells,
     candidates: &[Vec<f64>],
-    eligible: &[bool],
-    chosen: &HashSet<usize>,
+    open: &[bool],
+    scan: &mut [ScanEntry],
     caches: &mut [(PredictCache, PredictCache)],
 ) -> Result<ScanBest, MoboError> {
+    // Per chunk: the argmax of the evaluated candidates, and the open
+    // candidate with the largest finite bound.
     let scan_chunk = |lo: usize,
-                      hi: usize,
+                      entries: &mut [ScanEntry],
                       (c0, c1): &mut (PredictCache, PredictCache)|
-     -> Result<ScanBest, MoboError> {
-        if lo >= hi {
-            return Ok(None);
-        }
-        let p0 = gp0.predict_batch_cached(&candidates[lo..hi], c0)?;
-        let p1 = gp1.predict_batch_cached(&candidates[lo..hi], c1)?;
-        let mut best: ScanBest = None;
-        for (off, (a, b)) in p0.iter().zip(&p1).enumerate() {
+     -> Result<(ScanBest, ScanBest), MoboError> {
+        let queries = &candidates[lo..lo + entries.len()];
+        let p0 = gp0.predict_batch_cached(queries, c0)?;
+        let p1 = gp1.predict_batch_cached(queries, c1)?;
+        let mut best = None;
+        let mut top = None;
+        for (off, ((a, b), entry)) in p0.iter().zip(&p1).zip(entries).enumerate() {
             let i = lo + off;
-            if !eligible[i] || chosen.contains(&i) {
-                continue;
-            }
-            let post = BiGaussian {
+            entry.post = BiGaussian {
                 mean0: a.mean,
                 std0: a.std(),
                 mean1: b.mean,
                 std1: b.std(),
             };
-            let e = cells.evaluate(post);
-            if best.as_ref().is_none_or(|(_, be, _)| e > *be) {
-                best = Some((i, e, post));
+            if !open[i] {
+                entry.bound = f64::NEG_INFINITY;
+                continue;
+            }
+            entry.bound = cells.upper_bound(&entry.cert, entry.post);
+            if entry.bound == f64::INFINITY {
+                offer(&mut best, i, entry.evaluate(cells));
+            } else {
+                offer(&mut top, i, entry.bound);
             }
         }
-        Ok(best)
+        Ok((best, top))
     };
 
-    let chunk = candidates.len().div_ceil(caches.len().max(1));
-    let chunk_results: Vec<Result<ScanBest, MoboError>> = if let [pair] = caches {
-        vec![scan_chunk(0, candidates.len(), pair)]
+    let chunk = scan.len().div_ceil(caches.len().max(1)).max(1);
+    let chunk_results: Vec<Result<(ScanBest, ScanBest), MoboError>> = if let [pair] = caches {
+        vec![scan_chunk(0, scan, pair)]
     } else {
         let scan_chunk = &scan_chunk;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = caches
-                .iter_mut()
+            let handles: Vec<_> = scan
+                .chunks_mut(chunk)
+                .zip(caches.iter_mut())
                 .enumerate()
-                .map(|(w, pair)| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(candidates.len());
-                    scope.spawn(move || scan_chunk(lo, hi, pair))
+                .map(|(w, (entries, pair))| {
+                    scope.spawn(move || scan_chunk(w * chunk, entries, pair))
                 })
                 .collect();
             handles
@@ -694,15 +788,28 @@ fn scan_candidates(
         })
     };
 
-    let mut best: ScanBest = None;
+    let mut best = None;
+    let mut top = None;
     for res in chunk_results {
-        let Some((i, e, post)) = res? else { continue };
-        let better = match &best {
-            None => true,
-            Some((bi, be, _)) => e > *be || (e == *be && i < *bi),
-        };
-        if better {
-            best = Some((i, e, post));
+        let (chunk_best, chunk_top) = res?;
+        if let Some((i, e)) = chunk_best {
+            offer(&mut best, i, e);
+        }
+        if let Some((i, b)) = chunk_top {
+            offer(&mut top, i, b);
+        }
+    }
+
+    // Lazy pass: the largest finite bound first (it is usually the
+    // winner, so the running best starts high), then every other
+    // candidate whose bound is not strictly below the running best.
+    if let Some((j, _)) = top {
+        for i in std::iter::once(j).chain((0..scan.len()).filter(|&i| i != j)) {
+            let entry = &mut scan[i];
+            if entry.bound.is_finite() && best.is_none_or(|(_, be)| entry.bound >= be) {
+                let e = entry.evaluate(cells);
+                offer(&mut best, i, e);
+            }
         }
     }
     Ok(best)

@@ -48,7 +48,9 @@ pub mod sobol;
 mod engine;
 mod error;
 
-pub use engine::{MoboConfig, MoboEngine, Observation, RffSwitch, StoppingRule};
+pub use engine::{
+    greedy_batch, MoboConfig, MoboEngine, Observation, Pick, RffSwitch, StoppingRule,
+};
 pub use error::MoboError;
 pub use pareto::{pareto_front_indices, ParetoFront};
 pub use sobol::SobolSequence;
