@@ -1,3 +1,4 @@
+use crate::sensor::standard_normal;
 use crate::{
     ConfigSpace, CpuModel, DvfsConfig, FreqTable, GpuModel, JobCost, LatencyBreakdown,
     LatencyModel, MemoryModel, PowerModel, PowerSensor, RailModel, SensorSpec,
@@ -462,17 +463,6 @@ impl DeviceBuilder {
             sensor: PowerSensor::new(self.sensor_spec),
             latency_jitter: self.latency_jitter,
             transition_latency_s: self.transition_latency_s,
-        }
-    }
-}
-
-/// Standard normal via Box–Muller (local copy; see `sensor.rs`).
-fn standard_normal(rng: &mut impl Rng) -> f64 {
-    loop {
-        let u1: f64 = rng.gen::<f64>();
-        let u2: f64 = rng.gen::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         }
     }
 }
