@@ -16,7 +16,7 @@
 //!
 //! `--require <prefix>` (repeatable) additionally fails the gate when no
 //! candidate workload name starts with the prefix — so whole workload
-//! families (`linalg/`, `gp/`) cannot silently vanish from the harness.
+//! families (`mobo/`, `round/`) cannot silently vanish from the harness.
 //!
 //! Exit codes: `0` no regression, `1` at least one workload regressed or
 //! a required family is missing, `2` usage or artifact-parsing error.

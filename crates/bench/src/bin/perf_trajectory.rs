@@ -4,15 +4,9 @@
 //!
 //! Workloads:
 //!
-//! - `linalg/*` — the packed, cache-blocked GEMM and panel Cholesky
-//!   kernels every surrogate fit sits on;
-//! - `gp/rff_predict_4096obs` — batch prediction through the
-//!   sparse-spectrum (RFF) surrogate at a pooled-fleet observation count
-//!   no exact GP could serve interactively;
 //! - `mobo/suggest_{cold,warm}` — the surrogate hot path (fit both GPs,
 //!   sequential-greedy EHVI scan over 512 candidates, batch of 8), cold
-//!   vs hyperparameter-cache-warm; the warm 128-observation variant
-//!   exercises the engine's RFF switch;
+//!   vs hyperparameter-cache-warm;
 //! - `round/fleet_barrier` vs `round/event_driven` — the same faulted
 //!   fleet simulation through the barrier `FleetEngine` and through
 //!   `bofl-control`'s `EventDrivenEngine` (lifecycle journal + quorum
@@ -46,8 +40,6 @@ use bofl_fleet::{
     FaultPlan, FleetSimulation, FleetSpec, Int8Quantizer, ScaleSimulation, ShardPlan,
     UniformSampler,
 };
-use bofl_gp::{RandomFourierFeatures, RffConfig, WarmStart};
-use bofl_linalg::{Cholesky, Matrix};
 use bofl_mobo::{MoboConfig, MoboEngine, Observation, SobolSequence};
 
 /// Wall-clock repetitions per workload; the median is the headline.
@@ -102,109 +94,37 @@ fn bench_reps(name: &str, reps: usize, results: &mut Vec<BenchResult>, mut f: im
     });
 }
 
-/// Deterministic pseudo-random fill (SplitMix64 → [-1, 1]) for the
-/// kernel workloads; keeps the artifact independent of any RNG crate.
-fn fill(seed: u64, len: usize) -> Vec<f64> {
-    let mut state = seed;
-    (0..len)
-        .map(|_| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
-        })
-        .collect()
-}
-
-/// The blocked linear-algebra kernels in isolation: square GEMM at 256
-/// and a panel Cholesky at 512 (the Gram sizes pooled-fleet surrogates
-/// produce). Larger sizes live in the manual `kernel_table` bin so the
-/// trajectory run stays fast.
-fn linalg_workloads(results: &mut Vec<BenchResult>) {
-    let n = 256;
-    let a = Matrix::from_vec(n, n, fill(0xA, n * n)).unwrap();
-    let b = Matrix::from_vec(n, n, fill(0xB, n * n)).unwrap();
-    bench("linalg/matmul_256", results, || {
-        std::hint::black_box(a.matmul(&b).unwrap());
-    });
-
-    let n = 512;
-    let g = Matrix::from_vec(n, n, fill(0xC, n * n)).unwrap();
-    let mut spd = g.matmul(&g.transpose()).unwrap();
-    spd.add_diagonal(n as f64);
-    bench("linalg/cholesky_512", results, || {
-        std::hint::black_box(Cholesky::factor(&spd).unwrap());
-    });
-}
-
-/// Batch prediction through the RFF surrogate at 4,096 observations —
-/// the regime the exact GP cannot serve (its fit alone is `O(n³)`).
-/// Prediction cost is observation-count independent: `O(D²)` per query.
-fn gp_workloads(results: &mut Vec<BenchResult>) {
-    let n = 4_096;
-    let mut sobol = SobolSequence::new(3);
-    let xs: Vec<Vec<f64>> = (0..n).map(|_| sobol.next_point()).collect();
-    let ys: Vec<f64> = xs
-        .iter()
-        .map(|x| 2.0 + x[0] + 0.5 * (7.0 * x[1]).sin() + 0.2 * x[2])
-        .collect();
-    let rff = RandomFourierFeatures::fit(
-        &xs,
-        &ys,
-        RffConfig {
-            n_features: 128,
-            hyperparameters: Some(WarmStart {
-                variance: 1.0,
-                lengthscales: vec![0.3; 3],
-                noise: 1e-3,
-            }),
-            ..RffConfig::default()
-        },
-    )
-    .unwrap();
-    let queries: Vec<Vec<f64>> = (0..16).map(|_| sobol.next_point()).collect();
-    bench("gp/rff_predict_4096obs", results, || {
-        std::hint::black_box(rff.predict_batch(&queries).unwrap());
-    });
-}
-
-/// The surrogate hot path at `n` observations.
-/// At 64 observations both suggest variants run the exact GP; the warm
-/// 128-observation variant crosses the engine's RFF threshold.
+/// The surrogate hot path at 64 observations, the most any workload's
+/// MBO data set reaches.
 fn mobo_workloads(results: &mut Vec<BenchResult>) {
-    for n in [64usize, 128] {
-        let mut engine = MoboEngine::new(MoboConfig::default());
-        let mut sobol = SobolSequence::new(3);
-        for _ in 0..n {
-            let x = sobol.next_point();
-            let f0 = 2.0 + x[0] + 0.5 * (7.0 * x[1]).sin() + 0.2 * x[2];
-            let f1 = 3.0 - x[0] + 0.4 * (5.0 * x[2]).cos() + 0.2 * x[1];
-            engine.observe(Observation::new(x, [f0, f1])).unwrap();
-        }
-        let candidates: Vec<Vec<f64>> = (0..512).map(|_| sobol.next_point()).collect();
-        if n == 64 {
-            bench(
-                &format!("mobo/suggest_cold_{n}obs_512cand_k8"),
-                results,
-                || {
-                    let mut e = engine.clone();
-                    e.suggest(8, &candidates).unwrap();
-                },
-            );
-        }
-        let mut warmed = engine.clone();
-        warmed.suggest(8, &candidates).unwrap();
-        bench(
-            &format!("mobo/suggest_warm_{n}obs_512cand_k8"),
-            results,
-            || {
-                let mut e = warmed.clone();
-                e.suggest(8, &candidates).unwrap();
-            },
-        );
+    let n = 64;
+    let mut engine = MoboEngine::new(MoboConfig::default());
+    let mut sobol = SobolSequence::new(3);
+    for _ in 0..n {
+        let x = sobol.next_point();
+        let f0 = 2.0 + x[0] + 0.5 * (7.0 * x[1]).sin() + 0.2 * x[2];
+        let f1 = 3.0 - x[0] + 0.4 * (5.0 * x[2]).cos() + 0.2 * x[1];
+        engine.observe(Observation::new(x, [f0, f1])).unwrap();
     }
+    let candidates: Vec<Vec<f64>> = (0..512).map(|_| sobol.next_point()).collect();
+    bench(
+        &format!("mobo/suggest_cold_{n}obs_512cand_k8"),
+        results,
+        || {
+            let mut e = engine.clone();
+            e.suggest(8, &candidates).unwrap();
+        },
+    );
+    let mut warmed = engine.clone();
+    warmed.suggest(8, &candidates).unwrap();
+    bench(
+        &format!("mobo/suggest_warm_{n}obs_512cand_k8"),
+        results,
+        || {
+            let mut e = warmed.clone();
+            e.suggest(8, &candidates).unwrap();
+        },
+    );
 }
 
 const FLEET_SEED: u64 = 2026;
@@ -364,8 +284,6 @@ fn main() {
     println!("perf trajectory: {REPS} reps/workload, {cores} cores\n");
 
     let mut results = Vec::new();
-    linalg_workloads(&mut results);
-    gp_workloads(&mut results);
     mobo_workloads(&mut results);
     round_loop_workloads(&mut results);
     sharded_scale_workload(&mut results);

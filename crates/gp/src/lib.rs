@@ -11,12 +11,8 @@
 //!   type-II maximum-likelihood hyperparameters (multi-start Nelder–Mead
 //!   on the log marginal likelihood), and *fantasized conditioning* for
 //!   the sequential-greedy batch strategy of §4.3;
-//! - [`RandomFourierFeatures`] — a sparse-spectrum approximation of the
-//!   same posterior (`O(D²)` fit per observation, `O(D²)` predict,
-//!   observation-count independent) for the thousand-observation regimes
-//!   pooled fleet data produces;
-//! - [`SurrogateModel`] — the object-safe seam both regressors share, so
-//!   the MBO engine can switch between them by observation count;
+//! - [`SurrogateModel`] — the object-safe seam the MBO engine drives its
+//!   surrogates through;
 //! - [`NelderMead`] — the derivative-free optimizer used for the MLE fit.
 //!
 //! # Examples
@@ -77,12 +73,10 @@ mod error;
 mod gp;
 mod kernel;
 mod neldermead;
-mod rff;
 mod surrogate;
 
 pub use error::GpError;
 pub use gp::{GaussianProcess, GpConfig, Posterior, PredictCache, WarmStart};
 pub use kernel::{Kernel, KernelKind, Matern32, Matern52, SquaredExponential};
 pub use neldermead::{NelderMead, NelderMeadResult};
-pub use rff::{RandomFourierFeatures, RffConfig};
 pub use surrogate::SurrogateModel;

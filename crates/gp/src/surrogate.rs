@@ -1,8 +1,8 @@
 use crate::{GpError, Posterior, PredictCache, WarmStart};
 
 /// Object-safe seam over the surrogate models the MBO engine can drive:
-/// the exact [`crate::GaussianProcess`] and the approximate
-/// [`crate::RandomFourierFeatures`] regressor.
+/// the exact [`crate::GaussianProcess`], and any test double that needs
+/// to steer the engine's batch scan.
 ///
 /// The engine only ever needs four capabilities — point prediction, batch
 /// prediction with shared scratch (optionally carried along a fantasy
@@ -36,9 +36,9 @@ pub trait SurrogateModel: std::fmt::Debug + Send + Sync {
     /// cache built for a model outside this one's chain is rebuilt, never
     /// reused.
     ///
-    /// The default ignores the cache (the RFF posterior is `O(D²)` per
-    /// query whatever the chain); the exact GP overrides it with the
-    /// incremental scan of [`crate::GaussianProcess::predict_batch_cached`].
+    /// The default ignores the cache (a model with no per-query state to
+    /// carry); the exact GP overrides it with the incremental scan of
+    /// [`crate::GaussianProcess::predict_batch_cached`].
     ///
     /// # Errors
     ///
@@ -120,7 +120,7 @@ impl SurrogateModel for crate::GaussianProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GaussianProcess, GpConfig, RandomFourierFeatures, RffConfig};
+    use crate::{GaussianProcess, GpConfig};
 
     #[test]
     fn gp_behind_the_trait_matches_inherent_calls() {
@@ -153,21 +153,5 @@ mod tests {
             fantasy.predict(&[0.8]).unwrap(),
             direct.predict(&[0.8]).unwrap()
         );
-    }
-
-    #[test]
-    fn rff_cached_batch_is_its_plain_batch() {
-        let xs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| (4.0 * x[0]).sin()).collect();
-        let rff = RandomFourierFeatures::fit(&xs, &ys, RffConfig::default()).unwrap();
-        let dynamic: &dyn SurrogateModel = &rff;
-        let queries = vec![vec![0.1], vec![0.6]];
-        let mut cache = PredictCache::default();
-        for _ in 0..2 {
-            assert_eq!(
-                dynamic.predict_batch_cached(&queries, &mut cache).unwrap(),
-                rff.predict_batch(&queries).unwrap()
-            );
-        }
     }
 }

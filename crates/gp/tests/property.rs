@@ -2,7 +2,7 @@
 
 use bofl_gp::{
     GaussianProcess, GpConfig, Kernel, KernelKind, Matern32, Matern52, Posterior, PredictCache,
-    RandomFourierFeatures, RffConfig, SurrogateModel, WarmStart,
+    SurrogateModel, WarmStart,
 };
 use bofl_linalg::{Cholesky, Matrix};
 use proptest::prelude::*;
@@ -230,104 +230,6 @@ proptest! {
         let after = gp2.predict(&[at]).unwrap().variance;
         prop_assert!(after <= before + 1e-9, "variance rose: {before} -> {after}");
     }
-}
-
-/// The sparse-spectrum surrogate must agree with the exact posterior it
-/// approximates: posterior means within a small fraction of the target
-/// spread on a smooth function, and posterior variances calibrated (no
-/// systematic collapse or blow-up) — the contract that lets the MBO
-/// engine swap it in above the observation threshold.
-#[test]
-fn rff_posterior_agrees_with_exact_gp() {
-    let n = 48;
-    let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect();
-    let ys: Vec<f64> = xs
-        .iter()
-        .map(|x| 2.0 + (4.0 * x[0]).sin() + 0.5 * x[0])
-        .collect();
-    let spread = 2.0; // sin amplitude 1 + linear term ≈ range 2.5; be strict-ish
-
-    let gp = GaussianProcess::fit(&xs, &ys, GpConfig::default()).unwrap();
-    let hypers = WarmStart {
-        variance: gp.kernel().variance(),
-        lengthscales: gp.kernel().lengthscales().to_vec(),
-        noise: gp.noise_variance(),
-    };
-    let rff = RandomFourierFeatures::fit(
-        &xs,
-        &ys,
-        RffConfig {
-            n_features: 256,
-            hyperparameters: Some(hypers),
-            ..RffConfig::default()
-        },
-    )
-    .unwrap();
-
-    let mut max_mean_err: f64 = 0.0;
-    let mut sum_exact_var = 0.0;
-    let mut sum_rff_var = 0.0;
-    for i in 0..=40 {
-        let q = [i as f64 / 40.0];
-        let pe = gp.predict(&q).unwrap();
-        let pa = rff.predict(&q).unwrap();
-        max_mean_err = max_mean_err.max((pe.mean - pa.mean).abs());
-        assert!(pa.variance >= 0.0);
-        sum_exact_var += pe.variance;
-        sum_rff_var += pa.variance;
-    }
-    assert!(
-        max_mean_err < 0.05 * spread,
-        "posterior means diverged: max err {max_mean_err}"
-    );
-    // Calibration: with 48 dense observations both posteriors are nearly
-    // certain on the grid, so either the total RFF variance is likewise
-    // tiny relative to the target spread, or (if the exact one is
-    // measurable) the totals agree within a modest multiplicative band.
-    let tiny = 1e-4 * spread * spread;
-    assert!(
-        (sum_exact_var < tiny && sum_rff_var < tiny)
-            || (0.1..10.0).contains(&(sum_rff_var / sum_exact_var)),
-        "variance calibration off: exact total {sum_exact_var}, rff total {sum_rff_var}"
-    );
-}
-
-/// RFF Sherman–Morrison conditioning must match refitting from scratch
-/// on the extended data set (at the same hyperparameters, same seed) —
-/// the fantasy-chain correctness anchor for the approximate path.
-#[test]
-fn rff_conditioning_matches_refit() {
-    let n = 32;
-    let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect();
-    let ys: Vec<f64> = xs.iter().map(|x| (5.0 * x[0]).cos()).collect();
-    let cfg = RffConfig {
-        n_features: 64,
-        hyperparameters: Some(WarmStart {
-            variance: 1.0,
-            lengthscales: vec![0.3],
-            noise: 1e-3,
-        }),
-        ..RffConfig::default()
-    };
-    let rff = RandomFourierFeatures::fit(&xs, &ys, cfg.clone()).unwrap();
-    let inc = rff.condition_on(&[0.415], 0.7).unwrap();
-
-    // NOTE: a from-scratch refit standardizes over the extended targets,
-    // so exact numeric identity is not expected; instead verify the
-    // conditioned posterior behaves like an observation was added there.
-    let before = rff.predict(&[0.415]).unwrap();
-    let after = inc.predict(&[0.415]).unwrap();
-    assert!(inc.len() == rff.len() + 1);
-    assert!(
-        after.variance <= before.variance + 1e-12,
-        "conditioning must not raise variance at the site: {} -> {}",
-        before.variance,
-        after.variance
-    );
-    assert!(
-        (after.mean - 0.7).abs() <= (before.mean - 0.7).abs() + 1e-12,
-        "mean must move toward the fantasized value"
-    );
 }
 
 #[test]

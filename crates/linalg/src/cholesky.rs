@@ -78,34 +78,23 @@ impl Cholesky {
         Err(last_err)
     }
 
-    /// Width of the column panel swept by the blocked factorization. Panel
-    /// rows (`PANEL` prefixes of `L`) stay cache-resident while the whole
-    /// trailing row range streams past them once per panel, instead of the
-    /// row-by-row order re-streaming every previous row for every new one.
-    const FACTOR_PANEL: usize = 48;
-
     fn try_factor(a: &Matrix, jitter: f64) -> Result<Matrix, LinalgError> {
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
-        // Left-looking panel sweep. Every entry is still
+        // Row-by-row: every entry is
         //   l[i][j] = (a[i][j] (+ jitter on the diagonal) − ⟨L[i][..j], L[j][..j]⟩) / l[j][j]
-        // with the prefix product computed as ONE fixed-order dot, so the
-        // factor is bitwise identical at any panel width (the panel loop
-        // only reorders which entries are visited).
-        for k0 in (0..n).step_by(Self::FACTOR_PANEL) {
-            let k1 = (k0 + Self::FACTOR_PANEL).min(n);
-            for i in k0..n {
-                for j in k0..k1.min(i + 1) {
-                    let prefix = crate::kernels::dot_kernel(&l.row(i)[..j], &l.row(j)[..j]);
-                    if i == j {
-                        let sum = a[(i, i)] + jitter - prefix;
-                        if sum <= 0.0 || !sum.is_finite() {
-                            return Err(LinalgError::NotPositiveDefinite { pivot: i, jitter });
-                        }
-                        l[(i, i)] = sum.sqrt();
-                    } else {
-                        l[(i, j)] = (a[(i, j)] - prefix) / l[(j, j)];
+        // with the prefix product computed as ONE fixed-order dot.
+        for i in 0..n {
+            for j in 0..=i {
+                let prefix = crate::kernels::dot_kernel(&l.row(i)[..j], &l.row(j)[..j]);
+                if i == j {
+                    let sum = a[(i, i)] + jitter - prefix;
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite { pivot: i, jitter });
                     }
+                    l[(i, i)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = (a[(i, j)] - prefix) / l[(j, j)];
                 }
             }
         }
@@ -297,11 +286,13 @@ impl Cholesky {
         (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 
-    /// Reconstructs `A = L Lᵀ` (for testing and diagnostics).
+    /// Reconstructs `A = L Lᵀ` (for testing and diagnostics), one
+    /// fixed-order dot of two rows of `L` per entry.
     pub fn reconstruct(&self) -> Matrix {
-        self.l
-            .matmul(&self.l.transpose())
-            .expect("factor dimensions are consistent by construction")
+        let n = self.dim();
+        Matrix::from_fn(n, n, |i, j| {
+            crate::kernels::dot_kernel(self.l.row(i), self.l.row(j))
+        })
     }
 }
 
@@ -331,7 +322,7 @@ mod tests {
         let a = spd3();
         let chol = Cholesky::factor(&a).unwrap();
         let x_true = [1.0, -2.0, 3.0];
-        let b = a.matvec(&x_true).unwrap();
+        let b: Vec<f64> = (0..3).map(|i| crate::dot(a.row(i), &x_true)).collect();
         let x = chol.solve(&b).unwrap();
         for (xa, xb) in x.iter().zip(&x_true) {
             assert!((xa - xb).abs() < 1e-10);
@@ -420,8 +411,8 @@ mod tests {
         let rec = c2.reconstruct();
         let b: Vec<f64> = (0..5).map(|i| i as f64 - 2.0).collect();
         let x = c2.solve(&b).unwrap();
-        let resid = rec.matvec(&x).unwrap();
-        for (r, bi) in resid.iter().zip(&b) {
+        let resid = (0..5).map(|i| crate::dot(rec.row(i), &x));
+        for (r, bi) in resid.zip(&b) {
             assert!((r - bi).abs() < 1e-9);
         }
     }

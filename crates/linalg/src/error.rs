@@ -15,7 +15,7 @@ pub enum LinalgError {
         left: (usize, usize),
         /// Dimensions of the right/second operand `(rows, cols)`.
         right: (usize, usize),
-        /// The operation that was attempted, e.g. `"matmul"`.
+        /// The operation that was attempted, e.g. `"from_rows"`.
         op: &'static str,
     },
     /// A square matrix was required but a rectangular one was supplied.
@@ -84,7 +84,7 @@ mod tests {
             LinalgError::DimensionMismatch {
                 left: (2, 3),
                 right: (4, 5),
-                op: "matmul",
+                op: "from_rows",
             },
             LinalgError::NotSquare { dims: (2, 3) },
             LinalgError::NotPositiveDefinite {

@@ -1,50 +1,29 @@
 //! The fixed-order dot-product micro-kernel underneath every dense
 //! operation in this crate.
 //!
-//! `matmul`, `matvec`, the blocked Cholesky factorization and the
-//! triangular solves all reduce each output element to **one** call of
+//! The Cholesky factorization, its reconstruction and the triangular
+//! solves all reduce each output element to **one** call of
 //! [`dot_kernel`] over a contiguous range. That gives the whole crate a
-//! single determinism contract:
-//!
-//! * The kernel accumulates into four independent lanes over
-//!   `chunks_exact(4)` and combines them as `(acc0 + acc2) + (acc1 + acc3)`
-//!   before folding the `len % 4` tail sequentially. The order never
-//!   depends on the caller, so any algorithm that maps each output element
-//!   to one kernel call over a fixed range is bitwise reproducible no
-//!   matter how its loops are blocked or tiled — blocking reorders *which*
-//!   elements are computed, never *how* a sum is formed.
-//! * The opt-in `simd` feature swaps in an SSE2 implementation whose lane
-//!   layout reproduces the exact same combine tree (two `__m128d`
-//!   accumulators, multiply-then-add with no FMA contraction, horizontal
-//!   add of `acc01 + acc23`), so the SIMD build is bitwise identical to
-//!   the scalar one — not merely within tolerance.
+//! single determinism contract: the kernel accumulates into four
+//! independent lanes over `chunks_exact(4)` and combines them as
+//! `(acc0 + acc2) + (acc1 + acc3)` before folding the `len % 4` tail
+//! sequentially. The order never depends on the caller, so any algorithm
+//! that maps each output element to one kernel call over a fixed range is
+//! bitwise reproducible whatever order it visits the elements in.
 //!
 //! Slices shorter than four elements never enter the lane loop and are
 //! summed left-to-right, which keeps tiny systems (2×2 test fixtures)
 //! identical to the historical sequential kernel.
 
-/// Fixed-order dot product of two equal-length slices.
+/// Fixed-order dot product of two equal-length slices: four independent
+/// accumulators, combined as `(acc0 + acc2) + (acc1 + acc3)`, then the
+/// sequential tail.
 ///
 /// This is the only summation primitive the dense kernels use; see the
 /// module docs for the determinism contract.
 #[inline]
 pub(crate) fn dot_kernel(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dot_kernel: length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        sse2::dot(a, b)
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        dot_scalar(a, b)
-    }
-}
-
-/// Scalar reference kernel: four independent accumulators, combined as
-/// `(acc0 + acc2) + (acc1 + acc3)`, then the sequential tail.
-#[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(dead_code))]
-#[inline]
-fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
     let split = a.len() - a.len() % 4;
     let (a4, a_tail) = a.split_at(split);
     let (b4, b_tail) = b.split_at(split);
@@ -60,56 +39,6 @@ fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
         sum += x * y;
     }
     sum
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod sse2 {
-    use core::arch::x86_64::{
-        _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_loadu_pd, _mm_mul_pd, _mm_setzero_pd,
-        _mm_unpackhi_pd,
-    };
-
-    /// SSE2 kernel, bitwise identical to `dot_scalar`.
-    ///
-    /// `acc01` holds lanes (0, 1) and `acc23` lanes (2, 3) of the scalar
-    /// accumulator array; `_mm_add_pd(acc01, acc23)` yields
-    /// `[acc0 + acc2, acc1 + acc3]` and the final scalar add reproduces the
-    /// `(acc0 + acc2) + (acc1 + acc3)` combine. Multiplies and adds stay
-    /// separate IEEE operations (no FMA), matching the scalar rounding.
-    #[inline]
-    pub(super) fn dot(a: &[f64], b: &[f64]) -> f64 {
-        let split = a.len() - a.len() % 4;
-        let (a4, a_tail) = a.split_at(split);
-        let (b4, b_tail) = b.split_at(split);
-        // SAFETY: SSE2 is part of the x86_64 baseline target features, and
-        // every load reads two lanes at offsets `i`/`i + 2` with
-        // `i + 4 <= split == a4.len() == b4.len()`.
-        let mut sum = unsafe {
-            let mut acc01 = _mm_setzero_pd();
-            let mut acc23 = _mm_setzero_pd();
-            let mut i = 0;
-            while i < split {
-                let prod01 = _mm_mul_pd(
-                    _mm_loadu_pd(a4.as_ptr().add(i)),
-                    _mm_loadu_pd(b4.as_ptr().add(i)),
-                );
-                let prod23 = _mm_mul_pd(
-                    _mm_loadu_pd(a4.as_ptr().add(i + 2)),
-                    _mm_loadu_pd(b4.as_ptr().add(i + 2)),
-                );
-                acc01 = _mm_add_pd(acc01, prod01);
-                acc23 = _mm_add_pd(acc23, prod23);
-                i += 4;
-            }
-            let pair = _mm_add_pd(acc01, acc23);
-            _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)))
-        };
-        for (x, y) in a_tail.iter().zip(b_tail) {
-            sum += x * y;
-        }
-        sum
-    }
 }
 
 #[cfg(test)]
@@ -145,15 +74,5 @@ mod tests {
         let got = dot_kernel(&a, &b);
         let want = sequential(&a, &b);
         assert!((got - want).abs() <= 1e-12 * a.len() as f64);
-    }
-
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[test]
-    fn simd_is_bitwise_identical_to_scalar() {
-        for n in [0usize, 1, 3, 4, 5, 8, 17, 64, 127, 1024] {
-            let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7311).sin() * 3.0).collect();
-            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2931).cos() - 0.4).collect();
-            assert_eq!(sse2::dot(&a, &b).to_bits(), dot_scalar(&a, &b).to_bits());
-        }
     }
 }

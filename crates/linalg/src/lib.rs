@@ -3,21 +3,16 @@
 //!
 //! The Gaussian-process surrogate ([`bofl-gp`]), the EHVI acquisition
 //! ([`bofl-mobo`]) and the simplex/ILP solver ([`bofl-ilp`]) all need a
-//! handful of dense operations on matrices ranging from tens of rows up to
-//! the few-thousand range produced by pooled fleet observations. This
-//! crate provides exactly those kernels — row-major [`Matrix`],
-//! [`Cholesky`] factorization with jitter escalation, triangular solves,
-//! and streaming statistics — with numerics tuned for that size regime and
-//! nothing else.
+//! handful of dense operations on small matrices: one client's MBO data
+//! set stops growing near 3% of the configuration grid, a few dozen
+//! observations (64 at most in any shipped workload). This crate provides
+//! exactly those kernels — row-major [`Matrix`], [`Cholesky`]
+//! factorization with jitter escalation, triangular solves, and streaming
+//! statistics — and nothing else.
 //!
 //! Every dense operation reduces each output element to one call of a
-//! shared fixed-order dot micro-kernel (see `kernels`), so cache blocking
-//! and the opt-in `simd` feature (SSE2 on `x86_64`; elsewhere it falls
-//! back to the scalar kernel) change throughput but never bits: results
-//! are bitwise identical at any block size and across the scalar/SIMD
-//! builds. The `simd` feature is the only part of the crate allowed to
-//! use `unsafe` (a single audited intrinsics routine); the default build
-//! keeps `forbid(unsafe_code)`.
+//! shared fixed-order dot micro-kernel (see `kernels`), so results are
+//! bitwise reproducible whatever order the loops visit the elements in.
 //!
 //! # Examples
 //!
@@ -39,8 +34,7 @@
 //! [`bofl-mobo`]: https://docs.rs/bofl-mobo
 //! [`bofl-ilp`]: https://docs.rs/bofl-ilp
 
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cholesky;

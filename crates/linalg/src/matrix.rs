@@ -2,11 +2,8 @@ use crate::LinalgError;
 
 /// A dense, row-major, heap-allocated matrix of `f64`.
 ///
-/// Sized for the BoFL workloads: Gram matrices from tens of rows up to the
-/// few-thousand range that pooled fleet observations produce. The product
-/// and transpose kernels are cache-blocked on top of the crate's
-/// fixed-order dot micro-kernel (see `kernels`), so they are fast at the
-/// large end while staying bitwise deterministic at any block size.
+/// Sized for the BoFL workloads: Gram matrices of a few dozen rows, one
+/// per objective surrogate of a single client's MBO data set.
 ///
 /// # Examples
 ///
@@ -14,10 +11,10 @@ use crate::LinalgError;
 /// use bofl_linalg::Matrix;
 ///
 /// # fn main() -> Result<(), bofl_linalg::LinalgError> {
-/// let a = Matrix::identity(3);
 /// let b = Matrix::from_rows(&[&[1.0, 2.0, 3.0]])?;
-/// let c = b.matmul(&a)?;
-/// assert_eq!(c.row(0), &[1.0, 2.0, 3.0]);
+/// let t = b.transpose();
+/// assert_eq!((t.rows(), t.cols()), (3, 1));
+/// assert_eq!(t.col(0), vec![1.0, 2.0, 3.0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -60,7 +57,7 @@ impl Matrix {
             return Err(LinalgError::Empty { what: "rows[0]" });
         }
         let mut data = Vec::with_capacity(rows.len() * cols);
-        for (i, r) in rows.iter().enumerate() {
+        for r in rows {
             if r.len() != cols {
                 return Err(LinalgError::DimensionMismatch {
                     left: (1, cols),
@@ -68,7 +65,6 @@ impl Matrix {
                     op: "from_rows",
                 });
             }
-            let _ = i;
             data.extend_from_slice(r);
         }
         Ok(Matrix {
@@ -155,88 +151,9 @@ impl Matrix {
         &self.data
     }
 
-    /// Returns the transpose, walking 32×32 tiles so both the source reads
-    /// and the destination writes stay within a cache-resident window even
-    /// for thousand-row matrices.
+    /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
-        const TILE: usize = 32;
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        // Walk output rows inside each tile: writes are contiguous (the
-        // expensive side under write-allocate) and the strided reads stay
-        // within a TILE×TILE block that fits in L1.
-        for ib in (0..self.rows).step_by(TILE) {
-            let imax = (ib + TILE).min(self.rows);
-            for jb in (0..self.cols).step_by(TILE) {
-                let jmax = (jb + TILE).min(self.cols);
-                for j in jb..jmax {
-                    let orow = &mut out.data[j * self.rows..(j + 1) * self.rows];
-                    for (i, o) in orow[ib..imax].iter_mut().enumerate() {
-                        *o = self.data[(ib + i) * self.cols + j];
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix–matrix product `self * rhs`.
-    ///
-    /// Packs `rhs` as its (tiled) transpose so every output element is one
-    /// contiguous fixed-order dot over the full `k` range, then sweeps the
-    /// output in cache blocks. Blocking reorders which elements are
-    /// computed, never how each sum is formed, so the result is bitwise
-    /// identical at any block size — and in the `simd` build, which runs
-    /// the same combine tree in SSE2 lanes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `self.cols() != rhs.rows()`.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: (rhs.rows, rhs.cols),
-                op: "matmul",
-            });
-        }
-        // Block sizes: NC rows of packed Bᵀ (NC·k doubles) stay hot across
-        // an MC-row sweep of A; each A row is then read once per jb tile.
-        const MC: usize = 256;
-        const NC: usize = 16;
-        let bt = rhs.transpose();
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for jb in (0..rhs.cols).step_by(NC) {
-            let jmax = (jb + NC).min(rhs.cols);
-            for ib in (0..self.rows).step_by(MC) {
-                let imax = (ib + MC).min(self.rows);
-                for i in ib..imax {
-                    let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-                    let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                    for (j, o) in orow[jb..jmax].iter_mut().enumerate() {
-                        *o = crate::kernels::dot_kernel(arow, bt.row(jb + j));
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix–vector product `self * v`, one fixed-order dot per row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `self.cols() != v.len()`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if self.cols != v.len() {
-            return Err(LinalgError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: (v.len(), 1),
-                op: "matvec",
-            });
-        }
-        Ok((0..self.rows)
-            .map(|i| crate::kernels::dot_kernel(self.row(i), v))
-            .collect())
+        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
     /// Elementwise sum `self + rhs`.
@@ -362,36 +279,6 @@ mod tests {
     fn from_vec_checks_len() {
         assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
         assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
-    }
-
-    #[test]
-    fn matmul_identity_is_noop() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let p = a.matmul(&Matrix::identity(2)).unwrap();
-        assert_eq!(p, a);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(c.row(0), &[19.0, 22.0]);
-        assert_eq!(c.row(1), &[43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_dim_mismatch() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn matvec_known() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert!(a.matvec(&[1.0]).is_err());
     }
 
     #[test]

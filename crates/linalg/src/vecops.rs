@@ -4,9 +4,7 @@
 ///
 /// Runs the crate-wide fixed-order micro-kernel: four independent
 /// accumulators over `chunks_exact(4)` combined as
-/// `(acc0 + acc2) + (acc1 + acc3)`, then a sequential tail. The order is
-/// identical in the scalar and `simd` builds, so results are bitwise
-/// reproducible across both.
+/// `(acc0 + acc2) + (acc1 + acc3)`, then a sequential tail.
 ///
 /// # Panics
 ///

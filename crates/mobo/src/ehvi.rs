@@ -92,8 +92,8 @@
 //! Chaining the two, with `drift` the two mean terms above: `ẽ′ ≤ EHVI′ +
 //! err′ ≤ EHVI + drift + err′ ≤ ẽ + err + drift + err′`, which is
 //! `EhviCells::upper_bound`. It is `+∞` whenever a premise fails: a σ
-//! grew (always possible on the RFF path, and by rounding on the exact
-//! one) or an input is non-finite. A purely relative slack would not do:
+//! grew (possible by rounding on the exact GP, and for any surrogate
+//! whose fantasies add variance) or an input is non-finite. A purely relative slack would not do:
 //! the computed EHVI can rise when only σ shrinks (a unit test shows it),
 //! and the rise is a fixed size set by `δ` and the rounding, so it is
 //! large relative to a near-zero EHVI.

@@ -1,10 +1,7 @@
 use crate::ehvi::{BiGaussian, EhviCells, EhviCertificate};
 use crate::hypervolume::hypervolume;
 use crate::{MoboError, ParetoFront};
-use bofl_gp::{
-    GaussianProcess, GpConfig, PredictCache, RandomFourierFeatures, RffConfig, SurrogateModel,
-    WarmStart,
-};
+use bofl_gp::{GaussianProcess, GpConfig, PredictCache, SurrogateModel, WarmStart};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -16,7 +13,7 @@ const MIN_PARALLEL_SCAN: usize = 64;
 const MAX_AUTO_WORKERS: usize = 8;
 
 /// The boxed per-objective surrogate pair [`MoboEngine::fit_surrogates`]
-/// hands to the suggestion loop (exact GP or RFF, per [`RffSwitch`]).
+/// hands to the suggestion loop.
 type SurrogatePair = (Box<dyn SurrogateModel>, Box<dyn SurrogateModel>);
 
 /// A running argmax `(index, value)` over a scan, `None` before the
@@ -83,48 +80,6 @@ impl Default for StoppingRule {
     }
 }
 
-/// When and how the engine swaps the exact GP surrogate for the
-/// approximate [`RandomFourierFeatures`] regressor.
-///
-/// Exact GP fitting is `O(n³)` per hyperparameter evaluation and exact
-/// prediction is `O(n)` per query, so once pooled fleet telemetry pushes
-/// the observation count into the hundreds the surrogate fit dominates
-/// [`MoboEngine::suggest`]. Above [`RffSwitch::threshold`] observations
-/// the engine instead fits a sparse-spectrum (RFF) surrogate whose cost
-/// depends on the feature count `D`, not `n`: hyperparameters come from
-/// the warm-start cache (refreshed on the [`MoboConfig::refit_every`]
-/// schedule by an exact-GP fit on a deterministic stride subsample of at
-/// most [`RffSwitch::hyper_subsample`] points), so the per-suggest
-/// Nelder–Mead marginal-likelihood search over the full data set is
-/// skipped entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RffSwitch {
-    /// Observation count at which the engine switches to the RFF
-    /// surrogate. `usize::MAX` never switches (always exact); `0` always
-    /// uses RFF.
-    pub threshold: usize,
-    /// Number of random Fourier features `D` ([`RffConfig::n_features`]).
-    pub n_features: usize,
-    /// Base seed for the deterministic spectral draws; each objective
-    /// derives its own stream from it, so the two surrogates never share
-    /// frequencies.
-    pub seed: u64,
-    /// Maximum size of the stride subsample used for exact-GP
-    /// hyperparameter refits on the RFF path.
-    pub hyper_subsample: usize,
-}
-
-impl Default for RffSwitch {
-    fn default() -> Self {
-        RffSwitch {
-            threshold: 128,
-            n_features: 128,
-            seed: 0xB0F1_0FF5,
-            hyper_subsample: 96,
-        }
-    }
-}
-
 /// Configuration of the MBO engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MoboConfig {
@@ -154,8 +109,6 @@ pub struct MoboConfig {
     /// unchanged. Each objective keeps its own warm cache and refit
     /// schedule, so the fitted models are the same either way.
     pub scan_workers: usize,
-    /// Exact-vs-approximate surrogate switch (see [`RffSwitch`]).
-    pub rff: RffSwitch,
 }
 
 impl Default for MoboConfig {
@@ -166,7 +119,6 @@ impl Default for MoboConfig {
             stopping: StoppingRule::default(),
             refit_every: 8,
             scan_workers: 0,
-            rff: RffSwitch::default(),
         }
     }
 }
@@ -465,12 +417,6 @@ impl MoboEngine {
     /// refit run the configured multi-start search; fits in between seed
     /// Nelder–Mead from the previous optimum with a single restart.
     ///
-    /// Below [`RffSwitch::threshold`] observations the surrogate is the
-    /// exact [`GaussianProcess`]; at or above it, the approximate
-    /// [`RandomFourierFeatures`] regressor (same refit schedule, but the
-    /// full refit runs on a stride subsample and the RFF fit itself does
-    /// no hyperparameter search).
-    ///
     /// The two fits are independent — each reads only its own warm
     /// cache — so when [`MoboConfig::scan_workers`] resolves to at least
     /// 2, objective 1 fits on a scoped thread beside objective 0. Caches
@@ -480,9 +426,8 @@ impl MoboEngine {
         let xs: Vec<Vec<f64>> = self.observations.iter().map(|o| o.point.clone()).collect();
         let y0: Vec<f64> = self.observations.iter().map(|o| o.objectives[0]).collect();
         let y1: Vec<f64> = self.observations.iter().map(|o| o.objectives[1]).collect();
-        let fit = |obj: usize, ys: &[f64]| {
-            fit_objective(&self.config, self.warm[obj].as_ref(), obj, &xs, ys)
-        };
+        let fit =
+            |obj: usize, ys: &[f64]| fit_objective(&self.config, self.warm[obj].as_ref(), &xs, ys);
         let (fit0, fit1) = if self.resolved_workers() >= 2 {
             std::thread::scope(|scope| {
                 let fit1 = scope.spawn(|| fit(1, &y1));
@@ -520,14 +465,10 @@ impl MoboEngine {
 fn fit_objective(
     config: &MoboConfig,
     warm: Option<&WarmCache>,
-    obj: usize,
     xs: &[Vec<f64>],
     ys: &[f64],
 ) -> FitOutcome {
     let n = xs.len();
-    if n >= config.rff.threshold {
-        return fit_objective_rff(config, warm, obj, xs, ys);
-    }
     let mut cfg = config.gp.clone();
     let mut full_fit_len = n;
     if let Some(cache) = warm {
@@ -544,47 +485,6 @@ fn fit_objective(
         full_fit_len,
     };
     Ok((Box::new(gp), cache))
-}
-
-/// RFF-path fit: hyperparameters come from the warm cache, refreshed on
-/// the `refit_every` schedule by an exact-GP multi-start fit on a
-/// deterministic stride subsample (never the full data set — that is the
-/// point of the switch). The feature draws are seeded per objective so
-/// the two surrogates use independent spectra.
-fn fit_objective_rff(
-    config: &MoboConfig,
-    warm: Option<&WarmCache>,
-    obj: usize,
-    xs: &[Vec<f64>],
-    ys: &[f64],
-) -> FitOutcome {
-    let n = xs.len();
-    let cache = match warm {
-        Some(cache) if n < cache.full_fit_len + config.refit_every.max(1) => cache.clone(),
-        _ => {
-            let m = config.rff.hyper_subsample.clamp(1, n);
-            let stride = n / m;
-            let sub_xs: Vec<Vec<f64>> = (0..m).map(|i| xs[i * stride].clone()).collect();
-            let sub_ys: Vec<f64> = (0..m).map(|i| ys[i * stride]).collect();
-            let mut cfg = config.gp.clone();
-            if let Some(cache) = warm {
-                cfg.warm_start = Some(cache.hypers.clone());
-            }
-            let gp = GaussianProcess::fit(&sub_xs, &sub_ys, cfg)?;
-            WarmCache {
-                hypers: gp.hyperparameters(),
-                full_fit_len: n,
-            }
-        }
-    };
-    let cfg = RffConfig {
-        kernel: config.gp.kernel,
-        n_features: config.rff.n_features,
-        seed: config.rff.seed ^ (obj as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        noise_variance: config.gp.noise_variance,
-        hyperparameters: Some(cache.hypers.clone()),
-    };
-    Ok((Box::new(RandomFourierFeatures::fit(xs, ys, cfg)?), cache))
 }
 
 /// Sequential-greedy EHVI batch selection with Kriging-believer
@@ -671,8 +571,7 @@ pub fn greedy_batch(
         // Kriging believer: fantasize the posterior mean as the
         // observation and condition both models on it (§4.3 step 2).
         // Conditioning extends the exact posterior in O(n²) (Cholesky
-        // append) or the RFF posterior in O(D²) (Sherman–Morrison), so
-        // the whole batch avoids a refit per pick.
+        // append), so the whole batch avoids a refit per pick.
         gp0 = gp0.condition_on_boxed(&candidates[i], post.mean0)?;
         gp1 = gp1.condition_on_boxed(&candidates[i], post.mean1)?;
         front.insert([post.mean0, post.mean1]);
@@ -982,79 +881,47 @@ mod tests {
         assert_eq!(e.pareto_front().len(), 3);
     }
 
-    /// Forces the RFF surrogate (threshold 0) and checks the suggestion
-    /// batch is valid, unique, and identical run-to-run and across scan
-    /// worker counts — the same determinism contract the exact path has.
+    /// Past 128 observations, where an approximate surrogate once took
+    /// over, `suggest` still scans the exact GPs: a fresh engine's batch
+    /// is the one `greedy_batch` picks over `GaussianProcess::fit`
+    /// surrogates of the same data, at 1 and 2 scan workers alike.
     #[test]
-    fn rff_path_is_deterministic_and_valid() {
-        let cfg = MoboConfig {
-            rff: RffSwitch {
-                threshold: 0,
-                n_features: 64,
-                ..RffSwitch::default()
-            },
-            scan_workers: 1,
-            ..MoboConfig::default()
+    fn suggest_scans_exact_gps_past_128_observations() {
+        let gp = GpConfig {
+            restarts: 1,
+            max_evaluations: 40,
+            ..GpConfig::default()
         };
-        let mut e = MoboEngine::new(cfg.clone());
-        let xs: Vec<f64> = (0..16).map(|i| i as f64 / 15.0).collect();
-        toy_observe(&mut e, &xs);
-        let candidates: Vec<Vec<f64>> = (0..=60).map(|i| vec![i as f64 / 60.0]).collect();
-
-        let mut e2 = e.clone();
-        let picked = e.suggest(4, &candidates).unwrap();
-        assert_eq!(picked.len(), 4);
-        let mut dedup = picked.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 4, "picks must be distinct");
-        assert_eq!(e2.suggest(4, &candidates).unwrap(), picked, "rerun differs");
-
-        let mut e4 = MoboEngine::new(MoboConfig {
-            scan_workers: 4,
-            ..cfg
-        });
-        toy_observe(&mut e4, &xs);
-        assert_eq!(
-            e4.suggest(4, &candidates).unwrap(),
-            picked,
-            "worker count changed the batch"
-        );
-    }
-
-    /// Crossing the exact→RFF threshold mid-run must not break the
-    /// engine: the warm cache carries over and both sides produce valid,
-    /// reproducible batches.
-    #[test]
-    fn suggest_survives_the_threshold_crossing() {
-        let cfg = MoboConfig {
-            rff: RffSwitch {
-                threshold: 10,
-                n_features: 64,
-                ..RffSwitch::default()
-            },
-            ..MoboConfig::default()
-        };
-        let mut e = MoboEngine::new(cfg);
-        let candidates: Vec<Vec<f64>> = (0..=60).map(|i| vec![i as f64 / 60.0]).collect();
-
-        // Below threshold: exact path (8 < 10).
-        let below: Vec<f64> = (0..8).map(|i| i as f64 / 7.0).collect();
-        toy_observe(&mut e, &below);
-        let exact_picks = e.suggest(3, &candidates).unwrap();
-        assert_eq!(exact_picks.len(), 3);
-
-        // Cross the threshold: RFF path (12 ≥ 10), warm cache populated.
-        let above: Vec<f64> = (0..4).map(|i| 0.03 + i as f64 / 9.0).collect();
-        toy_observe(&mut e, &above);
-        let rff_picks = e.suggest(3, &candidates).unwrap();
-        assert_eq!(rff_picks.len(), 3);
-        let mut rerun = e.clone();
-        assert_eq!(rerun.suggest(3, &candidates).unwrap(), rff_picks);
-        // Both regimes must propose unexplored candidates.
-        for &i in exact_picks.iter().chain(&rff_picks) {
-            assert!(candidates[i].iter().all(|v| v.is_finite()));
+        let xs: Vec<f64> = (0..130).map(|i| i as f64 / 129.0).collect();
+        let points: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x]).collect();
+        let candidates: Vec<Vec<f64>> = (0..100).map(|i| vec![(i as f64 + 0.5) / 100.0]).collect();
+        let mut batches = Vec::new();
+        for scan_workers in [1, 2] {
+            let mut e = MoboEngine::new(MoboConfig {
+                gp: gp.clone(),
+                scan_workers,
+                ..MoboConfig::default()
+            });
+            toy_observe(&mut e, &xs);
+            let fit = |obj: usize| -> Box<dyn SurrogateModel> {
+                let ys: Vec<f64> = e.observations().iter().map(|o| o.objectives[obj]).collect();
+                Box::new(GaussianProcess::fit(&points, &ys, gp.clone()).unwrap())
+            };
+            let want = greedy_batch(
+                (fit(0), fit(1)),
+                &mut e.pareto_front(),
+                e.reference().unwrap(),
+                &candidates,
+                &vec![true; candidates.len()],
+                4,
+                scan_workers,
+            )
+            .unwrap();
+            let got = e.suggest(4, &candidates).unwrap();
+            assert_eq!(got, want.iter().map(|p| p.index).collect::<Vec<_>>());
+            batches.push(got);
         }
+        assert_eq!(batches[0], batches[1], "worker count changed the batch");
     }
 
     #[test]

@@ -48,9 +48,7 @@ pub mod sobol;
 mod engine;
 mod error;
 
-pub use engine::{
-    greedy_batch, MoboConfig, MoboEngine, Observation, Pick, RffSwitch, StoppingRule,
-};
+pub use engine::{greedy_batch, MoboConfig, MoboEngine, Observation, Pick, StoppingRule};
 pub use error::MoboError;
 pub use pareto::{pareto_front_indices, ParetoFront};
 pub use sobol::SobolSequence;
