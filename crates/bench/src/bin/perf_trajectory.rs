@@ -7,18 +7,13 @@
 //! - `mobo/suggest_{cold,warm}` — the surrogate hot path (fit both GPs,
 //!   sequential-greedy EHVI scan over 512 candidates, batch of 8), cold
 //!   vs hyperparameter-cache-warm;
-//! - `round/fleet_barrier` vs `round/event_driven` — the same faulted
-//!   fleet simulation through the barrier `FleetEngine` and through
+//! - `round/event_driven` — a faulted fleet simulation through
 //!   `bofl-control`'s `EventDrivenEngine` (lifecycle journal + quorum
-//!   closes), isolating the control plane's overhead;
-//! - `round/loopback_transport` — the event-driven run again with
-//!   updates carried over real OS-thread loopback lanes, isolating the
-//!   transport seam's overhead;
-//! - `round/socket_transport` — the same run once more with every update
-//!   carried over real localhost TCP (framed, checksummed, acked),
-//!   isolating the socket stack's overhead; each `round/*` entry records
-//!   its transport kind in the artifact so regressions can be attributed
-//!   to the wire;
+//!   closes) on the virtual wire;
+//! - `round/socket_transport` — the same run with every update carried
+//!   over real localhost TCP (framed, checksummed, acked), isolating the
+//!   socket stack's overhead; each `round/*` entry records its transport
+//!   kind in the artifact so regressions can be attributed to the wire;
 //! - `round/sharded_1m_clients` — the hierarchical aggregation headline:
 //!   a 1,000,000-client registered fleet, 4,096-client cohorts, 100
 //!   rounds through 64 aggregator shards with int8-quantized uplinks and
@@ -32,14 +27,11 @@ use std::path::PathBuf;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use bofl_bench::host_cores;
-use bofl_control::{ControlSimulation, LoopbackTransport, SocketTransport};
+use bofl_control::{ControlSimulation, SocketTransport};
 use bofl_fl::server::{AggregationPolicy, FederationConfig};
 use bofl_fl::RetryPolicy;
 use bofl_fleet::scale::ScaleConfig;
-use bofl_fleet::{
-    FaultPlan, FleetSimulation, FleetSpec, Int8Quantizer, ScaleSimulation, ShardPlan,
-    UniformSampler,
-};
+use bofl_fleet::{FaultPlan, FleetSpec, Int8Quantizer, ScaleSimulation, ShardPlan, UniformSampler};
 use bofl_mobo::{MoboConfig, MoboEngine, Observation, SobolSequence};
 
 /// Wall-clock repetitions per workload; the median is the headline.
@@ -147,19 +139,9 @@ fn round_faults() -> FaultPlan {
         .with_upload_failures(0.1)
 }
 
-/// The same faulted 40-client, 5-round federation through both engines.
+/// The same faulted 40-client, 5-round federation over both wires.
 fn round_loop_workloads(results: &mut Vec<BenchResult>) {
     let spec = FleetSpec::mixed(40, FLEET_SEED);
-    bench("round/fleet_barrier_40c_5r_4w", results, || {
-        FleetSimulation::builder(spec)
-            .federation(round_config())
-            .workers(4)
-            .faults(round_faults())
-            .retry(RetryPolicy::recovery())
-            .build()
-            .run();
-    });
-    tag_transport(results, "none");
     bench("round/event_driven_40c_5r_4w", results, || {
         ControlSimulation::builder(spec)
             .federation(round_config())
@@ -170,23 +152,9 @@ fn round_loop_workloads(results: &mut Vec<BenchResult>) {
             .run();
     });
     tag_transport(results, "virtual");
-    // The same event-driven run with updates carried over real OS-thread
-    // loopback lanes instead of the virtual wire: isolates the cost of
-    // thread spawn + channel collection per round.
-    bench("round/loopback_transport_40c_5r_4w", results, || {
-        ControlSimulation::builder(spec)
-            .federation(round_config())
-            .workers(4)
-            .faults(round_faults().with_churn(0.05, 2))
-            .retry(RetryPolicy::recovery())
-            .transport(LoopbackTransport::new(4))
-            .build()
-            .run();
-    });
-    tag_transport(results, "loopback");
-    // And once more over real localhost TCP: every update framed,
+    // The same run over real localhost TCP: every update framed,
     // checksummed and acked through four persistent lane connections.
-    // The delta against loopback is the socket stack's cost.
+    // The delta against the virtual wire is the socket stack's cost.
     bench("round/socket_transport_40c_5r_4w", results, || {
         ControlSimulation::builder(spec)
             .federation(round_config())

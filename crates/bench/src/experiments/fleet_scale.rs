@@ -1,11 +1,10 @@
 //! Fleet-scale simulation experiment (beyond the paper's testbed): a
-//! heterogeneous AGX/TX2 population with fault injection, run through the
-//! parallel fleet engine, with a determinism cross-check against the
-//! sequential engine.
+//! heterogeneous AGX/TX2 population with fault injection, run on a worker
+//! pool, with a determinism cross-check against a single-worker run.
 
 use crate::report::{f, Report, Table};
+use bofl_control::prelude::*;
 use bofl_fl::server::FederationConfig;
-use bofl_fleet::prelude::*;
 
 use super::ExperimentScale;
 
@@ -43,9 +42,9 @@ impl FleetScale {
     }
 }
 
-fn run(scale: FleetScale, workers: usize, seed: u64) -> FleetRunReport {
+fn run(scale: FleetScale, workers: usize, seed: u64) -> ControlRunReport {
     let spec = FleetSpec::mixed(scale.num_clients, seed);
-    FleetSimulation::builder(spec)
+    ControlSimulation::builder(spec)
         .federation(FederationConfig {
             clients_per_round: scale.clients_per_round,
             rounds: scale.rounds,

@@ -323,7 +323,7 @@ impl Transport for ChaosTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::LoopbackTransport;
+    use crate::socket::SocketTransport;
 
     fn envelopes(n: usize) -> Vec<Envelope> {
         (0..n)
@@ -358,7 +358,7 @@ mod tests {
         let b = ChaosTransport::over_virtual(plan).carry(2, 90.0, &msgs);
         assert_eq!(a, b);
         for lanes in [1, 2, 8] {
-            let c = ChaosTransport::new(Box::new(LoopbackTransport::new(lanes)), plan)
+            let c = ChaosTransport::new(Box::new(SocketTransport::in_process(lanes)), plan)
                 .carry(2, 90.0, &msgs);
             assert_eq!(a, c, "lanes = {lanes}");
         }

@@ -128,13 +128,6 @@ impl EventDrivenEngine {
         }
     }
 
-    /// The single-threaded variant (reference for determinism checks).
-    pub fn sequential() -> Self {
-        let mut engine = EventDrivenEngine::new(1);
-        engine.label = "event-driven(sequential)".to_string();
-        engine
-    }
-
     /// Attaches a fault-injection plan (including churn, which only this
     /// engine acts on — barrier engines ignore churn draws).
     #[must_use]
@@ -857,7 +850,7 @@ impl RoundEngine for EventDrivenEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::LoopbackTransport;
+    use crate::socket::SocketTransport;
 
     #[test]
     fn builders_wire_the_inner_engine() {
@@ -874,18 +867,18 @@ mod tests {
 
     #[test]
     fn transport_builders_stack() {
-        let engine = EventDrivenEngine::sequential()
-            .with_transport(LoopbackTransport::new(2))
+        let engine = EventDrivenEngine::new(1)
+            .with_transport(SocketTransport::in_process(2))
             .with_chaos(ChaosPlan::new(1).with_drops(0.5))
             .with_liveness(LivenessPolicy::recovery(1));
-        assert_eq!(engine.transport_label(), "chaos(loopback(2 lanes))");
+        assert_eq!(engine.transport_label(), "chaos(socket(2 lanes))");
         // Cloning an engine clones its boxed transport.
         assert_eq!(engine.clone().transport_label(), engine.transport_label());
     }
 
     #[test]
     fn waited_reconstruction_matches_the_retry_loop() {
-        let engine = EventDrivenEngine::sequential().with_retry(RetryPolicy::recovery());
+        let engine = EventDrivenEngine::new(1).with_retry(RetryPolicy::recovery());
         let retry = RetryPolicy::recovery();
         let seed = upload_backoff_seed(3, 7);
         // attempts = 3 means backoffs before retries 1 and 2 were waited.

@@ -22,10 +22,8 @@
 //!   instead of waiting for every straggler, and churn (clients joining
 //!   and leaving the fleet mid-run, even mid-round) is handled as
 //!   ordinary transitions.
-//! - [`transport`] — delivery is a pluggable [`Transport`] seam:
-//!   [`VirtualTransport`] (identity, the default) and
-//!   [`LoopbackTransport`] (real `std::thread` lanes + mpsc channels,
-//!   byte-identical journal with zero faults).
+//! - [`transport`] — delivery is a pluggable [`Transport`] seam;
+//!   [`VirtualTransport`] (identity) is the default.
 //! - [`socket`] — [`SocketTransport`] carries the same envelopes over
 //!   real localhost TCP (length-prefixed, checksummed frames from
 //!   `bofl_fleet::wire`) with bounded seeded reconnect/backoff, per-send
@@ -46,8 +44,9 @@
 //!   arriving in between heals them. When the close target becomes
 //!   unreachable the round closes *degraded* and the next round's close
 //!   target widens (over-selection escalation) instead of hanging.
-//! - [`sim`] — [`ControlSimulation`], the one-stop builder mirroring
-//!   `bofl_fleet::FleetSimulation`.
+//! - [`sim`] — [`ControlSimulation`], the one builder for fleets of real
+//!   clients: fleet generator, engine, metrics and journal wired into a
+//!   `bofl_fl::Federation`.
 //!
 //! Virtual timestamps are derived from simulated durations, seeded
 //! retry backoffs and seeded chaos draws — never the wall clock — so for
@@ -99,9 +98,7 @@ pub use plane::{ControlPlane, ReplayError, ResumeError, ResumeReport};
 pub use sim::{ControlRunReport, ControlSimulation, ControlSimulationBuilder};
 pub use socket::{ReconnectPolicy, SocketTransport};
 pub use state::{ClientEvent, ClientState, TransitionError};
-pub use transport::{
-    Carried, Delivery, Envelope, LoopbackTransport, Transport, VirtualTransport, WireStats,
-};
+pub use transport::{Carried, Delivery, Envelope, Transport, VirtualTransport, WireStats};
 pub use wal::{JournalTail, JournalWal, WalError, WalRecord};
 
 /// Convenient glob-import surface.
@@ -115,7 +112,7 @@ pub mod prelude {
     pub use crate::socket::{ReconnectPolicy, SocketTransport};
     pub use crate::state::{ClientEvent, ClientState, TransitionError};
     pub use crate::transport::{
-        Carried, Delivery, Envelope, LoopbackTransport, Transport, VirtualTransport, WireStats,
+        Carried, Delivery, Envelope, Transport, VirtualTransport, WireStats,
     };
     pub use crate::wal::{JournalTail, JournalWal, WalError, WalRecord};
     pub use bofl_fl::network::{NetworkModel, RetryPolicy};

@@ -1,14 +1,14 @@
 //! [`SocketTransport`]: the [`Transport`] contract carried over real
 //! localhost TCP.
 //!
-//! Where [`crate::transport::LoopbackTransport`] moves deliveries through
-//! in-process mpsc channels, this carrier pushes them through actual
-//! sockets using the length-prefixed, checksummed frame codec in
-//! [`bofl_fleet::wire`]. Each `carry` call binds an ephemeral coordinator
-//! listener on `127.0.0.1`, shards the round's envelopes round-robin
-//! across client lanes (threads, or spawned `socket_client` OS processes
-//! in [`SocketTransport::spawned`] mode), and every lane speaks the
-//! Data/Ack protocol:
+//! Where [`crate::transport::VirtualTransport`] hands each delivery back
+//! at its send time, this carrier pushes it through actual sockets using
+//! the length-prefixed, checksummed frame codec in [`bofl_fleet::wire`].
+//! Each `carry` call binds an ephemeral coordinator listener on
+//! `127.0.0.1`, shards the round's envelopes round-robin across client
+//! lanes (threads, or spawned `socket_client` OS processes in
+//! [`SocketTransport::spawned`] mode), and every lane speaks the Data/Ack
+//! protocol:
 //!
 //! - a lane writes one `Data` frame per envelope and waits for the
 //!   coordinator's matching `Ack` within [`SocketTransport::with_ack_timeout`];

@@ -7,11 +7,11 @@
 //!
 //! - [`VirtualTransport`] — the identity carrier. Every message arrives
 //!   at its send time; byte-identical to the pre-transport engine.
-//! - [`LoopbackTransport`] — the same contract executed over real
-//!   `std::thread` lanes and mpsc channels. Lanes race on the OS
-//!   scheduler, but arrival *times* are virtual, so sorting the collected
-//!   deliveries restores the deterministic timeline: with zero faults the
-//!   journal is byte-identical to [`VirtualTransport`] at any lane count.
+//! - [`crate::socket::SocketTransport`] — the same contract carried over
+//!   real localhost TCP lanes. Lanes race on the OS scheduler, but
+//!   arrival *times* are virtual, so sorting the collected deliveries
+//!   restores the deterministic timeline: with zero faults the journal is
+//!   byte-identical to [`VirtualTransport`] at any lane count.
 //! - [`crate::chaos::ChaosTransport`] — a decorator over either of the
 //!   above that injects seeded delay, drop, duplication, reordering and
 //!   partitions.
@@ -26,8 +26,6 @@
 //! never invent a client that did not send, and must be a pure function
 //! of `(round, t0_s, messages)` plus its own seeded configuration —
 //! thread scheduling must not leak into the output.
-
-use std::sync::mpsc;
 
 /// One update leaving a client, stamped with its virtual send time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,88 +190,6 @@ impl Transport for VirtualTransport {
     }
 }
 
-/// The same contract executed over real OS threads: messages are sharded
-/// round-robin across `lanes` `std::thread`s, each lane pushes its
-/// deliveries through an mpsc channel, and the collector sorts the merged
-/// stream back into canonical order.
-///
-/// The lanes genuinely race — the OS scheduler decides which lane's
-/// channel send lands first — but arrival *times* are virtual, so the
-/// final sort erases the race. With zero faults the result is
-/// byte-identical to [`VirtualTransport`] at any lane count, which is
-/// exactly the property the loopback acceptance suite pins down.
-#[derive(Debug, Clone)]
-pub struct LoopbackTransport {
-    lanes: usize,
-    label: String,
-}
-
-impl LoopbackTransport {
-    /// A loopback transport with `lanes` OS-thread lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
-    pub fn new(lanes: usize) -> Self {
-        assert!(lanes > 0, "a loopback transport needs at least one lane");
-        LoopbackTransport {
-            lanes,
-            label: format!("loopback({lanes} lanes)"),
-        }
-    }
-
-    /// Lane count.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-}
-
-impl Transport for LoopbackTransport {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn carry(&mut self, _round: usize, _t0_s: f64, messages: &[Envelope]) -> Carried {
-        let lanes = self.lanes.min(messages.len()).max(1);
-        let (tx, rx) = mpsc::channel::<Delivery>();
-        std::thread::scope(|scope| {
-            for lane in 0..lanes {
-                let tx = tx.clone();
-                let shard: Vec<Envelope> =
-                    messages.iter().skip(lane).step_by(lanes).copied().collect();
-                scope.spawn(move || {
-                    for m in shard {
-                        // A real client stack would serialize and push
-                        // bytes here; the simulation carries the virtual
-                        // timestamp instead.
-                        tx.send(Delivery {
-                            client_id: m.client_id,
-                            t_send_s: m.t_send_s,
-                            t_arrive_s: m.t_send_s,
-                            copy: 0,
-                        })
-                        .expect("collector outlives the lanes");
-                    }
-                });
-            }
-        });
-        drop(tx);
-        let mut deliveries: Vec<Delivery> = rx.into_iter().collect();
-        sort_deliveries(&mut deliveries);
-        Carried {
-            deliveries,
-            stats: WireStats {
-                sent: messages.len(),
-                ..WireStats::default()
-            },
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn Transport> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,21 +220,6 @@ mod tests {
         let mut sorted = times.clone();
         sorted.sort_by(f64::total_cmp);
         assert_eq!(times, sorted);
-    }
-
-    #[test]
-    fn loopback_matches_virtual_at_any_lane_count() {
-        let msgs = envelopes();
-        let reference = VirtualTransport.carry(3, 5.0, &msgs);
-        for lanes in [1, 2, 8] {
-            let carried = LoopbackTransport::new(lanes).carry(3, 5.0, &msgs);
-            assert_eq!(carried, reference, "lanes = {lanes}");
-        }
-        // Empty rounds carry nothing.
-        assert_eq!(
-            LoopbackTransport::new(4).carry(0, 0.0, &[]).deliveries,
-            Vec::new()
-        );
     }
 
     #[test]
@@ -370,11 +271,5 @@ mod tests {
         assert_eq!(total.delayed, 2);
         assert_eq!(total.bytes_on_wire, 100);
         assert_eq!(total.bytes_raw, 800);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one lane")]
-    fn loopback_rejects_zero_lanes() {
-        let _ = LoopbackTransport::new(0);
     }
 }

@@ -132,7 +132,7 @@ fn arrival_exactly_at_the_suspect_deadline_is_never_suspected() {
     let transport = ScriptedTransport::default()
         .arrive_at(0, 0, d * SUSPECT_FACTOR)
         .arrive_at(0, 1, d * SUSPECT_FACTOR);
-    let mut engine = EventDrivenEngine::sequential()
+    let mut engine = EventDrivenEngine::new(1)
         .with_transport(transport)
         .with_liveness(policy());
     let jobs = jobs_for(&clients, 0, d);
@@ -160,7 +160,7 @@ fn arrival_exactly_at_the_expire_deadline_heals_instead_of_expiring() {
     // deadline, `1.25·D + 0.5·D` after round start.
     let transport =
         ScriptedTransport::default().arrive_at(0, 1, d * SUSPECT_FACTOR + d * EXPIRE_FACTOR);
-    let mut engine = EventDrivenEngine::sequential()
+    let mut engine = EventDrivenEngine::new(1)
         .with_transport(transport)
         .with_liveness(policy());
     let jobs = jobs_for(&clients, 0, d);
@@ -202,7 +202,7 @@ fn suspects_cut_off_by_an_early_close_reset_and_stay_selectable() {
         .arrive_at(0, 0, d * 1.30)
         .arrive_at(0, 1, d * 1.35)
         .arrive_at(0, 2, d * 1.50);
-    let mut engine = EventDrivenEngine::sequential()
+    let mut engine = EventDrivenEngine::new(1)
         .with_transport(transport)
         .with_close_policy(AggregationPolicy::none(), 2)
         .with_liveness(policy());

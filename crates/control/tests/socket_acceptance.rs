@@ -13,9 +13,9 @@ use bofl_control::prelude::*;
 use bofl_fl::server::FederationConfig;
 use proptest::prelude::*;
 
-/// The same hostile baseline the loopback suite uses: dropout,
-/// stragglers, upload failures, churn, retries and quorum closes all
-/// active at once — everything except wire faults.
+/// A deliberately hostile baseline: dropout, stragglers, upload
+/// failures, churn, retries and quorum closes all active at once —
+/// everything except wire faults.
 fn builder(seed: u64, workers: usize) -> ControlSimulationBuilder {
     ControlSimulation::builder(FleetSpec::mixed(10, seed))
         .federation(FederationConfig {
@@ -71,22 +71,6 @@ fn zero_fault_socket_is_byte_identical_to_virtual_at_any_lane_count() {
 }
 
 #[test]
-fn socket_matches_loopback_too() {
-    // All three carriers implement one contract; pin them to each other,
-    // not just pairwise to virtual.
-    let seed = 1312;
-    let loopback = builder(seed, 2)
-        .transport(LoopbackTransport::new(4))
-        .build()
-        .run();
-    let socket = builder(seed, 2)
-        .transport(SocketTransport::in_process(4))
-        .build()
-        .run();
-    assert_identical(&loopback, &socket, "socket vs loopback");
-}
-
-#[test]
 fn forced_reconnects_leave_the_journal_invariant() {
     // The coordinator drops the first accepted connections of every
     // round; lanes must come back through seeded backoff and deliver the
@@ -102,6 +86,49 @@ fn forced_reconnects_leave_the_journal_invariant() {
         .build()
         .run();
     assert_identical(&reference, &reconnecting, "accept_faults=3");
+}
+
+#[test]
+fn socket_lanes_under_an_empty_chaos_plan_stay_identical() {
+    // Socket lanes wrapped in a chaos decorator with an *empty* plan must
+    // still be a byte-identical no-op: chaos only changes the run when a
+    // fault family is armed.
+    let seed = 7;
+    let reference = run_virtual(seed, 2);
+    let chaotic = builder(seed, 2)
+        .transport(ChaosTransport::new(
+            Box::new(SocketTransport::in_process(4)),
+            ChaosPlan::none(),
+        ))
+        .build()
+        .run();
+    assert_eq!(reference.journal.to_csv(), chaotic.journal.to_csv());
+    assert_identical(&reference, &chaotic, "empty chaos plan over socket lanes");
+}
+
+#[test]
+fn socket_lanes_report_wire_stats_per_round() {
+    let mut sim = builder(11, 2)
+        .transport(SocketTransport::in_process(3))
+        .build();
+    let report = sim.run();
+    let plane = sim.plane();
+    let plane = plane.lock().unwrap();
+    // Every round recorded its stats; a faultless wire loses nothing.
+    for round in 0..3 {
+        let stats = plane
+            .wire_stats(round)
+            .expect("every round records its stats");
+        assert_eq!(stats.dropped, 0, "round {round}");
+        assert_eq!(stats.duplicated, 0, "round {round}");
+        assert_eq!(stats.partition_held, 0, "round {round}");
+    }
+    let totals = plane.wire_totals();
+    assert!(totals.sent > 0);
+    assert_eq!(totals.dropped, 0);
+    assert_eq!(totals.duplicated, 0);
+    assert_eq!(totals.partition_held, 0);
+    assert_eq!(report.metrics.chaos_dropped(), 0);
 }
 
 #[test]

@@ -235,7 +235,7 @@ impl RunHistory {
 ///
 /// let config = FederationConfig { rounds: 2, ..FederationConfig::default() };
 /// let mut sim = Federation::builder(config)
-///     .engine(FleetEngine::sequential()) // or FleetEngine::new(workers)
+///     .engine(FleetEngine::new(1)) // or FleetEngine::new(workers)
 ///     .build();
 /// let history = sim.run();
 /// assert_eq!(history.rounds.len(), 2);

@@ -12,8 +12,8 @@
 //!    returned, erasing arrival order.
 //!
 //! Consequently the same fleet seed produces a byte-identical aggregate
-//! trace whether the engine runs 1 worker or 64 — the property the
-//! `fleet_determinism` regression test pins down.
+//! trace whether the engine runs 1 worker or 64 — the property
+//! `bofl-control`'s `fleet_determinism` regression test pins down.
 
 use crate::fault::FaultPlan;
 use bofl_fl::client::FlClient;
@@ -54,19 +54,6 @@ impl FleetEngine {
             faults: FaultPlan::none(),
             retry: RetryPolicy::none(),
             label: format!("fleet({workers} workers)"),
-        }
-    }
-
-    /// The single-threaded fleet engine: jobs run inline on the caller's
-    /// thread, with the same fault-injection semantics as the parallel
-    /// pool. This is the reference the parallel configurations are
-    /// compared against (and the path doc examples use).
-    pub fn sequential() -> Self {
-        FleetEngine {
-            workers: 1,
-            faults: FaultPlan::none(),
-            retry: RetryPolicy::none(),
-            label: "fleet(sequential)".to_string(),
         }
     }
 

@@ -19,29 +19,36 @@
 //! - [`metrics`] — [`FleetMetrics`], per-round energy/latency
 //!   distributions, deadline-miss rate, fault counts and controller-phase
 //!   occupancy, exported as CSV in the `results/` conventions;
-//! - [`sim`] — [`FleetSimulation`], the one-stop builder wiring all of
-//!   the above into a `bofl_fl::Federation`.
+//! - [`scale`] — [`ScaleSimulation`], the million-client registry run
+//!   over 20-byte [`ClientStat`] records instead of live models.
+//!
+//! Fleets of real clients run through `bofl_control::ControlSimulation`,
+//! the journalled builder over this crate's generator, engine, faults and
+//! metrics. A barrier round needs no builder: hand a [`FleetEngine`] to
+//! `bofl_fl::Federation::builder` directly.
 //!
 //! # Example
 //!
 //! ```
 //! use bofl_fleet::prelude::*;
-//! use bofl_fl::FederationConfig;
+//! use bofl_fl::{Federation, FederationConfig};
 //!
 //! let spec = FleetSpec::mixed(12, 7);
-//! let mut sim = FleetSimulation::builder(spec)
-//!     .federation(FederationConfig {
-//!         clients_per_round: 4,
-//!         rounds: 2,
-//!         seed: 7,
-//!         ..FederationConfig::default()
-//!     })
-//!     .workers(4)
-//!     .faults(FaultPlan::new(1).with_dropout(0.1))
+//! let config = FederationConfig {
+//!     num_clients: spec.num_clients,
+//!     clients_per_round: 4,
+//!     rounds: 2,
+//!     seed: 7,
+//!     ..FederationConfig::default()
+//! };
+//! let engine = FleetEngine::new(4).with_faults(FaultPlan::new(1).with_dropout(0.1));
+//! let mut federation = Federation::builder(config)
+//!     .device_factory(move |id| spec.device(id))
+//!     .engine(engine)
 //!     .build();
-//! let report = sim.run();
-//! assert_eq!(report.history.rounds.len(), 2);
-//! // The same spec run sequentially produces the identical report.
+//! let history = federation.run();
+//! assert_eq!(history.rounds.len(), 2);
+//! // The same fleet on `FleetEngine::new(1)` produces the identical history.
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,7 +63,6 @@ pub mod process;
 pub mod sampler;
 pub mod scale;
 pub mod shard;
-pub mod sim;
 pub mod wire;
 
 pub use compress::{CompressedUpdate, Compressor, Int8Quantizer, NoCompression, TopKSparsifier};
@@ -70,7 +76,6 @@ pub use sampler::{
 };
 pub use scale::{ScaleConfig, ScaleReport, ScaleRoundTrace, ScaleSimulation};
 pub use shard::{ShardPlan, ShardRoundStats, UpdateAccumulator};
-pub use sim::{FleetRunReport, FleetSimulation, FleetSimulationBuilder};
 pub use wire::{Frame, FrameReader, WireError, WireMsg};
 
 /// Convenient glob-import surface.
@@ -88,7 +93,6 @@ pub mod prelude {
     };
     pub use crate::scale::{ScaleConfig, ScaleReport, ScaleRoundTrace, ScaleSimulation};
     pub use crate::shard::{ShardPlan, ShardRoundStats, UpdateAccumulator};
-    pub use crate::sim::{FleetRunReport, FleetSimulation, FleetSimulationBuilder};
     pub use crate::wire::{Frame, FrameReader, WireError, WireMsg};
     pub use bofl_fl::network::RetryPolicy;
     pub use bofl_fl::server::AggregationPolicy;

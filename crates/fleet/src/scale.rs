@@ -1,8 +1,8 @@
 //! Million-client scale simulation: hierarchical sharded FedAvg over a
 //! registry of lightweight clients.
 //!
-//! [`crate::sim::FleetSimulation`] runs *real* clients — live models, SGD
-//! steps, device simulators — which tops out around thousands. This
+//! `bofl_control::ControlSimulation` runs *real* clients — live models,
+//! SGD steps, device simulators — which tops out around thousands. This
 //! module is the other end of the telescope: each client is a compact
 //! [`ClientStat`] record (20 bytes), its per-round behaviour (faults,
 //! retries, energy, synthetic update) is a pure function of

@@ -7,7 +7,7 @@
 //! contract: encodings are pure functions of `(update, stream seed,
 //! residual)`, and error feedback conserves the signal exactly.
 
-use bofl_fl::server::FederationConfig;
+use bofl_fl::server::{Federation, FederationConfig};
 use bofl_fleet::compress::CompressedUpdate;
 use bofl_fleet::prelude::*;
 use bofl_fleet::scale::ScaleConfig;
@@ -74,6 +74,7 @@ proptest! {
         let run = |shards: Option<usize>| {
             let spec = FleetSpec::mixed(10, seed);
             let config = FederationConfig {
+                num_clients: spec.num_clients,
                 clients_per_round: 4,
                 rounds: 2,
                 classes: 3,
@@ -81,17 +82,27 @@ proptest! {
                 seed,
                 ..FederationConfig::default()
             };
-            let mut builder = FleetSimulation::builder(spec).federation(config).workers(2);
+            let mut builder = Federation::builder(config)
+                .device_factory(move |id| spec.device(id))
+                .engine(FleetEngine::new(2));
             if let Some(n) = shards {
                 builder = builder.shard_plan(ShardPlan::with_shards(n));
             }
-            builder.build().run()
+            let mut federation = builder.build();
+            let mut metrics = FleetMetrics::new();
+            let mut history = Vec::new();
+            for round in 0..config.rounds {
+                let (record, outcomes) = federation.run_round_detailed(round);
+                metrics.record(&record, &outcomes);
+                history.push(record);
+            }
+            (history, metrics.to_csv())
         };
         let flat = run(None);
         for shards in [1usize, 4, 16] {
             let sharded = run(Some(shards));
-            prop_assert_eq!(&sharded.history, &flat.history);
-            prop_assert_eq!(sharded.metrics.to_csv(), flat.metrics.to_csv());
+            prop_assert_eq!(&sharded.0, &flat.0);
+            prop_assert_eq!(&sharded.1, &flat.1);
         }
     }
 

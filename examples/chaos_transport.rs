@@ -1,5 +1,5 @@
 //! The pluggable transport under adversarial chaos, end to end: finished
-//! updates travel over real OS-thread loopback lanes, a seeded
+//! updates travel over real localhost TCP socket lanes, a seeded
 //! [`ChaosPlan`] drops, delays, duplicates, reorders and partitions them
 //! on the wire, and the server's liveness tracker suspects, expires or
 //! heals the silent senders instead of hanging the round. Degraded
@@ -32,8 +32,8 @@ fn simulation(lanes: usize) -> ControlSimulation {
         })
         .workers(4)
         .retry(RetryPolicy::recovery())
-        // Real std::thread lanes carry the updates; chaos decorates them.
-        .transport(LoopbackTransport::new(lanes))
+        // Real TCP lanes carry the updates; chaos decorates them.
+        .transport(SocketTransport::in_process(lanes))
         .chaos(
             ChaosPlan::new(FLEET_SEED ^ 0xC4A0)
                 .with_drops(0.2)
@@ -51,7 +51,7 @@ fn simulation(lanes: usize) -> ControlSimulation {
 fn main() {
     println!(
         "fleet: {CLIENTS} mixed AGX/TX2 clients, {ROUNDS} rounds × {PER_ROUND} nominal cohort, \
-         loopback lanes + seeded chaos (drop/delay/dup/reorder/partition) + liveness"
+         socket lanes + seeded chaos (drop/delay/dup/reorder/partition) + liveness"
     );
 
     let mut sim = simulation(4);

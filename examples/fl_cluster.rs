@@ -42,14 +42,13 @@ fn run(
     label: &str,
     make_controller: impl Fn(usize) -> Box<dyn bofl::task::PaceController> + 'static,
 ) -> RunHistory {
-    // A small cluster doesn't need the parallel worker pool; the
-    // single-threaded fleet engine keeps the run easy to step through.
-    // Swap in `FleetEngine::new(workers)` to scale up (see the
-    // `fleet_scale` example) — the trace is identical either way.
+    // A small cluster doesn't need the parallel worker pool; one worker
+    // keeps the run easy to step through. Raise the worker count to
+    // scale up — the trace is identical either way.
     let mut federation = Federation::builder(config())
         .device_factory(mixed_devices)
         .controller_factory(make_controller)
-        .engine(FleetEngine::sequential())
+        .engine(FleetEngine::new(1))
         .build();
     let history = federation.run();
     println!("\n=== federation with {label} clients ===");
