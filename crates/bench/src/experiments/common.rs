@@ -28,7 +28,7 @@ impl ExperimentScale {
         }
     }
 
-    /// Reduced scale for Criterion benches and smoke tests.
+    /// Reduced scale for `reproduce --quick` and smoke tests.
     pub fn quick() -> Self {
         ExperimentScale {
             rounds: 20,

@@ -1,6 +1,7 @@
 //! Experiment harness for the BoFL reproduction: one module per table or
-//! figure of the paper's evaluation (§6), shared between the `reproduce`
-//! binary and the Criterion benches.
+//! figure of the paper's evaluation (§6), run by the `reproduce` binary.
+//! The crate also holds `bench_check`, the parent-vs-change gate over
+//! the `perfbench` benchmark.
 //!
 //! Every experiment function returns a [`report::Report`] — a set of named
 //! CSV-able tables plus a human-readable rendering — so the binary can
@@ -10,8 +11,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod host;
 pub mod report;
 
-pub use host::host_cores;
 pub use report::{Report, Table};

@@ -30,7 +30,7 @@
 //! of the id. Keys are integers that order exactly like
 //! [`f64::total_cmp`] on the float key (the weighted samplers, which read
 //! `fleet[id]`) or like the draw itself (the uniform sampler orders by
-//! the 53 raw bits behind [`RoundDraws::unit`] and reads no record at
+//! the 53 raw bits behind `RoundDraws::unit` and reads no record at
 //! all). One pass over the ids in ascending order admits keys below a
 //! running cut into a buffer of `2 · cohort`; each time the buffer fills,
 //! a linear-time select shrinks it back to `cohort` and tightens the cut.
