@@ -2,7 +2,7 @@
 //! controller, with the simulated device charging latency and energy.
 
 use crate::data::SyntheticDataset;
-use crate::model::{Minibatch, TrainableModel};
+use crate::model::TrainableModel;
 use crate::network::{BandwidthEstimator, NetworkModel, ReportingDeadline};
 use bofl::task::PaceController;
 use bofl::{JobExecutor, Phase, RoundSpec};
@@ -118,10 +118,7 @@ impl JobExecutor for TrainingExecutor<'_> {
     fn run_job(&mut self, x: DvfsConfig) -> JobCost {
         // 1. Real learning: one SGD step on the next minibatch.
         let (lo, hi) = self.next_batch();
-        let batch = Minibatch {
-            features: &self.data.features()[lo..hi],
-            labels: &self.data.labels()[lo..hi],
-        };
+        let batch = self.data.batch(lo..hi);
         if !batch.is_empty() {
             self.last_loss = self.model.sgd_step(&batch, self.learning_rate);
         }
@@ -415,7 +412,7 @@ mod tests {
     fn executor_trains_while_charging_energy() {
         let (device, task, data) = setup();
         let mut model = SoftmaxModel::new(8, 4, 1);
-        let before_loss = model.loss(data.features(), data.labels());
+        let before_loss = model.loss(&data.as_batch());
         let mut exec = TrainingExecutor::new(&device, &task, &mut model, &data, 0.2, 5);
         let x = device.config_space().x_max();
         for _ in 0..50 {
@@ -426,7 +423,7 @@ mod tests {
         assert!(exec.elapsed_s() > 0.0);
         assert!(exec.last_loss().is_finite());
         drop(exec);
-        let after_loss = model.loss(data.features(), data.labels());
+        let after_loss = model.loss(&data.as_batch());
         assert!(
             after_loss < before_loss,
             "training must make progress: {before_loss} -> {after_loss}"

@@ -1,14 +1,23 @@
 //! Synthetic federated datasets with controllable non-IID label skew.
+//!
+//! A dataset keeps its features row-major in one buffer: sample `i` is
+//! `features[i * dims..(i + 1) * dims]`. Every buffer is allocated at its
+//! exact length, so a dataset costs its samples' bytes and nothing per
+//! sample on top.
 
+use crate::model::Minibatch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// A labeled synthetic classification dataset: Gaussian blobs, one center
 /// per class.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticDataset {
-    features: Vec<Vec<f64>>,
+    /// Row-major `samples × dims`.
+    features: Vec<f64>,
     labels: Vec<usize>,
+    dims: usize,
     classes: usize,
 }
 
@@ -31,43 +40,45 @@ impl SyntheticDataset {
         assert!(classes >= 2, "need at least two classes");
         assert!(noise >= 0.0, "noise must be non-negative");
         let mut rng = StdRng::seed_from_u64(seed);
-        // Class centers on a scaled hypersphere-ish lattice.
-        let centers: Vec<Vec<f64>> = (0..classes)
-            .map(|c| {
-                (0..dims)
-                    .map(|d| {
-                        let angle = (c * dims + d) as f64 * 2.399963; // golden angle
-                        3.0 * angle.sin()
-                    })
-                    .collect()
+        // Class centers on a scaled hypersphere-ish lattice, row-major
+        // `classes × dims`.
+        let centers: Vec<f64> = (0..classes * dims)
+            .map(|k| {
+                let angle = k as f64 * 2.399963; // golden angle
+                3.0 * angle.sin()
             })
             .collect();
-        let mut features = Vec::with_capacity(samples);
-        let mut labels = Vec::with_capacity(samples);
+        let mut features = Vec::with_capacity(samples * dims);
         for i in 0..samples {
             let c = i % classes;
-            let x: Vec<f64> = centers[c]
-                .iter()
-                .map(|&m| m + noise * gaussian(&mut rng))
-                .collect();
-            features.push(x);
-            labels.push(c);
+            features.extend(
+                centers[c * dims..(c + 1) * dims]
+                    .iter()
+                    .map(|&m| m + noise * gaussian(&mut rng)),
+            );
         }
         SyntheticDataset {
             features,
-            labels,
+            labels: (0..samples).map(|i| i % classes).collect(),
+            dims,
             classes,
         }
     }
 
-    /// Feature rows.
-    pub fn features(&self) -> &[Vec<f64>] {
+    /// Feature rows, row-major: sample `i` is
+    /// `features()[i * dims()..(i + 1) * dims()]`.
+    pub fn features(&self) -> &[f64] {
         &self.features
     }
 
-    /// Labels, parallel to the feature rows.
+    /// Labels, one per feature row.
     pub fn labels(&self) -> &[usize] {
         &self.labels
+    }
+
+    /// Feature dimensionality (the length of one row).
+    pub fn dims(&self) -> usize {
+        self.dims
     }
 
     /// Number of classes.
@@ -77,12 +88,35 @@ impl SyntheticDataset {
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.features.len()
+        self.labels.len()
     }
 
     /// `true` if the dataset has no samples.
     pub fn is_empty(&self) -> bool {
-        self.features.is_empty()
+        self.labels.is_empty()
+    }
+
+    /// The features of sample `i`.
+    fn row(&self, i: usize) -> &[f64] {
+        &self.features[i * self.dims..(i + 1) * self.dims]
+    }
+
+    /// A borrowed view of the samples `rows`, for SGD or evaluation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` runs past the end of the dataset.
+    pub fn batch(&self, rows: Range<usize>) -> Minibatch<'_> {
+        Minibatch::new(
+            &self.features[rows.start * self.dims..rows.end * self.dims],
+            self.dims,
+            &self.labels[rows],
+        )
+    }
+
+    /// A borrowed view of every sample.
+    pub fn as_batch(&self) -> Minibatch<'_> {
+        self.batch(0..self.len())
     }
 
     /// Splits off the last `fraction` of samples as a test set (the data
@@ -97,28 +131,41 @@ impl SyntheticDataset {
             "fraction must be in (0, 1)"
         );
         let cut = ((1.0 - fraction) * self.len() as f64).round() as usize;
-        let (fx_train, fx_test) = {
-            let mut f = self.features;
-            let test = f.split_off(cut);
-            (f, test)
+        let (mut features, mut labels) = (self.features, self.labels);
+        let test = SyntheticDataset {
+            features: features.split_off(cut * self.dims),
+            labels: labels.split_off(cut),
+            dims: self.dims,
+            classes: self.classes,
         };
-        let (ly_train, ly_test) = {
-            let mut l = self.labels;
-            let test = l.split_off(cut);
-            (l, test)
+        // `split_off` leaves the head at its old capacity.
+        features.shrink_to_fit();
+        labels.shrink_to_fit();
+        let train = SyntheticDataset {
+            features,
+            labels,
+            dims: self.dims,
+            classes: self.classes,
         };
-        (
-            SyntheticDataset {
-                features: fx_train,
-                labels: ly_train,
-                classes: self.classes,
-            },
-            SyntheticDataset {
-                features: fx_test,
-                labels: ly_test,
-                classes: self.classes,
-            },
-        )
+        (train, test)
+    }
+
+    /// Copies the `count` samples `rows` yields, in order, into a new
+    /// dataset with exact-length buffers.
+    fn gather(&self, count: usize, rows: impl Iterator<Item = usize>) -> SyntheticDataset {
+        let mut features = Vec::with_capacity(count * self.dims);
+        let mut labels = Vec::with_capacity(count);
+        for i in rows {
+            features.extend_from_slice(self.row(i));
+            labels.push(self.labels[i]);
+        }
+        debug_assert_eq!(labels.len(), count);
+        SyntheticDataset {
+            features,
+            labels,
+            dims: self.dims,
+            classes: self.classes,
+        }
     }
 }
 
@@ -132,7 +179,8 @@ pub struct FederatedData {
 
 impl FederatedData {
     /// Partitions `data` across `clients` with Dirichlet(`alpha`) class
-    /// proportions per client.
+    /// proportions per client. Each shard holds its classes in class
+    /// order, each class's samples in dataset order.
     ///
     /// # Panics
     ///
@@ -140,18 +188,27 @@ impl FederatedData {
     pub fn dirichlet_split(data: &SyntheticDataset, clients: usize, alpha: f64, seed: u64) -> Self {
         assert!(clients > 0, "need at least one client");
         assert!(alpha > 0.0, "alpha must be positive");
+        let classes = data.classes();
         let mut rng = StdRng::seed_from_u64(seed);
 
-        // Indices per class.
-        let mut per_class: Vec<Vec<usize>> = vec![Vec::new(); data.classes()];
+        // Indices per class, each list allocated at its exact length.
+        let mut counts = vec![0usize; classes];
+        for &y in data.labels() {
+            counts[y] += 1;
+        }
+        let mut per_class: Vec<Vec<usize>> =
+            counts.iter().map(|&n| Vec::with_capacity(n)).collect();
         for (i, &y) in data.labels().iter().enumerate() {
             per_class[y].push(i);
         }
 
-        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); clients];
-        for class_indices in &per_class {
+        // Client `c`'s share of class `k` is `per_class[k][takes[c * classes + k]]`.
+        let mut takes = vec![0..0; clients * classes];
+        let mut weights = Vec::with_capacity(clients);
+        for (k, class_indices) in per_class.iter().enumerate() {
             // Dirichlet proportions via normalized Gamma(alpha, 1) draws.
-            let weights: Vec<f64> = (0..clients).map(|_| gamma(alpha, &mut rng)).collect();
+            weights.clear();
+            weights.extend((0..clients).map(|_| gamma(alpha, &mut rng)));
             let total: f64 = weights.iter().sum();
             let mut cursor = 0usize;
             for (c, w) in weights.iter().enumerate() {
@@ -160,19 +217,20 @@ impl FederatedData {
                 } else {
                     ((w / total) * class_indices.len() as f64).floor() as usize
                 };
-                for &idx in &class_indices[cursor..cursor + take] {
-                    assignment[c].push(idx);
-                }
+                takes[c * classes + k] = cursor..cursor + take;
                 cursor += take;
             }
         }
 
-        let shards = assignment
-            .into_iter()
-            .map(|idxs| SyntheticDataset {
-                features: idxs.iter().map(|&i| data.features()[i].clone()).collect(),
-                labels: idxs.iter().map(|&i| data.labels()[i]).collect(),
-                classes: data.classes(),
+        let shards = takes
+            .chunks_exact(classes)
+            .map(|ranges| {
+                let count = ranges.iter().map(|r| r.len()).sum();
+                let rows = ranges
+                    .iter()
+                    .zip(&per_class)
+                    .flat_map(|(r, idx)| idx[r.clone()].iter().copied());
+                data.gather(count, rows)
             })
             .collect();
         FederatedData { shards }
@@ -188,14 +246,14 @@ impl FederatedData {
         self.shards.is_empty()
     }
 
-    /// The shard for one client.
-    pub fn shard(&self, client: usize) -> &SyntheticDataset {
-        &self.shards[client]
-    }
-
     /// Iterates over shards in client order.
     pub fn iter(&self) -> impl Iterator<Item = &SyntheticDataset> + '_ {
         self.shards.iter()
+    }
+
+    /// The shards in client order, moved out without a copy.
+    pub fn into_shards(self) -> Vec<SyntheticDataset> {
+        self.shards
     }
 }
 
@@ -248,12 +306,9 @@ mod tests {
         }
         // Distinct class means (separability proxy): centers differ.
         let mean = |c: usize| -> Vec<f64> {
-            let rows: Vec<&Vec<f64>> = d
-                .features()
-                .iter()
-                .zip(d.labels())
-                .filter(|(_, &y)| y == c)
-                .map(|(x, _)| x)
+            let rows: Vec<&[f64]> = (0..d.len())
+                .filter(|&i| d.labels()[i] == c)
+                .map(|i| d.row(i))
                 .collect();
             (0..4)
                 .map(|j| rows.iter().map(|r| r[j]).sum::<f64>() / rows.len() as f64)

@@ -7,10 +7,10 @@
 //! examples can demonstrate BoFL controlling *real* (small-scale) training
 //! rather than a mock:
 //!
-//! - [`model`] — trainable models with genuine SGD: a softmax linear
-//!   classifier and a one-hidden-layer MLP;
+//! - [`model`] — a trainable softmax linear classifier with genuine SGD;
 //! - [`data`] — synthetic federated datasets with Dirichlet label skew
-//!   (the standard non-IID benchmark partition);
+//!   (the standard non-IID benchmark partition), each stored as one
+//!   row-major feature buffer;
 //! - [`client`] — an FL client whose [`TrainingExecutor`] performs one
 //!   true SGD minibatch step per *job* while the simulated device charges
 //!   the corresponding latency and energy; the pace controller (BoFL or a
@@ -60,7 +60,7 @@ pub use aggregate::{aggregate_sharded, ShardPlan, UpdateAccumulator};
 pub use client::{FlClient, TrainingExecutor};
 pub use data::{FederatedData, SyntheticDataset};
 pub use engine::{ClientJob, ClientOutcome, RoundDeadline, RoundEngine, SequentialEngine};
-pub use model::{Minibatch, MlpModel, SoftmaxModel, TrainableModel};
+pub use model::{Minibatch, SoftmaxModel, TrainableModel};
 pub use network::{BandwidthEstimator, NetworkModel, ReportingDeadline, RetryPolicy};
 pub use server::{
     AggregationPolicy, DeadlinePolicy, Federation, FederationBuilder, FederationConfig,
@@ -75,7 +75,7 @@ pub mod prelude {
     pub use crate::engine::{
         ClientJob, ClientOutcome, RoundDeadline, RoundEngine, SequentialEngine,
     };
-    pub use crate::model::{MlpModel, SoftmaxModel, TrainableModel};
+    pub use crate::model::{SoftmaxModel, TrainableModel};
     pub use crate::network::{BandwidthEstimator, NetworkModel, ReportingDeadline, RetryPolicy};
     pub use crate::server::{
         AggregationPolicy, DeadlinePolicy, Federation, FederationBuilder, FederationConfig,

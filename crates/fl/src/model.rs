@@ -7,24 +7,51 @@
 
 use rand::Rng;
 
-/// One minibatch of training data: rows of features plus integer labels.
-#[derive(Debug, Clone, PartialEq)]
+/// A borrowed view of labelled samples, for an SGD step or an
+/// evaluation: features row-major in one flat slice (sample `i` is
+/// `features[i * dims..(i + 1) * dims]`) plus one label per row.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Minibatch<'a> {
-    /// Feature rows, one per sample.
-    pub features: &'a [Vec<f64>],
-    /// Class labels, parallel to `features`.
-    pub labels: &'a [usize],
+    features: &'a [f64],
+    labels: &'a [usize],
+    dims: usize,
 }
 
-impl Minibatch<'_> {
+impl<'a> Minibatch<'a> {
+    /// A view of `labels.len()` samples of `dims` features each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims == 0` or `features.len() != labels.len() * dims`.
+    pub fn new(features: &'a [f64], dims: usize, labels: &'a [usize]) -> Self {
+        assert!(dims > 0, "rows need at least one feature");
+        assert_eq!(
+            features.len(),
+            labels.len() * dims,
+            "one row of `dims` features per label"
+        );
+        Minibatch {
+            features,
+            labels,
+            dims,
+        }
+    }
+
     /// Number of samples in the minibatch.
     pub fn len(&self) -> usize {
-        self.features.len()
+        self.labels.len()
     }
 
     /// `true` if the minibatch is empty.
     pub fn is_empty(&self) -> bool {
-        self.features.is_empty()
+        self.labels.is_empty()
+    }
+
+    /// `(features, label)` per sample, in order.
+    pub fn rows(&self) -> impl Iterator<Item = (&'a [f64], usize)> + 'a {
+        self.features
+            .chunks_exact(self.dims)
+            .zip(self.labels.iter().copied())
     }
 }
 
@@ -46,16 +73,16 @@ pub trait TrainableModel: Send {
     fn sgd_step(&mut self, batch: &Minibatch<'_>, learning_rate: f64) -> f64;
 
     /// Mean cross-entropy loss on a dataset (no update).
-    fn loss(&self, features: &[Vec<f64>], labels: &[usize]) -> f64;
+    fn loss(&self, data: &Minibatch<'_>) -> f64;
 
     /// Classification accuracy on a dataset.
-    fn accuracy(&self, features: &[Vec<f64>], labels: &[usize]) -> f64;
+    fn accuracy(&self, data: &Minibatch<'_>) -> f64;
 
     /// `(accuracy, loss)` on a dataset in one call, bit for bit the two
     /// separate calls. Models that can score both in one pass override
     /// this.
-    fn evaluate(&self, features: &[Vec<f64>], labels: &[usize]) -> (f64, f64) {
-        (self.accuracy(features, labels), self.loss(features, labels))
+    fn evaluate(&self, data: &Minibatch<'_>) -> (f64, f64) {
+        (self.accuracy(data), self.loss(data))
     }
 
     /// Clones the model behind a box (object-safe clone).
@@ -97,12 +124,13 @@ fn argmax(p: &[f64]) -> usize {
 /// use bofl_fl::{Minibatch, SoftmaxModel, TrainableModel};
 ///
 /// let mut m = SoftmaxModel::new(2, 2, 42);
-/// let xs = vec![vec![2.0, 0.0], vec![-2.0, 0.0]];
-/// let ys = vec![0usize, 1usize];
+/// let xs = [2.0, 0.0, -2.0, 0.0]; // two rows of two features
+/// let ys = [0usize, 1usize];
+/// let batch = Minibatch::new(&xs, 2, &ys);
 /// for _ in 0..200 {
-///     m.sgd_step(&Minibatch { features: &xs, labels: &ys }, 0.5);
+///     m.sgd_step(&batch, 0.5);
 /// }
-/// assert_eq!(m.accuracy(&xs, &ys), 1.0);
+/// assert_eq!(m.accuracy(&batch), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxModel {
@@ -197,7 +225,7 @@ impl TrainableModel for SoftmaxModel {
         let mut total_loss = 0.0;
         let mut grad = vec![0.0; self.weights.len()];
         let mut p = vec![0.0; self.classes];
-        for (x, &y) in batch.features.iter().zip(batch.labels) {
+        for (x, y) in batch.rows() {
             assert!(y < self.classes, "label {y} out of range");
             self.proba_into(x, &mut p);
             total_loss -= p[y].max(1e-12).ln();
@@ -216,215 +244,42 @@ impl TrainableModel for SoftmaxModel {
         total_loss / batch.len() as f64
     }
 
-    fn loss(&self, features: &[Vec<f64>], labels: &[usize]) -> f64 {
-        assert_eq!(features.len(), labels.len());
-        if features.is_empty() {
+    fn loss(&self, data: &Minibatch<'_>) -> f64 {
+        if data.is_empty() {
             return 0.0;
         }
-        features
-            .iter()
-            .zip(labels)
-            .map(|(x, &y)| -self.predict_proba(x)[y].max(1e-12).ln())
+        data.rows()
+            .map(|(x, y)| -self.predict_proba(x)[y].max(1e-12).ln())
             .sum::<f64>()
-            / features.len() as f64
+            / data.len() as f64
     }
 
-    fn accuracy(&self, features: &[Vec<f64>], labels: &[usize]) -> f64 {
-        assert_eq!(features.len(), labels.len());
-        if features.is_empty() {
+    fn accuracy(&self, data: &Minibatch<'_>) -> f64 {
+        if data.is_empty() {
             return 0.0;
         }
-        let hits = features
-            .iter()
-            .zip(labels)
-            .filter(|(x, &y)| self.predict(x) == y)
-            .count();
-        hits as f64 / features.len() as f64
+        let hits = data.rows().filter(|&(x, y)| self.predict(x) == y).count();
+        hits as f64 / data.len() as f64
     }
 
     /// One pass over the data: each sample's probabilities are computed
     /// once and scored for both the hit count and the loss.
-    fn evaluate(&self, features: &[Vec<f64>], labels: &[usize]) -> (f64, f64) {
-        assert_eq!(features.len(), labels.len());
-        if features.is_empty() {
+    fn evaluate(&self, data: &Minibatch<'_>) -> (f64, f64) {
+        if data.is_empty() {
             return (0.0, 0.0);
         }
         let mut p = vec![0.0; self.classes];
         let mut hits = 0usize;
-        let loss = features
-            .iter()
-            .zip(labels)
-            .map(|(x, &y)| {
+        let loss = data
+            .rows()
+            .map(|(x, y)| {
                 self.proba_into(x, &mut p);
                 hits += usize::from(argmax(&p) == y);
                 -p[y].max(1e-12).ln()
             })
             .sum::<f64>()
-            / features.len() as f64;
-        (hits as f64 / features.len() as f64, loss)
-    }
-
-    fn clone_box(&self) -> Box<dyn TrainableModel> {
-        Box::new(self.clone())
-    }
-}
-
-/// A one-hidden-layer MLP with tanh activation, trained by backprop SGD.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlpModel {
-    features: usize,
-    hidden: usize,
-    classes: usize,
-    /// `[w1 (hidden × (features+1)) | w2 (classes × (hidden+1))]` flat.
-    weights: Vec<f64>,
-}
-
-impl MlpModel {
-    /// Creates an MLP with Xavier-ish random weights (seeded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero or `classes < 2`.
-    pub fn new(features: usize, hidden: usize, classes: usize, seed: u64) -> Self {
-        assert!(features > 0 && hidden > 0, "dimensions must be positive");
-        assert!(classes >= 2, "at least two classes required");
-        let mut rng = small_rng(seed);
-        let n = hidden * (features + 1) + classes * (hidden + 1);
-        let scale = (2.0 / (features + hidden) as f64).sqrt();
-        let weights = (0..n).map(|_| (rng.gen::<f64>() - 0.5) * scale).collect();
-        MlpModel {
-            features,
-            hidden,
-            classes,
-            weights,
-        }
-    }
-
-    fn split(&self) -> (&[f64], &[f64]) {
-        self.weights.split_at(self.hidden * (self.features + 1))
-    }
-
-    fn forward(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        assert_eq!(x.len(), self.features, "feature dimension mismatch");
-        let (w1, w2) = self.split();
-        let s1 = self.features + 1;
-        let h: Vec<f64> = (0..self.hidden)
-            .map(|j| {
-                let row = &w1[j * s1..(j + 1) * s1];
-                (row[..self.features]
-                    .iter()
-                    .zip(x)
-                    .map(|(w, xi)| w * xi)
-                    .sum::<f64>()
-                    + row[self.features])
-                    .tanh()
-            })
-            .collect();
-        let s2 = self.hidden + 1;
-        let mut logits: Vec<f64> = (0..self.classes)
-            .map(|c| {
-                let row = &w2[c * s2..(c + 1) * s2];
-                row[..self.hidden]
-                    .iter()
-                    .zip(&h)
-                    .map(|(w, hi)| w * hi)
-                    .sum::<f64>()
-                    + row[self.hidden]
-            })
-            .collect();
-        softmax_in_place(&mut logits);
-        (h, logits)
-    }
-
-    /// Most likely class for one sample.
-    pub fn predict(&self, x: &[f64]) -> usize {
-        argmax(&self.forward(x).1)
-    }
-}
-
-impl TrainableModel for MlpModel {
-    fn parameters(&self) -> Vec<f64> {
-        self.weights.clone()
-    }
-
-    fn set_parameters(&mut self, params: &[f64]) {
-        assert_eq!(
-            params.len(),
-            self.weights.len(),
-            "parameter length mismatch"
-        );
-        self.weights.copy_from_slice(params);
-    }
-
-    fn sgd_step(&mut self, batch: &Minibatch<'_>, learning_rate: f64) -> f64 {
-        assert!(!batch.is_empty(), "minibatch must not be empty");
-        let s1 = self.features + 1;
-        let s2 = self.hidden + 1;
-        let w1_len = self.hidden * s1;
-        let mut grad = vec![0.0; self.weights.len()];
-        let mut total_loss = 0.0;
-
-        for (x, &y) in batch.features.iter().zip(batch.labels) {
-            assert!(y < self.classes, "label {y} out of range");
-            let (h, p) = self.forward(x);
-            total_loss -= p[y].max(1e-12).ln();
-            // Output layer gradient.
-            let (_, w2) = self.split();
-            let mut dh = vec![0.0; self.hidden];
-            for c in 0..self.classes {
-                let err = p[c] - if c == y { 1.0 } else { 0.0 };
-                let row = &mut grad[w1_len + c * s2..w1_len + (c + 1) * s2];
-                for (g, hi) in row[..self.hidden].iter_mut().zip(&h) {
-                    *g += err * hi;
-                }
-                row[self.hidden] += err;
-                let w2row = &w2[c * s2..(c + 1) * s2];
-                for (dhj, w) in dh.iter_mut().zip(&w2row[..self.hidden]) {
-                    *dhj += err * w;
-                }
-            }
-            // Hidden layer gradient through tanh.
-            for j in 0..self.hidden {
-                let dpre = dh[j] * (1.0 - h[j] * h[j]);
-                let row = &mut grad[j * s1..(j + 1) * s1];
-                for (g, xi) in row[..self.features].iter_mut().zip(x) {
-                    *g += dpre * xi;
-                }
-                row[self.features] += dpre;
-            }
-        }
-
-        let scale = learning_rate / batch.len() as f64;
-        for (w, g) in self.weights.iter_mut().zip(&grad) {
-            *w -= scale * g;
-        }
-        total_loss / batch.len() as f64
-    }
-
-    fn loss(&self, features: &[Vec<f64>], labels: &[usize]) -> f64 {
-        assert_eq!(features.len(), labels.len());
-        if features.is_empty() {
-            return 0.0;
-        }
-        features
-            .iter()
-            .zip(labels)
-            .map(|(x, &y)| -self.forward(x).1[y].max(1e-12).ln())
-            .sum::<f64>()
-            / features.len() as f64
-    }
-
-    fn accuracy(&self, features: &[Vec<f64>], labels: &[usize]) -> f64 {
-        assert_eq!(features.len(), labels.len());
-        if features.is_empty() {
-            return 0.0;
-        }
-        let hits = features
-            .iter()
-            .zip(labels)
-            .filter(|(x, &y)| self.predict(x) == y)
-            .count();
-        hits as f64 / features.len() as f64
+            / data.len() as f64;
+        (hits as f64 / data.len() as f64, loss)
     }
 
     fn clone_box(&self) -> Box<dyn TrainableModel> {
@@ -441,66 +296,47 @@ fn small_rng(seed: u64) -> impl Rng {
 mod tests {
     use super::*;
 
-    fn xor_data() -> (Vec<Vec<f64>>, Vec<usize>) {
-        let xs = vec![
-            vec![0.0, 0.0],
-            vec![0.0, 1.0],
-            vec![1.0, 0.0],
-            vec![1.0, 1.0],
-        ];
-        let ys = vec![0, 1, 1, 0];
+    /// XOR's four corners, row-major.
+    const XOR_XS: [f64; 8] = [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0];
+    const XOR_YS: [usize; 4] = [0, 1, 1, 0];
+
+    /// 40 linearly separable rows, alternating classes.
+    fn separable() -> (Vec<f64>, Vec<usize>) {
+        let xs = (0..40)
+            .flat_map(|i| {
+                let t = i as f64 / 10.0;
+                if i % 2 == 0 {
+                    [1.0 + t, 1.0]
+                } else {
+                    [-1.0 - t, -1.0]
+                }
+            })
+            .collect();
+        let ys = (0..40).map(|i| i % 2).collect();
         (xs, ys)
     }
 
     #[test]
     fn softmax_learns_linear_separation() {
         let mut m = SoftmaxModel::new(2, 2, 1);
-        let xs: Vec<Vec<f64>> = (0..40)
-            .map(|i| {
-                let t = i as f64 / 10.0;
-                if i % 2 == 0 {
-                    vec![1.0 + t, 1.0]
-                } else {
-                    vec![-1.0 - t, -1.0]
-                }
-            })
-            .collect();
-        let ys: Vec<usize> = (0..40).map(|i| i % 2).collect();
-        let initial_loss = m.loss(&xs, &ys);
+        let (xs, ys) = separable();
+        let batch = Minibatch::new(&xs, 2, &ys);
+        let initial_loss = m.loss(&batch);
         for _ in 0..100 {
-            m.sgd_step(
-                &Minibatch {
-                    features: &xs,
-                    labels: &ys,
-                },
-                0.5,
-            );
+            m.sgd_step(&batch, 0.5);
         }
-        assert!(m.loss(&xs, &ys) < initial_loss * 0.5);
-        assert_eq!(m.accuracy(&xs, &ys), 1.0);
+        assert!(m.loss(&batch) < initial_loss * 0.5);
+        assert_eq!(m.accuracy(&batch), 1.0);
     }
 
     #[test]
-    fn softmax_cannot_solve_xor_but_mlp_can() {
-        let (xs, ys) = xor_data();
-        let batch = Minibatch {
-            features: &xs,
-            labels: &ys,
-        };
+    fn softmax_cannot_solve_xor() {
+        let batch = Minibatch::new(&XOR_XS, 2, &XOR_YS);
         let mut linear = SoftmaxModel::new(2, 2, 3);
         for _ in 0..2000 {
             linear.sgd_step(&batch, 0.5);
         }
-        assert!(
-            linear.accuracy(&xs, &ys) <= 0.75,
-            "linear model solved XOR?"
-        );
-
-        let mut mlp = MlpModel::new(2, 8, 2, 3);
-        for _ in 0..4000 {
-            mlp.sgd_step(&batch, 0.5);
-        }
-        assert_eq!(mlp.accuracy(&xs, &ys), 1.0, "MLP must solve XOR");
+        assert!(linear.accuracy(&batch) <= 0.75, "linear model solved XOR?");
     }
 
     #[test]
@@ -509,27 +345,33 @@ mod tests {
         let b = SoftmaxModel::new(3, 4, 8);
         a.set_parameters(&b.parameters());
         assert_eq!(a.parameters(), b.parameters());
-
-        let mut m1 = MlpModel::new(3, 5, 2, 1);
-        let m2 = MlpModel::new(3, 5, 2, 2);
-        m1.set_parameters(&m2.parameters());
-        assert_eq!(m1.parameters(), m2.parameters());
     }
 
     #[test]
     fn sgd_returns_decreasing_loss() {
-        let (xs, ys) = xor_data();
-        let batch = Minibatch {
-            features: &xs,
-            labels: &ys,
-        };
-        let mut m = MlpModel::new(2, 6, 2, 5);
+        let (xs, ys) = separable();
+        let batch = Minibatch::new(&xs, 2, &ys);
+        let mut m = SoftmaxModel::new(2, 2, 5);
         let first = m.sgd_step(&batch, 0.3);
         let mut last = first;
         for _ in 0..3000 {
             last = m.sgd_step(&batch, 0.3);
         }
         assert!(last < first * 0.5, "loss {first} -> {last}");
+    }
+
+    #[test]
+    fn batch_rows_are_the_flat_slices() {
+        let batch = Minibatch::new(&XOR_XS, 2, &XOR_YS);
+        let rows: Vec<(&[f64], usize)> = batch.rows().collect();
+        assert_eq!(rows.len(), 4);
+        assert_eq!(rows[2], (&XOR_XS[4..6], 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "one row of `dims` features per label")]
+    fn batch_rejects_ragged_features() {
+        let _ = Minibatch::new(&XOR_XS[..7], 2, &XOR_YS);
     }
 
     #[test]
@@ -551,14 +393,6 @@ mod tests {
     #[should_panic(expected = "label 5 out of range")]
     fn rejects_out_of_range_labels() {
         let mut m = SoftmaxModel::new(2, 2, 0);
-        let xs = vec![vec![0.0, 0.0]];
-        let ys = vec![5usize];
-        m.sgd_step(
-            &Minibatch {
-                features: &xs,
-                labels: &ys,
-            },
-            0.1,
-        );
+        m.sgd_step(&Minibatch::new(&[0.0, 0.0], 2, &[5]), 0.1);
     }
 }

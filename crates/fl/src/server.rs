@@ -450,9 +450,7 @@ impl Federation {
             .quorum(self.config.clients_per_round);
         let quorum_shortfall = quorum.saturating_sub(aggregated.len());
 
-        let (test_accuracy, test_loss) = self
-            .global
-            .evaluate(self.test_set.features(), self.test_set.labels());
+        let (test_accuracy, test_loss) = self.global.evaluate(&self.test_set.as_batch());
         let record = RoundRecord {
             round,
             selected: ids,
@@ -469,8 +467,7 @@ impl Federation {
 
     /// The global model's accuracy on the held-out test set.
     pub fn test_accuracy(&self) -> f64 {
-        self.global
-            .accuracy(self.test_set.features(), self.test_set.labels())
+        self.global.accuracy(&self.test_set.as_batch())
     }
 
     /// The global model's current flat parameter vector.
@@ -584,13 +581,16 @@ impl FederationBuilder {
         );
 
         let model_bytes = task.model().parameter_bytes();
-        let clients = (0..cfg.num_clients)
-            .map(|id| {
+        let clients = fed
+            .into_shards()
+            .into_iter()
+            .enumerate()
+            .map(|(id, data)| {
                 let client = FlClient::new(
                     id,
                     (self.device_factory)(id),
                     task.clone(),
-                    fed.shard(id).clone(),
+                    data,
                     Box::new(SoftmaxModel::new(
                         cfg.feature_dims,
                         cfg.classes,

@@ -14,14 +14,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A model plus a labelled dataset drawn from `seed`.
+/// A model plus a labelled dataset (features row-major) drawn from `seed`.
 fn draw(
     features: usize,
     classes: usize,
     samples: usize,
     ties: bool,
     seed: u64,
-) -> (SoftmaxModel, Vec<Vec<f64>>, Vec<usize>) {
+) -> (SoftmaxModel, Vec<f64>, Vec<usize>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut value = |scale: f64| {
         if ties {
@@ -33,9 +33,7 @@ fn draw(
     let mut model = SoftmaxModel::new(features, classes, seed);
     let weights: Vec<f64> = (0..classes * (features + 1)).map(|_| value(4.0)).collect();
     model.set_parameters(&weights);
-    let xs: Vec<Vec<f64>> = (0..samples)
-        .map(|_| (0..features).map(|_| value(6.0)).collect())
-        .collect();
+    let xs: Vec<f64> = (0..samples * features).map(|_| value(6.0)).collect();
     let ys: Vec<usize> = (0..samples).map(|_| rng.gen_index(0, classes)).collect();
     (model, xs, ys)
 }
@@ -79,7 +77,7 @@ fn reference_step(
     let scale = learning_rate / batch.len() as f64;
     let mut total_loss = 0.0;
     let mut grad = vec![0.0; weights.len()];
-    for (x, &y) in batch.features.iter().zip(batch.labels) {
+    for (x, y) in batch.rows() {
         let mut p = logits(weights, x);
         softmax_in_place(&mut p);
         total_loss -= p[y].max(1e-12).ln();
@@ -112,9 +110,10 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let (model, xs, ys) = draw(features, classes, samples, ties, seed);
-        let (accuracy, loss) = model.evaluate(&xs, &ys);
-        prop_assert_eq!(accuracy.to_bits(), model.accuracy(&xs, &ys).to_bits());
-        prop_assert_eq!(loss.to_bits(), model.loss(&xs, &ys).to_bits());
+        let data = Minibatch::new(&xs, features, &ys);
+        let (accuracy, loss) = model.evaluate(&data);
+        prop_assert_eq!(accuracy.to_bits(), model.accuracy(&data).to_bits());
+        prop_assert_eq!(loss.to_bits(), model.loss(&data).to_bits());
     }
 
     #[test]
@@ -128,7 +127,7 @@ proptest! {
     ) {
         let (mut model, xs, ys) = draw(features, classes, batch_size, ties, seed);
         let mut weights = model.parameters();
-        let batch = Minibatch { features: &xs, labels: &ys };
+        let batch = Minibatch::new(&xs, features, &ys);
         // A few consecutive steps, so later steps start from trained
         // weights rather than the drawn ones.
         for _ in 0..3 {
@@ -145,11 +144,12 @@ fn evaluate_breaks_argmax_ties_like_accuracy() {
     // All-zero weights: every class is equally likely for every sample.
     let mut model = SoftmaxModel::new(3, 4, 0);
     model.set_parameters(&[0.0; 16]);
-    let xs = vec![vec![1.0, -2.0, 0.5]; 8];
+    let xs = [1.0, -2.0, 0.5].repeat(8);
     // Six samples labelled with the last class, two with the first.
     let ys: Vec<usize> = (0..8).map(|i| if i < 6 { 3 } else { 0 }).collect();
-    let (accuracy, loss) = model.evaluate(&xs, &ys);
-    assert_eq!(accuracy.to_bits(), model.accuracy(&xs, &ys).to_bits());
-    assert_eq!(loss.to_bits(), model.loss(&xs, &ys).to_bits());
+    let data = Minibatch::new(&xs, 3, &ys);
+    let (accuracy, loss) = model.evaluate(&data);
+    assert_eq!(accuracy.to_bits(), model.accuracy(&data).to_bits());
+    assert_eq!(loss.to_bits(), model.loss(&data).to_bits());
     assert_eq!(accuracy, 0.75, "ties go to the last class");
 }
