@@ -1,47 +1,34 @@
-//! Linear and integer linear programming for the BoFL reproduction.
+//! The exploitation-phase integer program of the BoFL reproduction.
 //!
 //! The paper's exploitation phase (§4.4) solves Eqn. (1) restricted to the
 //! approximated Pareto set: choose how many of the round's `W` jobs to run
 //! at each Pareto-optimal configuration so that total energy is minimal and
 //! the round deadline is met. The original implementation calls Gurobi;
-//! this crate provides the same capability from scratch:
-//!
-//! - [`simplex`] — a dense two-phase primal simplex solver with Bland's
-//!   anti-cycling rule, for LP relaxations;
-//! - [`branch_bound`] — a best-first branch-and-bound exact ILP solver on
-//!   top of the LP relaxation;
-//! - [`profile`] — the BoFL exploitation problem itself
-//!   ([`profile::solve_profile`]), plus a fast two-configuration heuristic
-//!   ([`profile::solve_profile_pairs`]) used as an ablation baseline.
+//! [`solve_profile`] solves this one problem shape exactly with a
+//! branch-and-bound whose node bounds are the 2-row LP relaxation in
+//! closed form (see [`profile`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use bofl_ilp::simplex::{Constraint, LpProblem, Relation, solve_lp, LpOutcome};
+//! use bofl_ilp::{solve_profile, ConfigCost};
 //!
-//! // max x+y s.t. x+2y ≤ 4, 3x+y ≤ 6  ⇔  min −x−y.
-//! let lp = LpProblem {
-//!     objective: vec![-1.0, -1.0],
-//!     constraints: vec![
-//!         Constraint { coeffs: vec![1.0, 2.0], rel: Relation::Le, rhs: 4.0 },
-//!         Constraint { coeffs: vec![3.0, 1.0], rel: Relation::Le, rhs: 6.0 },
-//!     ],
-//! };
-//! match solve_lp(&lp) {
-//!     LpOutcome::Optimal(sol) => {
-//!         assert!((sol.objective - (-2.8)).abs() < 1e-9); // x=1.6, y=1.2
-//!     }
-//!     other => panic!("unexpected outcome {other:?}"),
-//! }
+//! // Three Pareto points (latency s, energy J), three jobs, 6 s budget.
+//! let candidates = [
+//!     ConfigCost { latency_s: 1.0, energy_j: 10.0 },
+//!     ConfigCost { latency_s: 2.0, energy_j: 7.0 },
+//!     ConfigCost { latency_s: 3.0, energy_j: 3.0 },
+//! ];
+//! let p = solve_profile(&candidates, 3, 6.0)?;
+//! // One job at each: 20 J in exactly 6 s, cheaper than any two-point mix.
+//! assert_eq!(p.counts, vec![1, 1, 1]);
+//! assert!((p.energy_j - 20.0).abs() < 1e-9);
+//! # Ok::<(), bofl_ilp::ProfileError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod branch_bound;
 pub mod profile;
-pub mod simplex;
 
-pub use branch_bound::{solve_ilp, IlpOutcome, IlpSolution};
-pub use profile::{solve_profile, solve_profile_pairs, ConfigCost, Profile, ProfileError};
-pub use simplex::{solve_lp, Constraint, LpOutcome, LpProblem, LpSolution, Relation};
+pub use profile::{solve_profile, ConfigCost, Profile, ProfileError};

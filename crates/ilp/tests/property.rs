@@ -1,120 +1,150 @@
-//! Property-based tests: LP/ILP solver invariants on random instances.
+//! Property-based tests: the profile solver against brute-force
+//! enumeration on small instances and against its LP relaxation on
+//! instances of the sizes BoFL plans.
 
-use bofl_ilp::simplex::{solve_lp, Constraint, LpOutcome, LpProblem, Relation};
-use bofl_ilp::{solve_ilp, solve_profile, solve_profile_pairs, ConfigCost, IlpOutcome};
+use bofl_ilp::{solve_profile, ConfigCost, ProfileError};
 use proptest::prelude::*;
 
+/// The energy of the cheapest deadline-meeting split of `jobs` over
+/// `costs`, by trying every composition; `None` if none fits.
+fn brute_force(costs: &[ConfigCost], jobs: u64, deadline_s: f64) -> Option<f64> {
+    fn recurse(
+        costs: &[ConfigCost],
+        counts: &mut Vec<u64>,
+        left: u64,
+        deadline_s: f64,
+        best: &mut Option<f64>,
+    ) {
+        if counts.len() + 1 == costs.len() {
+            counts.push(left);
+            // Summed in candidate order, as the solver's profile is.
+            let sum = |f: fn(&ConfigCost) -> f64| -> f64 {
+                costs
+                    .iter()
+                    .zip(&*counts)
+                    .map(|(c, &n)| f(c) * n as f64)
+                    .sum()
+            };
+            let (energy, latency) = (sum(|c| c.energy_j), sum(|c| c.latency_s));
+            if latency <= deadline_s && best.is_none_or(|e| energy < e) {
+                *best = Some(energy);
+            }
+            counts.pop();
+            return;
+        }
+        for n in 0..=left {
+            counts.push(n);
+            recurse(costs, counts, left - n, deadline_s, best);
+            counts.pop();
+        }
+    }
+    let mut best = None;
+    recurse(costs, &mut Vec::new(), jobs, deadline_s, &mut best);
+    best
+}
+
+/// The LP relaxation's optimum over `n ≥ 0`, `Σ n = W`, `Σ n·T ≤ D`, and
+/// the cheapest integer point among the roundings of its vertices; `None`
+/// if even the fastest candidate misses the deadline. With two rows, every
+/// vertex runs all jobs at one candidate or mixes two with the deadline
+/// row tight. Rounding a mix's slower count down and giving the rest to
+/// the faster candidate keeps the deadline, so each rounding is a feasible
+/// integer plan.
+fn relaxation(costs: &[ConfigCost], jobs: u64, deadline_s: f64) -> Option<(f64, f64)> {
+    let w = jobs as f64;
+    let mut best: Option<(f64, f64)> = None;
+    let mut offer = |lp: f64, int: f64| {
+        best = Some(best.map_or((lp, int), |(l, i)| (l.min(lp), i.min(int))));
+    };
+    for a in costs {
+        if w * a.latency_s <= deadline_s {
+            offer(w * a.energy_j, w * a.energy_j);
+        }
+        for b in costs.iter().filter(|b| b.latency_s > a.latency_s) {
+            // `a` is the faster candidate, `b` takes `slow` of the jobs.
+            let slow = (deadline_s - w * a.latency_s) / (b.latency_s - a.latency_s);
+            if slow > 0.0 && slow < w {
+                let lp = (w - slow) * a.energy_j + slow * b.energy_j;
+                let floor = slow.floor();
+                offer(lp, (w - floor) * a.energy_j + floor * b.energy_j);
+            }
+        }
+    }
+    best
+}
+
 proptest! {
-    /// Any optimal LP solution must satisfy every constraint and have a
-    /// consistent objective value.
-    #[test]
-    fn lp_solutions_are_feasible(
-        c in proptest::collection::vec(-5.0f64..5.0, 2..4),
-        rows in proptest::collection::vec(
-            (proptest::collection::vec(0.1f64..5.0, 2..4), 1.0f64..20.0),
-            1..4,
-        ),
-    ) {
-        let n = c.len();
-        let constraints: Vec<Constraint> = rows
-            .iter()
-            .map(|(coeffs, rhs)| Constraint {
-                coeffs: coeffs.iter().cycle().take(n).copied().collect(),
-                rel: Relation::Le,
-                rhs: *rhs,
-            })
-            .collect();
-        let lp = LpProblem { objective: c.clone(), constraints: constraints.clone() };
-        match solve_lp(&lp) {
-            LpOutcome::Optimal(s) => {
-                prop_assert_eq!(s.x.len(), n);
-                prop_assert!(s.x.iter().all(|&v| v >= -1e-9));
-                for row in &constraints {
-                    let lhs: f64 = row.coeffs.iter().zip(&s.x).map(|(a, x)| a * x).sum();
-                    prop_assert!(lhs <= row.rhs + 1e-6, "violated: {lhs} > {}", row.rhs);
-                }
-                let obj: f64 = c.iter().zip(&s.x).map(|(a, x)| a * x).sum();
-                prop_assert!((obj - s.objective).abs() < 1e-6);
-            }
-            LpOutcome::Infeasible => {
-                // All-≤ rows with positive rhs admit x = 0: never infeasible.
-                prop_assert!(false, "x = 0 is feasible, solver said infeasible");
-            }
-            LpOutcome::Unbounded => {
-                // Possible when some objective coefficient is negative and
-                // the corresponding column is unconstrained enough — but
-                // every variable appears with positive coefficients in all
-                // rows, so the feasible region is bounded.
-                prop_assert!(false, "bounded problem reported unbounded");
-            }
-        }
-    }
-
-    /// The ILP optimum is never better than the LP relaxation and never
-    /// worse than any specific integer feasible point we can exhibit.
-    #[test]
-    fn ilp_respects_relaxation_bound(
-        c in proptest::collection::vec(-4.0f64..4.0, 2..3),
-        cap in 2i64..8,
-        rhs in 5.0f64..25.0,
-    ) {
-        let n = c.len();
-        let mut constraints = vec![Constraint {
-            coeffs: vec![1.5; n],
-            rel: Relation::Le,
-            rhs,
-        }];
-        for i in 0..n {
-            let mut unit = vec![0.0; n];
-            unit[i] = 1.0;
-            constraints.push(Constraint { coeffs: unit, rel: Relation::Le, rhs: cap as f64 });
-        }
-        let lp = LpProblem { objective: c.clone(), constraints };
-        let relax = match solve_lp(&lp) {
-            LpOutcome::Optimal(s) => s.objective,
-            _ => return Ok(()),
-        };
-        match solve_ilp(&lp, 100_000) {
-            IlpOutcome::Optimal(s) => {
-                prop_assert!(s.objective >= relax - 1e-6, "ILP beat its relaxation");
-                // x = 0 is integer feasible with objective 0.
-                prop_assert!(s.objective <= 1e-9);
-            }
-            other => prop_assert!(false, "expected optimal, got {other:?}"),
-        }
-    }
-
-    /// Profile solutions always schedule exactly `jobs` jobs, meet the
-    /// deadline, and the exact ILP is at least as good as the pair
-    /// heuristic.
+    /// On every instance small enough to enumerate (K ≤ 5, W ≤ 12) the
+    /// solver schedules exactly `W` jobs, meets the deadline and matches
+    /// the brute-force optimum's energy, or agrees that nothing fits. Each
+    /// case sweeps eight deadlines over one candidate set.
     #[test]
     fn profile_invariants(
-        lat in proptest::collection::vec(0.05f64..0.5, 2..6),
-        slack in 0.0f64..1.0,
-        jobs in 1u64..40,
+        costs in proptest::collection::vec((0.05f64..1.0, 0.5f64..5.0), 1..6),
+        jobs in 1u64..13,
+        slacks in proptest::collection::vec(-0.1f64..1.1, 8),
     ) {
-        // Construct an energy/latency trade-off: energy falls as latency
-        // rises (Pareto-like candidate set).
-        let candidates: Vec<ConfigCost> = lat
-            .iter()
-            .map(|&t| ConfigCost { latency_s: t, energy_j: 1.0 / t })
+        let costs: Vec<ConfigCost> = costs
+            .into_iter()
+            .map(|(latency_s, energy_j)| ConfigCost { latency_s, energy_j })
             .collect();
-        let fastest = lat.iter().copied().fold(f64::INFINITY, f64::min);
-        let slowest = lat.iter().copied().fold(0.0, f64::max);
-        let deadline = jobs as f64 * (fastest + slack * (slowest - fastest));
-
-        let exact = solve_profile(&candidates, jobs, deadline);
-        let pairs = solve_profile_pairs(&candidates, jobs, deadline);
-        match (exact, pairs) {
-            (Ok(e), Ok(p)) => {
-                prop_assert_eq!(e.total_jobs(), jobs);
-                prop_assert_eq!(p.total_jobs(), jobs);
-                prop_assert!(e.latency_s <= deadline + 1e-6);
-                prop_assert!(p.latency_s <= deadline + 1e-6);
-                prop_assert!(e.energy_j <= p.energy_j + 1e-6);
+        let fastest = costs.iter().map(|c| c.latency_s).fold(f64::INFINITY, f64::min);
+        let slowest = costs.iter().map(|c| c.latency_s).fold(0.0, f64::max);
+        for slack in slacks {
+            // Slack below 0 is infeasible; above 1 the deadline is loose.
+            let deadline = jobs as f64 * (fastest + slack * (slowest - fastest));
+            match (solve_profile(&costs, jobs, deadline), brute_force(&costs, jobs, deadline)) {
+                (Ok(p), Some(energy)) => {
+                    prop_assert_eq!(p.total_jobs(), jobs);
+                    prop_assert!(p.latency_s <= deadline, "{} > {deadline}", p.latency_s);
+                    prop_assert!(
+                        (p.energy_j - energy).abs() <= 1e-9,
+                        "solver {} J vs brute force {energy} J",
+                        p.energy_j
+                    );
+                }
+                (Err(ProfileError::Infeasible { .. }), None) => {}
+                (got, want) => prop_assert!(false, "solver {got:?} vs brute force {want:?}"),
             }
-            (Err(_), Err(_)) => {} // both infeasible is consistent
-            (a, b) => prop_assert!(false, "solvers disagree on feasibility: {a:?} vs {b:?}"),
+        }
+    }
+
+    /// On instances of the sizes BoFL plans (K ≤ 40, W ≤ 200), the
+    /// solver's energy is never below its LP relaxation and never above
+    /// the best rounding of the relaxation's vertices; it schedules exactly
+    /// `W` jobs within the deadline, or reports `Infeasible` exactly when
+    /// the relaxation is. An LP point within `1e-6` of integral is accepted
+    /// as its rounding, so energy and latency may each miss by that much
+    /// per candidate.
+    #[test]
+    fn ilp_respects_relaxation_bound(
+        costs in proptest::collection::vec((0.05f64..1.0, 0.5f64..5.0), 1..41),
+        jobs in 1u64..201,
+        slack in -0.1f64..1.1,
+    ) {
+        let costs: Vec<ConfigCost> = costs
+            .into_iter()
+            .map(|(latency_s, energy_j)| ConfigCost { latency_s, energy_j })
+            .collect();
+        let fastest = costs.iter().map(|c| c.latency_s).fold(f64::INFINITY, f64::min);
+        let slowest = costs.iter().map(|c| c.latency_s).fold(0.0, f64::max);
+        let dearest = costs.iter().map(|c| c.energy_j).fold(0.0, f64::max);
+        let deadline = jobs as f64 * (fastest + slack * (slowest - fastest));
+        let rounding = costs.len() as f64 * 1e-6;
+        match (solve_profile(&costs, jobs, deadline), relaxation(&costs, jobs, deadline)) {
+            (Ok(p), Some((lp, int))) => {
+                prop_assert_eq!(p.total_jobs(), jobs);
+                prop_assert!(
+                    p.latency_s <= deadline + rounding * slowest,
+                    "{} > {deadline}",
+                    p.latency_s
+                );
+                let tol = 1e-9 * int + rounding * dearest;
+                prop_assert!(p.energy_j >= lp - tol, "solver {} J beat its relaxation {lp} J", p.energy_j);
+                prop_assert!(p.energy_j <= int + tol, "solver {} J above a rounding's {int} J", p.energy_j);
+            }
+            (Err(ProfileError::Infeasible { .. }), None) => {}
+            (got, want) => prop_assert!(false, "solver {got:?} vs relaxation {want:?}"),
         }
     }
 }

@@ -1,11 +1,10 @@
 //! Small, dependency-free dense linear-algebra kernels for the BoFL
 //! reproduction.
 //!
-//! The Gaussian-process surrogate ([`bofl-gp`]), the EHVI acquisition
-//! ([`bofl-mobo`]) and the simplex/ILP solver ([`bofl-ilp`]) all need a
-//! handful of dense operations on small matrices: one client's MBO data
-//! set stops growing near 3% of the configuration grid, a few dozen
-//! observations (64 at most in any shipped workload). This crate provides
+//! The Gaussian-process surrogate ([`bofl-gp`]) and the EHVI acquisition
+//! ([`bofl-mobo`]) need a handful of dense operations on small matrices:
+//! one client's MBO data set stops growing near 3% of the configuration
+//! grid, a few dozen observations (64 at most in any shipped workload). This crate provides
 //! exactly those kernels — row-major [`Matrix`], [`Cholesky`]
 //! factorization with jitter escalation, triangular solves, and streaming
 //! statistics — and nothing else.
@@ -32,7 +31,6 @@
 //!
 //! [`bofl-gp`]: https://docs.rs/bofl-gp
 //! [`bofl-mobo`]: https://docs.rs/bofl-mobo
-//! [`bofl-ilp`]: https://docs.rs/bofl-ilp
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
