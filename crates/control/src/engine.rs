@@ -1,8 +1,8 @@
 //! [`EventDrivenEngine`]: the event-driven implementation of `bofl_fl`'s
 //! [`RoundEngine`] seam.
 //!
-//! The barrier engines (`SequentialEngine`, `FleetEngine`) treat a round
-//! as a join: every selected client runs to completion, then the server
+//! The barrier engine (`bofl_fl::SequentialEngine`) treats a round as a
+//! join: every selected client runs to completion, then the server
 //! aggregates whatever survived. This engine replays the same round as a
 //! *timeline of events* against a [`ControlPlane`]:
 //!
@@ -13,15 +13,19 @@
 //!    `Idle → Selected → Training`. A client that is absent (churned
 //!    away) cannot be admitted: the engine refuses the `Select` and
 //!    synthesizes a dropped, zero-energy outcome instead.
-//! 3. **Execution** — runnable jobs go through an inner [`FleetEngine`]
-//!    worker pool (same fault injection, same retry arithmetic, same
-//!    per-`(client, round)` seeds).
+//! 3. **Execution** — each runnable job is paired with its own
+//!    `&mut FlClient` and drained on `bofl_fleet::shard::drain_tasks`'
+//!    worker pool. A job applies its seeded fault draw (dropout,
+//!    straggler slowdown, upload failure), runs the bounded upload-retry
+//!    loop, and writes its outcome into its own slot, so outcomes come
+//!    back in client-id order whatever thread ran them.
 //! 4. **The wire** — each finished update becomes an
 //!    [`Envelope`] sent at `t_send = round_start + duration +
-//!    Σ retry backoffs` and handed to the engine's pluggable
-//!    [`Transport`] (default [`VirtualTransport`]: arrival = send, the
-//!    pre-transport behavior). A [`crate::chaos::ChaosTransport`] can
-//!    drop, delay, duplicate, reorder, or partition the messages.
+//!    Σ retry backoffs` (as the retry loop waited them) and handed to
+//!    the engine's pluggable [`Transport`] (default
+//!    [`VirtualTransport`]: arrival = send, the pre-transport behavior).
+//!    A [`crate::chaos::ChaosTransport`] can drop, delay, duplicate,
+//!    reorder, or partition the messages.
 //! 5. **The timeline** — deliveries, client-side upload failures, and
 //!    (when a [`LivenessPolicy`] is armed) suspect/expire deadlines merge
 //!    into one virtual timeline, sorted by `(time, kind, client, copy)`.
@@ -48,14 +52,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use bofl_fl::client::FlClient;
-use bofl_fl::engine::{ClientJob, ClientOutcome, RoundEngine};
+use bofl_fl::engine::{run_client_job, ClientJob, ClientOutcome, RoundEngine};
 use bofl_fl::network::RetryPolicy;
 use bofl_fl::server::AggregationPolicy;
 use bofl_fleet::compress::{CompressedUpdate, Compressor, COMPRESS_SALT};
-use bofl_fleet::engine::upload_backoff_seed;
 use bofl_fleet::fault::{stream_seed, ChurnStatus, FaultPlan};
-use bofl_fleet::shard::ShardPlan;
-use bofl_fleet::FleetEngine;
+use bofl_fleet::shard::{drain_tasks, ShardPlan};
 
 use crate::chaos::{ChaosPlan, ChaosTransport};
 use crate::journal::EventCause;
@@ -69,13 +71,15 @@ use crate::transport::{Envelope, Transport, VirtualTransport};
 /// journal after a run keep one of these.
 pub type PlaneHandle = Arc<Mutex<ControlPlane>>;
 
-/// An event-driven round engine: a [`FleetEngine`] worker pool for
-/// execution, a pluggable [`Transport`] for delivery, a [`ControlPlane`]
-/// for lifecycle bookkeeping, and quorum-based round closes instead of a
-/// barrier join.
+/// An event-driven round engine: a worker pool for execution (with
+/// seeded fault injection and upload retry), a pluggable [`Transport`]
+/// for delivery, a [`ControlPlane`] for lifecycle bookkeeping, and
+/// quorum-based round closes instead of a barrier join.
 #[derive(Debug, Clone)]
 pub struct EventDrivenEngine {
-    inner: FleetEngine,
+    workers: usize,
+    faults: FaultPlan,
+    retry: RetryPolicy,
     /// Nominal cohort size for the close target; `0` disables early
     /// closes entirely (the engine then behaves as a journalling barrier).
     cohort: usize,
@@ -110,8 +114,11 @@ impl EventDrivenEngine {
     ///
     /// Panics if `workers == 0`.
     pub fn new(workers: usize) -> Self {
+        assert!(workers > 0, "an engine needs at least one worker");
         EventDrivenEngine {
-            inner: FleetEngine::new(workers),
+            workers,
+            faults: FaultPlan::none(),
+            retry: RetryPolicy::none(),
             cohort: 0,
             policy: AggregationPolicy::none(),
             plane: Arc::new(Mutex::new(ControlPlane::new(0))),
@@ -129,17 +136,17 @@ impl EventDrivenEngine {
     }
 
     /// Attaches a fault-injection plan (including churn, which only this
-    /// engine acts on — barrier engines ignore churn draws).
+    /// engine acts on — the barrier engine has no fault plan).
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.inner = self.inner.with_faults(faults);
+        self.faults = faults;
         self
     }
 
     /// Attaches an upload retry policy.
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.inner = self.inner.with_retry(retry);
+        self.retry = retry;
         self
     }
 
@@ -277,9 +284,9 @@ impl EventDrivenEngine {
         Arc::clone(&self.plane)
     }
 
-    /// Worker threads in the inner pool.
+    /// Worker threads in the execution pool.
     pub fn workers(&self) -> usize {
-        self.inner.workers()
+        self.workers
     }
 
     /// The delivery transport's label.
@@ -287,20 +294,95 @@ impl EventDrivenEngine {
         self.transport.label()
     }
 
-    fn faults(&self) -> &FaultPlan {
-        self.inner.faults()
-    }
-
-    /// Total retry backoff a finished client waited before its final
-    /// upload attempt — pure in `(round, client, attempts)`, mirroring
-    /// the arithmetic inside [`FleetEngine`]'s retry loop.
-    fn waited_s(&self, retry: &RetryPolicy, round: usize, client_id: usize, attempts: u32) -> f64 {
-        if attempts <= 1 {
-            return 0.0;
+    /// Runs `jobs` (sorted by unique client id) on the worker pool and
+    /// returns, in job order, each outcome with the retry backoff its
+    /// client waited. Each job fills its own slot, whatever thread runs it.
+    fn execute(
+        &self,
+        clients: &mut [FlClient],
+        global: &[f64],
+        jobs: &[ClientJob],
+    ) -> Vec<(ClientOutcome, f64)> {
+        // Pair each job with a disjoint `&mut` into the client pool.
+        // Walking the pool once with `iter_mut` keeps the borrows
+        // provably disjoint without unsafe code; a job left over is out
+        // of order or outside the pool.
+        let mut slots: Vec<Option<(ClientOutcome, f64)>> = vec![None; jobs.len()];
+        let mut pending = jobs.iter().zip(slots.iter_mut()).peekable();
+        let mut tasks = Vec::with_capacity(jobs.len());
+        for (id, client) in clients.iter_mut().enumerate() {
+            if let Some((job, slot)) = pending.next_if(|(job, _)| job.client_id == id) {
+                tasks.push((client, job, slot));
+            }
         }
-        let seed = upload_backoff_seed(round, client_id);
-        (1..attempts).map(|a| retry.backoff_s(a, seed)).sum()
+        assert!(
+            pending.peek().is_none(),
+            "jobs must name pool clients in increasing id order"
+        );
+        let (faults, retry) = (&self.faults, &self.retry);
+        drain_tasks(
+            self.workers,
+            tasks,
+            || (),
+            |(), (client, job, slot)| *slot = Some(run_faulted(faults, retry, client, global, job)),
+        );
+        let outcomes: Option<Vec<_>> = slots.into_iter().collect();
+        outcomes.expect("drain_tasks runs every task")
     }
+}
+
+/// The seed the upload-retry backoff stream for `(round, client)` is
+/// drawn from.
+fn upload_backoff_seed(round: usize, client_id: usize) -> u64 {
+    (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ (client_id as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+}
+
+/// Runs one job, applies its fault draw, and retries a failed upload
+/// while the reporting budget admits the backoff. Returns the outcome
+/// and the total backoff the client waited before its final attempt.
+fn run_faulted(
+    faults: &FaultPlan,
+    retry: &RetryPolicy,
+    client: &mut FlClient,
+    global: &[f64],
+    job: &ClientJob,
+) -> (ClientOutcome, f64) {
+    let draw = faults.draw(job.round, job.client_id);
+
+    // A straggler draw inflates every job's latency *inside* the
+    // client's executor rather than stretching the finished round: the
+    // pace controller observes the slowdown as it happens, so its
+    // recovery machinery (guardian escalation, quarantine) gets the
+    // chance to rescue the deadline — and `deadline_met` is judged on
+    // whatever duration actually resulted.
+    let mut faulted = *job;
+    faulted.slowdown = job.slowdown * draw.straggler_factor;
+    let mut out = run_client_job(client, global, &faulted);
+
+    out.dropped = out.dropped || draw.dropped;
+    out.upload_failed = draw.upload_failed;
+
+    // Upload retry: while the reporting budget (time left before the
+    // round's limit) still admits a backoff, re-attempt the upload.
+    // Every quantity here is pure in (round, client, attempt), so the
+    // trace stays byte-identical at any worker count.
+    let mut waited_s = 0.0;
+    if out.upload_failed && !retry.is_none() && !out.dropped && out.result.deadline_met {
+        let budget = (job.deadline.limit_s() - out.result.duration_s).max(0.0);
+        let backoff_seed = upload_backoff_seed(job.round, job.client_id);
+        while out.upload_failed && out.upload_attempts < retry.max_attempts {
+            let wait = retry.backoff_s(out.upload_attempts, backoff_seed);
+            if waited_s + wait > budget {
+                break;
+            }
+            waited_s += wait;
+            out.upload_attempts += 1;
+            out.upload_failed =
+                faults.upload_attempt_failed(job.round, job.client_id, out.upload_attempts);
+        }
+    }
+    (out, waited_s)
 }
 
 /// Transitions the engine emits are derived from its own bookkeeping, so
@@ -362,8 +444,7 @@ impl RoundEngine for EventDrivenEngine {
         }
         let round = jobs[0].round;
         let t0 = self.now_s;
-        let retry = *self.inner.retry();
-        let faults = *self.faults();
+        let faults = self.faults;
         let liveness = self.liveness;
         let live = !liveness.is_none();
         let plane = Arc::clone(&self.plane);
@@ -429,13 +510,11 @@ impl RoundEngine for EventDrivenEngine {
             runnable.push(*job);
         }
 
-        // 3. Execution through the inner worker pool. Outcomes come back
-        //    sorted by client id regardless of scheduling.
-        let mut outcomes = if runnable.is_empty() {
-            Vec::new()
-        } else {
-            self.inner.run_batch(clients, global, &runnable)
-        };
+        // 3. Execution on the worker pool. Outcomes come back in
+        //    runnable (client id) order regardless of scheduling, each
+        //    with the retry backoff its client waited.
+        let (mut outcomes, waited): (Vec<ClientOutcome>, Vec<f64>) =
+            self.execute(clients, global, &runnable).into_iter().unzip();
 
         // 4a. Training-phase transitions (id order, at each client's
         //     virtual finish time t_fin = t0 + duration).
@@ -496,7 +575,7 @@ impl RoundEngine for EventDrivenEngine {
                     round,
                     t_fin,
                 ));
-                let t_report = t_fin + self.waited_s(&retry, round, id, out.upload_attempts);
+                let t_report = t_fin + waited[idx];
                 reporting.push((t_report, idx, job.deadline.limit_s()));
             }
             t_end = t_end.max(t_fin);
@@ -851,6 +930,11 @@ impl RoundEngine for EventDrivenEngine {
 mod tests {
     use super::*;
     use crate::socket::SocketTransport;
+    use bofl::baselines::PerformantController;
+    use bofl::prelude::{Device, FlTask, TaskKind, Testbed};
+    use bofl_fl::data::SyntheticDataset;
+    use bofl_fl::engine::{RoundDeadline, SequentialEngine};
+    use bofl_fl::model::{SoftmaxModel, TrainableModel};
 
     #[test]
     fn builders_wire_the_inner_engine() {
@@ -876,14 +960,143 @@ mod tests {
         assert_eq!(engine.clone().transport_label(), engine.transport_label());
     }
 
+    /// A pool of `n` Performant clients on AGX boards, one small
+    /// softmax model each.
+    fn pool(n: usize) -> Vec<FlClient> {
+        (0..n)
+            .map(|id| {
+                let task = FlTask::preset(TaskKind::Cifar10Vit, Testbed::JetsonAgx);
+                let data =
+                    SyntheticDataset::gaussian_blobs(task.local_samples(), 6, 3, 0.4, id as u64);
+                FlClient::new(
+                    id,
+                    Device::jetson_agx(),
+                    task,
+                    data,
+                    Box::new(SoftmaxModel::new(6, 3, id as u64)),
+                    Box::new(PerformantController::new()),
+                    0.2,
+                    1000 + id as u64,
+                )
+            })
+            .collect()
+    }
+
+    /// One round of `engine` on a fresh pool of `n` clients, for the
+    /// clients `ids`, each against twice the slowest client's `T_min`.
+    fn run(
+        mut engine: impl RoundEngine,
+        n: usize,
+        ids: impl IntoIterator<Item = usize>,
+    ) -> Vec<ClientOutcome> {
+        let mut clients = pool(n);
+        let deadline = clients.iter().map(|c| c.t_min_s()).fold(0.0, f64::max) * 2.0;
+        let jobs: Vec<ClientJob> = ids
+            .into_iter()
+            .map(|client_id| ClientJob {
+                client_id,
+                round: 0,
+                deadline: RoundDeadline::Training(deadline),
+                dropped: false,
+                slowdown: 1.0,
+            })
+            .collect();
+        let global = SoftmaxModel::new(6, 3, 77).parameters();
+        engine.run_batch(&mut clients, &global, &jobs)
+    }
+
     #[test]
-    fn waited_reconstruction_matches_the_retry_loop() {
-        let engine = EventDrivenEngine::new(1).with_retry(RetryPolicy::recovery());
-        let retry = RetryPolicy::recovery();
-        let seed = upload_backoff_seed(3, 7);
-        // attempts = 3 means backoffs before retries 1 and 2 were waited.
-        let expect = retry.backoff_s(1, seed) + retry.backoff_s(2, seed);
-        assert!((engine.waited_s(&retry, 3, 7, 3) - expect).abs() < 1e-12);
-        assert_eq!(engine.waited_s(&retry, 3, 7, 1), 0.0);
+    fn parallel_matches_sequential_engine_exactly() {
+        let sequential = run(SequentialEngine::new(), 6, 0..6);
+        assert_eq!(sequential, run(EventDrivenEngine::new(4), 6, 0..6));
+    }
+
+    #[test]
+    fn faults_are_identical_across_worker_counts() {
+        let faults = FaultPlan::new(5)
+            .with_dropout(0.3)
+            .with_stragglers(0.5, (2.0, 5.0))
+            .with_upload_failures(0.2);
+        let run_on = |workers| run(EventDrivenEngine::new(workers).with_faults(faults), 8, 0..8);
+        let one = run_on(1);
+        assert_eq!(one, run_on(8));
+        // The plan's parameters are aggressive enough that something fired.
+        assert!(one
+            .iter()
+            .any(|o| o.dropped || o.upload_failed || o.straggler_factor > 1.0));
+    }
+
+    #[test]
+    fn stragglers_can_miss_deadlines() {
+        // Deadline 2× T_min, slowdown ≥ 3×: every straggler must miss.
+        let faults = FaultPlan::new(9).with_stragglers(1.0, (3.0, 4.0));
+        let outcomes = run(EventDrivenEngine::new(2).with_faults(faults), 4, 0..4);
+        assert!(outcomes.iter().all(|o| o.straggler_factor >= 3.0));
+        assert!(outcomes.iter().all(|o| o.missed_deadline()));
+        assert!(outcomes.iter().all(|o| !o.aggregatable()));
+    }
+
+    #[test]
+    fn retries_recover_some_uploads_and_stay_deterministic() {
+        let faults = FaultPlan::new(13).with_upload_failures(0.6);
+        let engine = |workers, retry| {
+            EventDrivenEngine::new(workers)
+                .with_faults(faults)
+                .with_retry(retry)
+        };
+        let no_retry = run(engine(1, RetryPolicy::none()), 12, 0..12);
+        let armed = engine(1, RetryPolicy::recovery());
+        let plane = armed.plane();
+        let with_retry = run(armed, 12, 0..12);
+        // Retries never change which first attempts fail…
+        for (a, b) in no_retry.iter().zip(&with_retry) {
+            assert_eq!(a.upload_failed, b.upload_attempts > 1 || b.upload_failed);
+        }
+        // …and at p = 0.6 with 3 attempts, some upload must be recovered.
+        assert!(with_retry.iter().any(|o| o.recovered_upload()));
+        assert!(with_retry
+            .iter()
+            .filter(|o| o.recovered_upload())
+            .all(|o| no_retry[o.client_id].upload_failed && !o.upload_failed));
+        // A recovered upload reports only after the backoff it waited.
+        let plane = plane.lock().unwrap();
+        let t = |id: usize, cause| {
+            let mut events = plane.journal().iter();
+            events
+                .find(|e| e.client as usize == id && e.cause == cause)
+                .map(|e| e.t_s)
+        };
+        for o in with_retry.iter().filter(|o| o.recovered_upload()) {
+            let finished = t(o.client_id, EventCause::TrainingComplete);
+            assert!(t(o.client_id, EventCause::UploadRecovered) > finished);
+        }
+        // The whole trace, retries included, is worker-count independent.
+        let parallel = run(engine(8, RetryPolicy::recovery()), 12, 0..12);
+        assert_eq!(with_retry, parallel);
+    }
+
+    #[test]
+    fn dropped_or_late_clients_never_retry() {
+        let faults = FaultPlan::new(13).with_dropout(1.0);
+        let engine = EventDrivenEngine::new(2)
+            .with_faults(faults.with_upload_failures(1.0))
+            .with_retry(RetryPolicy::recovery());
+        let outcomes = run(engine, 4, 0..4);
+        // A vanished client has nobody left to retry the upload.
+        assert!(outcomes.iter().all(|o| o.upload_attempts == 1));
+        assert!(outcomes.iter().all(|o| !o.aggregatable()));
+    }
+
+    #[test]
+    fn subset_batches_map_to_the_right_clients() {
+        let outcomes = run(EventDrivenEngine::new(3), 5, [1, 3]);
+        let ids: Vec<usize> = outcomes.iter().map(|o| o.client_id).collect();
+        assert_eq!(ids, vec![1, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker")]
+    fn rejects_zero_workers() {
+        let _ = EventDrivenEngine::new(0);
     }
 }

@@ -1,8 +1,8 @@
 //! **bofl-control** — an event-driven federation control plane for BoFL.
 //!
-//! The barrier engines in `bofl-fl`/`bofl-fleet` treat a round as a join:
-//! run every selected client, then aggregate the survivors. This crate
-//! re-frames the same round as a *timeline of lifecycle events*:
+//! The barrier engine in `bofl-fl` (`SequentialEngine`) treats a round as
+//! a join: run every selected client, then aggregate the survivors. This
+//! crate re-frames the same round as a *timeline of lifecycle events*:
 //!
 //! - [`state`] — every client is an explicit `#[repr(u8)]` state machine
 //!   (`Idle → Selected → Training → Reporting → Aggregated`, with
@@ -16,12 +16,13 @@
 //!   enforces the transition contract, journals what it applies, and can
 //!   [`ControlPlane::replay`] a journal to reconstruct final states.
 //! - [`engine`] — [`EventDrivenEngine`] implements `bofl_fl`'s
-//!   `RoundEngine` seam: execution still runs on a deterministic
-//!   `bofl-fleet` worker pool, but rounds *close on quorum events* (the
-//!   first `close_target` accepted reports, in virtual arrival order)
-//!   instead of waiting for every straggler, and churn (clients joining
-//!   and leaving the fleet mid-run, even mid-round) is handled as
-//!   ordinary transitions.
+//!   `RoundEngine` seam and runs every fleet: client jobs execute on
+//!   `bofl_fleet::shard::drain_tasks`' deterministic worker pool with
+//!   seeded fault injection and bounded upload retry, rounds *close on
+//!   quorum events* (the first `close_target` accepted reports, in
+//!   virtual arrival order) instead of waiting for every straggler, and
+//!   churn (clients joining and leaving the fleet mid-run, even
+//!   mid-round) is handled as ordinary transitions.
 //! - [`transport`] — delivery is a pluggable [`Transport`] seam;
 //!   [`VirtualTransport`] (identity) is the default.
 //! - [`socket`] — [`SocketTransport`] carries the same envelopes over

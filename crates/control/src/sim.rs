@@ -4,9 +4,10 @@
 //!
 //! Without over-selection (the default
 //! [`AggregationPolicy`](bofl_fl::server::AggregationPolicy)) the close
-//! target is the whole cohort, so a run plays the barrier round of
-//! `bofl_fleet::FleetEngine`, journalled; the federation configuration's
-//! aggregation policy turns on over-selection and quorum closes.
+//! target is the whole cohort, so a run plays the barrier round,
+//! journalled: a healthy run has the history of a `Federation` on the
+//! default sequential engine. The federation configuration's aggregation
+//! policy turns on over-selection and quorum closes.
 
 use crate::chaos::ChaosPlan;
 use crate::engine::{EventDrivenEngine, PlaneHandle};
@@ -91,26 +92,24 @@ impl ControlSimulation {
         for round in self.next_round..end {
             let (record, outcomes) = self.federation.run_round_detailed(round);
             metrics.record(&record, &outcomes);
-            {
-                let plane = self.plane.lock().expect("control plane poisoned");
-                let (arrivals, departures) = plane.journal().churn_counts(round as u32);
-                metrics.annotate_churn(round, arrivals, departures);
-                if let Some(wire) = plane.wire_stats(round) {
-                    metrics.annotate_chaos(
-                        round,
-                        wire.dropped,
-                        wire.delayed,
-                        wire.duplicated,
-                        wire.reordered,
-                        wire.partition_held,
-                    );
-                    metrics.annotate_wire_bytes(round, wire.bytes_on_wire, wire.bytes_raw);
-                }
-                let (suspected, expired, healed) = plane.journal().liveness_counts(round as u32);
-                metrics.annotate_liveness(round, suspected, expired, healed);
-                if let Some(close) = plane.closes().iter().find(|c| c.round == round as u32) {
-                    metrics.annotate_shards(round, close.shards, close.shard_shortfalls);
-                }
+            let stats = metrics.round_mut(round).expect("round just recorded");
+            let plane = self.plane.lock().expect("control plane poisoned");
+            (stats.churn_arrivals, stats.churn_departures) =
+                plane.journal().churn_counts(round as u32);
+            if let Some(wire) = plane.wire_stats(round) {
+                stats.chaos_dropped = wire.dropped;
+                stats.chaos_delayed = wire.delayed;
+                stats.chaos_duplicated = wire.duplicated;
+                stats.chaos_reordered = wire.reordered;
+                stats.chaos_partition_held = wire.partition_held;
+                stats.wire_bytes = wire.bytes_on_wire;
+                stats.wire_raw_bytes = wire.bytes_raw;
+            }
+            (stats.suspected, stats.expired, stats.healed) =
+                plane.journal().liveness_counts(round as u32);
+            if let Some(close) = plane.closes().iter().find(|c| c.round == round as u32) {
+                stats.shards = close.shards;
+                stats.shard_shortfalls = close.shard_shortfalls;
             }
             rounds.push(record);
         }
@@ -462,13 +461,12 @@ mod tests {
     }
 
     /// Without over-selection a healthy run plays the barrier round: the
-    /// same history and metrics CSV as a `Federation` driven by
-    /// `FleetEngine`, with nothing landing late and no round closing
+    /// same history and metrics CSV as a `Federation` on the default
+    /// `SequentialEngine`, with nothing landing late and no round closing
     /// early. The faulted case is `recovery_event_driven`'s
     /// `no_over_selection_matches_the_barrier_engine_trace`.
     #[test]
     fn healthy_runs_match_the_barrier_fleet_history() {
-        use bofl_fleet::FleetEngine;
         let spec = quick_spec();
         let config = quick_config();
         let event = ControlSimulation::builder(spec)
@@ -482,7 +480,6 @@ mod tests {
             ..config
         })
         .device_factory(move |id| spec.device(id))
-        .engine(FleetEngine::new(2))
         .build();
         let mut metrics = FleetMetrics::new();
         let mut history = Vec::new();

@@ -6,14 +6,13 @@
 //! and every recovery action must be visible in the fleet metrics CSV and
 //! the journal. Rounds close on quorum events instead of a barrier join,
 //! and mid-round churn is an ordinary lifecycle event; without
-//! over-selection the run is pinned to the barrier `FleetEngine`.
+//! over-selection the run is pinned to a recorded barrier-engine trace.
 
 mod common;
 
 use bofl::exploit::ExploitParams;
 use bofl_control::prelude::*;
-use bofl_fl::server::{Federation, FederationConfig};
-use bofl_fleet::{FleetEngine, FleetMetrics};
+use bofl_fl::server::FederationConfig;
 use common::{federation_config, oracle_sim, reference_faults};
 
 /// The headline acceptance check: on the same fleet seed and the same
@@ -225,48 +224,34 @@ fn recovery_machinery_is_inert_on_healthy_fleets() {
     assert_eq!(plain.metrics.to_csv(), armed.metrics.to_csv());
 }
 
-/// Without over-selection the close target equals the cohort, so the
-/// event-driven engine degenerates to the barrier join: under the
-/// reference faults with retries, the same history and metrics CSV as a
-/// `Federation` driven by `FleetEngine`, with nothing landing late and no
-/// round closing early. The healthy-fleet case is
-/// `sim::tests::healthy_runs_match_the_barrier_fleet_history`.
+/// Without over-selection the event-driven engine degenerates to the
+/// barrier join: under the reference faults with retries, the barrier
+/// engine's recorded metrics CSV and per-round selected and aggregated
+/// ids (`tests/data/barrier_faulted_*`), nothing late, no early close.
+/// The healthy case is `sim::tests::healthy_runs_match_the_barrier_fleet_history`.
 #[test]
 fn no_over_selection_matches_the_barrier_engine_trace() {
     let spec = FleetSpec::mixed(8, 19);
     let config = federation_config(19, AggregationPolicy::none());
-    let workers = 4;
-    let faults = reference_faults(19 ^ 0xFA17);
-    let retry = RetryPolicy::recovery();
     let event = ControlSimulation::builder(spec)
         .federation(config)
-        .workers(workers)
-        .faults(faults)
-        .retry(retry)
+        .workers(4)
+        .faults(reference_faults(19 ^ 0xFA17))
+        .retry(RetryPolicy::recovery())
         .build()
         .run();
 
-    let mut barrier = Federation::builder(FederationConfig {
-        num_clients: spec.num_clients,
-        ..config
-    })
-    .device_factory(move |id| spec.device(id))
-    .engine(
-        FleetEngine::new(workers)
-            .with_faults(faults)
-            .with_retry(retry),
-    )
-    .build();
-    let mut metrics = FleetMetrics::new();
-    let mut history = Vec::new();
-    for round in 0..config.rounds {
-        let (record, outcomes) = barrier.run_round_detailed(round);
-        metrics.record(&record, &outcomes);
-        history.push(record);
-    }
-
-    assert_eq!(event.history.rounds, history);
-    assert_eq!(event.metrics.to_csv(), metrics.to_csv());
+    assert_eq!(
+        event.metrics.to_csv(),
+        include_str!("data/barrier_faulted_metrics.csv")
+    );
+    let rounds: String = event
+        .history
+        .rounds
+        .iter()
+        .map(|r| format!("{} {:?} {:?}\n", r.round, r.selected, r.aggregated))
+        .collect();
+    assert_eq!(rounds, include_str!("data/barrier_faulted_rounds.txt"));
     assert!(event
         .journal
         .iter()

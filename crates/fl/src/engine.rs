@@ -5,9 +5,11 @@
 //! is now the [`SequentialEngine`] — one implementation of [`RoundEngine`]
 //! — and the server is engine-agnostic: it performs selection, deadline
 //! assignment and aggregation, and hands the per-round *batch* of
-//! [`ClientJob`]s to whichever engine the federation was built with. The
-//! `bofl-fleet` crate plugs a deterministic multi-threaded engine (plus
-//! fault injection) into the same seam.
+//! [`ClientJob`]s to whichever engine the federation was built with.
+//! The workspace has two: this one, the reference, and `bofl-control`'s
+//! `EventDrivenEngine`, which runs the same jobs on a deterministic
+//! worker pool with fault injection, a pluggable transport and an event
+//! journal.
 //!
 //! # Determinism contract
 //!
@@ -187,8 +189,8 @@ impl RoundEngine for SequentialEngine {
     }
 }
 
-// The fleet engine sends `&mut FlClient` into scoped worker threads, so a
-// client (and everything it owns) must be `Send`. Assert it here, next to
+// The event-driven engine sends `&mut FlClient` into scoped worker
+// threads, so a client (and everything it owns) must be `Send`. Assert it here, next to
 // the type's definition crate, so a regression fails this build directly.
 const _: fn() = || {
     fn assert_send<T: Send>() {}

@@ -177,7 +177,7 @@ impl Default for BandwidthEstimator {
 /// jittered — synchronized retries from many clients would just collide
 /// again — but the jitter is drawn from a caller-supplied seed, so the
 /// exact same retry schedule replays on any thread or worker count (the
-/// fleet engine feeds a per-`(client, round)` seed).
+/// event-driven engine feeds a per-`(client, round)` seed).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total upload attempts allowed, including the first (`1` = never

@@ -226,16 +226,16 @@ impl RunHistory {
 /// model. Build one with [`Federation::builder`].
 ///
 /// Rounds execute through a pluggable [`RoundEngine`]. The default is the
-/// inline [`SequentialEngine`]; the `bofl-fleet` crate provides a
-/// multi-threaded engine with the same trace:
+/// inline [`SequentialEngine`], the reference trace; `bofl-control`'s
+/// event-driven engine runs the same jobs on a worker pool and journals
+/// every lifecycle transition.
 ///
 /// ```
 /// use bofl_fl::prelude::*;
-/// use bofl_fleet::FleetEngine;
 ///
 /// let config = FederationConfig { rounds: 2, ..FederationConfig::default() };
 /// let mut sim = Federation::builder(config)
-///     .engine(FleetEngine::new(1)) // or FleetEngine::new(workers)
+///     .engine(SequentialEngine::new()) // the default; any RoundEngine fits
 ///     .build();
 /// let history = sim.run();
 /// assert_eq!(history.rounds.len(), 2);

@@ -5,7 +5,8 @@
 //! uploads (cellular handoff). A [`FaultPlan`] models all three as
 //! independent per-`(round, client)` events drawn from a dedicated seed,
 //! so the exact same faults fire regardless of worker count or scheduling
-//! order — a hard requirement of the fleet engine's determinism contract.
+//! order — a hard requirement of the event-driven engine's determinism
+//! contract.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,7 +155,7 @@ impl FaultPlan {
     /// probability `p`, stays away for `absence_rounds` further rounds,
     /// and then rejoins. Departures happen *mid-round* — a selected
     /// client that departs still burns energy but its update is lost.
-    /// Only event-driven engines act on churn; the barrier engines have
+    /// Only the event-driven engine acts on churn; the barrier engine has
     /// no way to express a client that is simply not there.
     ///
     /// # Panics

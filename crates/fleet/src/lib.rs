@@ -8,11 +8,6 @@
 //!   device models: mixed AGX/TX2 boards with per-client thermal/latency
 //!   jitter and DVFS-transition variation, all a pure function of the
 //!   fleet seed ([`FleetSpec`]);
-//! - [`engine`] — [`FleetEngine`], a parallel implementation of
-//!   `bofl_fl`'s round-engine seam: a fixed pool of OS threads drains the
-//!   round's job queue, and because every client trains from
-//!   `(client, round)`-derived seeds and outcomes are re-sorted by id,
-//!   the aggregate trace is identical at any worker count;
 //! - [`fault`] — deterministic fault injection ([`FaultPlan`]): client
 //!   dropout, transient straggler slowdowns and upload failures, drawn
 //!   per `(round, client)` from a dedicated seed;
@@ -20,12 +15,16 @@
 //!   distributions, deadline-miss rate, fault counts and controller-phase
 //!   occupancy, exported as CSV in the `results/` conventions;
 //! - [`scale`] — [`ScaleSimulation`], the million-client registry run
-//!   over 20-byte [`ClientStat`] records instead of live models.
+//!   over 20-byte [`ClientStat`] records instead of live models;
+//! - [`shard`] — hierarchical-aggregation accounting
+//!   ([`ShardRoundStats`]) and [`shard::drain_tasks`], the deterministic
+//!   worker pool: tasks write into their own result slots, so the output
+//!   is identical at any worker count.
 //!
 //! Fleets of real clients run through `bofl_control::ControlSimulation`,
-//! the journalled builder over this crate's generator, engine, faults and
-//! metrics. A barrier round needs no builder: hand a [`FleetEngine`] to
-//! `bofl_fl::Federation::builder` directly.
+//! the journalled builder over this crate's generator, faults, metrics
+//! and worker pool. A barrier round needs no builder:
+//! `bofl_fl::Federation::builder` runs one on its default engine.
 //!
 //! # Example
 //!
@@ -41,21 +40,17 @@
 //!     seed: 7,
 //!     ..FederationConfig::default()
 //! };
-//! let engine = FleetEngine::new(4).with_faults(FaultPlan::new(1).with_dropout(0.1));
 //! let mut federation = Federation::builder(config)
 //!     .device_factory(move |id| spec.device(id))
-//!     .engine(engine)
 //!     .build();
 //! let history = federation.run();
 //! assert_eq!(history.rounds.len(), 2);
-//! // The same fleet on `FleetEngine::new(1)` produces the identical history.
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod compress;
-pub mod engine;
 pub mod fault;
 pub mod generator;
 pub mod metrics;
@@ -66,7 +61,6 @@ pub mod shard;
 pub mod wire;
 
 pub use compress::{CompressedUpdate, Compressor, Int8Quantizer, NoCompression, TopKSparsifier};
-pub use engine::FleetEngine;
 pub use fault::{ChurnStatus, FaultDraw, FaultPlan};
 pub use generator::{ClientProfile, DeviceKind, FleetSpec};
 pub use metrics::{Distribution, FleetMetrics, FleetRoundStats};
@@ -83,7 +77,6 @@ pub mod prelude {
     pub use crate::compress::{
         CompressedUpdate, Compressor, Int8Quantizer, NoCompression, TopKSparsifier,
     };
-    pub use crate::engine::FleetEngine;
     pub use crate::fault::{ChurnStatus, FaultDraw, FaultPlan};
     pub use crate::generator::{ClientProfile, DeviceKind, FleetSpec};
     pub use crate::metrics::{Distribution, FleetMetrics, FleetRoundStats};

@@ -97,10 +97,10 @@ pub struct FleetRoundStats {
     /// contaminated.
     pub quarantined: u64,
     /// Clients that rejoined the fleet this round (churn). Derived from
-    /// the control plane's event journal; barrier engines leave it 0.
+    /// the control plane's event journal; a barrier run leaves it 0.
     pub churn_arrivals: usize,
     /// Clients that left the fleet this round (churn), mid-round or
-    /// between rounds. Journal-derived; barrier engines leave it 0.
+    /// between rounds. Journal-derived; a barrier run leaves it 0.
     pub churn_departures: usize,
     /// Updates the chaos transport dropped on the wire this round.
     /// Annotated from the transport's wire stats; engines without a chaos
@@ -283,15 +283,11 @@ impl FleetMetrics {
         self.rounds.iter().map(|r| r.escalated_jobs).sum()
     }
 
-    /// Annotates an already-recorded round with journal-derived churn
-    /// counts (the engine only reports outcomes; arrivals/departures live
-    /// in the control plane's event journal). No-op if the round was
-    /// never recorded.
-    pub fn annotate_churn(&mut self, round: usize, arrivals: usize, departures: usize) {
-        if let Some(stats) = self.rounds.iter_mut().find(|r| r.round == round) {
-            stats.churn_arrivals = arrivals;
-            stats.churn_departures = departures;
-        }
+    /// The recorded stats of `round`, for the columns outcomes cannot fill
+    /// (churn, chaos, liveness, shards and wire bytes come from the
+    /// control plane). `None` if the round was never recorded.
+    pub fn round_mut(&mut self, round: usize) -> Option<&mut FleetRoundStats> {
+        self.rounds.iter_mut().find(|r| r.round == round)
     }
 
     /// Total churn arrivals across recorded rounds.
@@ -302,63 +298,6 @@ impl FleetMetrics {
     /// Total churn departures across recorded rounds.
     pub fn churn_departures(&self) -> usize {
         self.rounds.iter().map(|r| r.churn_departures).sum()
-    }
-
-    /// Annotates an already-recorded round with the chaos transport's
-    /// wire statistics. No-op if the round was never recorded.
-    #[allow(clippy::too_many_arguments)]
-    pub fn annotate_chaos(
-        &mut self,
-        round: usize,
-        dropped: usize,
-        delayed: usize,
-        duplicated: usize,
-        reordered: usize,
-        partition_held: usize,
-    ) {
-        if let Some(stats) = self.rounds.iter_mut().find(|r| r.round == round) {
-            stats.chaos_dropped = dropped;
-            stats.chaos_delayed = delayed;
-            stats.chaos_duplicated = duplicated;
-            stats.chaos_reordered = reordered;
-            stats.chaos_partition_held = partition_held;
-        }
-    }
-
-    /// Annotates an already-recorded round with journal-derived liveness
-    /// counts. No-op if the round was never recorded.
-    pub fn annotate_liveness(
-        &mut self,
-        round: usize,
-        suspected: usize,
-        expired: usize,
-        healed: usize,
-    ) {
-        if let Some(stats) = self.rounds.iter_mut().find(|r| r.round == round) {
-            stats.suspected = suspected;
-            stats.expired = expired;
-            stats.healed = healed;
-        }
-    }
-
-    /// Annotates an already-recorded round with its shard-plan
-    /// bookkeeping from the control plane's round-close record. No-op if
-    /// the round was never recorded.
-    pub fn annotate_shards(&mut self, round: usize, shards: usize, shard_shortfalls: usize) {
-        if let Some(stats) = self.rounds.iter_mut().find(|r| r.round == round) {
-            stats.shards = shards;
-            stats.shard_shortfalls = shard_shortfalls;
-        }
-    }
-
-    /// Annotates an already-recorded round with the uplink's byte
-    /// accounting from the transport's wire statistics. No-op if the
-    /// round was never recorded.
-    pub fn annotate_wire_bytes(&mut self, round: usize, wire_bytes: u64, wire_raw_bytes: u64) {
-        if let Some(stats) = self.rounds.iter_mut().find(|r| r.round == round) {
-            stats.wire_bytes = wire_bytes;
-            stats.wire_raw_bytes = wire_raw_bytes;
-        }
     }
 
     /// Rounds in which at least one shard closed below its local quorum.
@@ -664,11 +603,10 @@ mod tests {
         let mut m = FleetMetrics::new();
         m.record(&record(0), &[outcome(0, 10.0, 5.0, true)]);
         m.record(&record(1), &[outcome(1, 12.0, 5.5, true)]);
-        m.annotate_churn(1, 2, 3);
-        m.annotate_churn(9, 7, 7); // unknown round: ignored
-        assert_eq!(m.rounds()[0].churn_arrivals, 0);
-        assert_eq!(m.rounds()[1].churn_arrivals, 2);
-        assert_eq!(m.rounds()[1].churn_departures, 3);
+        let s = m.round_mut(1).unwrap();
+        (s.churn_arrivals, s.churn_departures) = (2, 3);
+        assert!(m.round_mut(9).is_none()); // unknown round
+        assert_eq!(m.rounds()[0].churn_arrivals, 0); // round 1 was the one annotated
         assert_eq!(m.churn_arrivals(), 2);
         assert_eq!(m.churn_departures(), 3);
         let csv = m.to_csv();
@@ -683,17 +621,10 @@ mod tests {
     fn chaos_and_liveness_annotations_surface_in_csv() {
         let mut m = FleetMetrics::new();
         m.record(&record(0), &[outcome(0, 10.0, 5.0, true)]);
-        m.annotate_chaos(0, 3, 5, 1, 2, 4);
-        m.annotate_liveness(0, 6, 2, 4);
-        m.annotate_chaos(9, 1, 1, 1, 1, 1); // unknown round: ignored
-        m.annotate_liveness(9, 1, 1, 1);
-        let s = &m.rounds()[0];
-        assert_eq!(
-            (s.chaos_dropped, s.chaos_delayed, s.chaos_duplicated),
-            (3, 5, 1)
-        );
-        assert_eq!((s.chaos_reordered, s.chaos_partition_held), (2, 4));
-        assert_eq!((s.suspected, s.expired, s.healed), (6, 2, 4));
+        let s = m.round_mut(0).unwrap();
+        (s.chaos_dropped, s.chaos_delayed, s.chaos_duplicated) = (3, 5, 1);
+        (s.chaos_reordered, s.chaos_partition_held) = (2, 4);
+        (s.suspected, s.expired, s.healed) = (6, 2, 4);
         assert_eq!(m.chaos_dropped(), 3);
         assert_eq!(m.suspected(), 6);
         assert_eq!(m.healed(), 4);
@@ -709,13 +640,9 @@ mod tests {
     fn shard_and_wire_annotations_surface_in_csv() {
         let mut m = FleetMetrics::new();
         m.record(&record(0), &[outcome(0, 10.0, 5.0, true)]);
-        m.annotate_shards(0, 16, 2);
-        m.annotate_wire_bytes(0, 1_024, 8_192);
-        m.annotate_shards(9, 1, 1); // unknown round: ignored
-        m.annotate_wire_bytes(9, 1, 1);
-        let s = &m.rounds()[0];
-        assert_eq!((s.shards, s.shard_shortfalls), (16, 2));
-        assert_eq!((s.wire_bytes, s.wire_raw_bytes), (1_024, 8_192));
+        let s = m.round_mut(0).unwrap();
+        (s.shards, s.shard_shortfalls) = (16, 2);
+        (s.wire_bytes, s.wire_raw_bytes) = (1_024, 8_192);
         assert_eq!(m.shard_shortfall_rounds(), 1);
         assert_eq!(m.wire_bytes(), 1_024);
         assert_eq!(m.wire_raw_bytes(), 8_192);

@@ -3,11 +3,12 @@
 //! `bofl-fl` owns the *math* ([`ShardPlan`], [`UpdateAccumulator`] —
 //! re-exported here): contiguous cohort ranges folded into fixed-point
 //! partial sums whose merge is order-free. This module owns the
-//! *execution*: a deterministic work queue that hands each shard (its
-//! member range plus its private accumulator slot) to the worker pool,
-//! exactly the discipline [`crate::engine::FleetEngine`] uses for client
-//! jobs — results land in per-shard slots, the root merges them in
-//! canonical shard order, so worker count is invisible in the output.
+//! *execution*: [`drain_tasks`], the one deterministic work queue in the
+//! workspace. It hands each shard (its member range plus its private
+//! accumulator slot) to the worker pool, and `bofl-control`'s
+//! event-driven engine drains each round's client jobs through it the
+//! same way: results land in per-task slots and are read back in
+//! canonical order, so worker count is invisible in the output.
 //!
 //! It also defines [`ShardRoundStats`], the per-shard accounting record:
 //! every count is an integer, so *fleet-level* totals (summed in shard
@@ -114,11 +115,11 @@ energy_mj,wire_bytes,raw_bytes,checksum";
     }
 }
 
-/// Drains `tasks` across `workers` OS threads, giving each worker one
-/// private scratch value built by `init`. Task results must land inside
-/// the task itself (each task owns `&mut` access to its output slot), so
-/// scheduling order cannot influence the outcome — the same discipline
-/// as the fleet engine's job queue.
+/// Drains `tasks` across at most `workers` OS threads (never more
+/// threads than tasks), giving each worker one private scratch value
+/// built by `init`. Task results must land inside the task itself (each
+/// task owns `&mut` access to its output slot), so scheduling order
+/// cannot influence the outcome.
 ///
 /// With `workers <= 1` (or a single task) everything runs inline on the
 /// caller's thread: the parallel path is an optimization, never a
@@ -138,9 +139,10 @@ pub fn drain_tasks<T, S>(
         }
         return;
     }
+    let threads = workers.min(tasks.len());
     let queue = Mutex::new(tasks.into_iter());
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..threads {
             scope.spawn(|| {
                 let mut scratch = init();
                 loop {
@@ -177,6 +179,22 @@ mod tests {
             assert!(
                 hits.iter().enumerate().all(|(i, &h)| h == 1 + i as u32),
                 "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn drain_tasks_starts_no_more_workers_than_tasks() {
+        for (workers, tasks) in [(8usize, 3usize), (8, 4), (2, 5), (3, 3)] {
+            // `init` runs once on every started worker, idle or not.
+            let started = Mutex::new(std::collections::HashSet::new());
+            let init = || started.lock().unwrap().insert(std::thread::current().id());
+            drain_tasks(workers, vec![(); tasks], init, |_, ()| {});
+            let started = started.into_inner().unwrap().len();
+            assert_eq!(
+                started,
+                workers.min(tasks),
+                "{workers} workers, {tasks} tasks"
             );
         }
     }

@@ -83,8 +83,7 @@ proptest! {
                 ..FederationConfig::default()
             };
             let mut builder = Federation::builder(config)
-                .device_factory(move |id| spec.device(id))
-                .engine(FleetEngine::new(2));
+                .device_factory(move |id| spec.device(id));
             if let Some(n) = shards {
                 builder = builder.shard_plan(ShardPlan::with_shards(n));
             }

@@ -11,7 +11,6 @@ use bofl::baselines::PerformantController;
 use bofl::{BoflConfig, BoflController};
 use bofl_device::Device;
 use bofl_fl::prelude::*;
-use bofl_fleet::FleetEngine;
 
 fn config() -> FederationConfig {
     FederationConfig {
@@ -42,13 +41,10 @@ fn run(
     label: &str,
     make_controller: impl Fn(usize) -> Box<dyn bofl::task::PaceController> + 'static,
 ) -> RunHistory {
-    // A small cluster doesn't need the parallel worker pool; one worker
-    // keeps the run easy to step through. Raise the worker count to
-    // scale up — the trace is identical either way.
+    // The default sequential engine keeps a small cluster easy to step through.
     let mut federation = Federation::builder(config())
         .device_factory(mixed_devices)
         .controller_factory(make_controller)
-        .engine(FleetEngine::new(1))
         .build();
     let history = federation.run();
     println!("\n=== federation with {label} clients ===");
