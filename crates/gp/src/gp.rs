@@ -1,4 +1,4 @@
-use crate::{GpError, Kernel, KernelKind, NelderMead};
+use crate::{GpError, Matern52, NelderMead};
 use bofl_linalg::{Cholesky, Matrix, Standardizer};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -49,12 +49,6 @@ pub struct WarmStart {
 /// Configuration for fitting a [`GaussianProcess`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpConfig {
-    /// Kernel family (the paper uses Matérn-5/2).
-    pub kernel: KernelKind,
-    /// Fixed observation-noise variance in *standardized* units, or `None`
-    /// to fit it by maximum likelihood alongside the other
-    /// hyperparameters.
-    pub noise_variance: Option<f64>,
     /// Number of Nelder–Mead restarts for the MLE fit (0 disables
     /// hyperparameter optimization and keeps heuristic defaults).
     pub restarts: usize,
@@ -72,8 +66,6 @@ pub struct GpConfig {
 impl Default for GpConfig {
     fn default() -> Self {
         GpConfig {
-            kernel: KernelKind::Matern52,
-            noise_variance: None,
             restarts: 3,
             max_evaluations: 400,
             warm_start: None,
@@ -83,7 +75,8 @@ impl Default for GpConfig {
 
 /// Exact Gaussian-process regression with zero prior mean on standardized
 /// outputs (equivalently, a constant-mean prior at the data mean — the
-/// paper's `m(x) = 0` prior after its own standardization).
+/// paper's `m(x) = 0` prior after its own standardization), a Matérn-5/2
+/// ARD kernel and fitted Gaussian observation noise.
 ///
 /// Complexity is the textbook `O(n³)` Cholesky; BoFL's observation sets
 /// stay well under a couple hundred points (it explores ~3% of a 2100-point
@@ -105,12 +98,12 @@ impl Default for GpConfig {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GaussianProcess {
     xs: Vec<Vec<f64>>,
     ys_std: Vec<f64>,
     y_transform: Standardizer,
-    kernel: Box<dyn Kernel>,
+    kernel: Matern52,
     noise_variance: f64,
     chol: Cholesky,
     alpha: Vec<f64>,
@@ -184,32 +177,12 @@ impl PredictCache {
     }
 }
 
-impl Clone for GaussianProcess {
-    fn clone(&self) -> Self {
-        GaussianProcess {
-            xs: self.xs.clone(),
-            ys_std: self.ys_std.clone(),
-            y_transform: self.y_transform,
-            kernel: self
-                .kernel
-                .with_hyperparameters(self.kernel.variance(), self.kernel.lengthscales()),
-            noise_variance: self.noise_variance,
-            chol: self.chol.clone(),
-            alpha: self.alpha.clone(),
-            dim: self.dim,
-            id: self.id,
-            parent: self.parent,
-        }
-    }
-}
-
 impl GaussianProcess {
     /// Fits a GP to observations `(xs[i], ys[i])`.
     ///
     /// Outputs are standardized internally; hyperparameters (kernel
-    /// variance, ARD lengthscales and — unless fixed in the config —
-    /// observation noise) are chosen by multi-start Nelder–Mead on the log
-    /// marginal likelihood.
+    /// variance, ARD lengthscales and observation noise) are chosen by
+    /// multi-start Nelder–Mead on the log marginal likelihood.
     ///
     /// # Errors
     ///
@@ -244,11 +217,6 @@ impl GaussianProcess {
         let y_transform = Standardizer::fit(ys).map_err(GpError::from)?;
         let ys_std: Vec<f64> = ys.iter().map(|&y| y_transform.apply(y)).collect();
 
-        // Heuristic initial hyperparameters on standardized data.
-        let init_variance = 1.0;
-        let init_lengthscale = 0.3; // inputs are unit-cube coordinates in BoFL
-        let init_noise = config.noise_variance.unwrap_or(1e-3);
-
         // A warm start is only usable if it matches this problem's shape
         // and is numerically sane.
         let warm = config.warm_start.as_ref().filter(|w| {
@@ -262,23 +230,15 @@ impl GaussianProcess {
 
         let (variance, lengthscales, noise) = if config.restarts == 0 || xs.len() < 3 {
             match warm {
-                Some(w) => (
-                    w.variance,
-                    w.lengthscales.clone(),
-                    config.noise_variance.unwrap_or(w.noise).max(1e-9),
-                ),
-                None => (
-                    init_variance,
-                    vec![init_lengthscale; dim],
-                    init_noise.max(1e-8),
-                ),
+                Some(w) => (w.variance, w.lengthscales.clone(), w.noise.max(1e-9)),
+                None => Self::default_hyperparameters(dim),
             }
         } else {
-            Self::optimize_hyperparameters(xs, &ys_std, &config, dim, init_noise, warm)
+            Self::optimize_hyperparameters(xs, &ys_std, &config, dim, warm)
         };
 
-        let kernel = config.kernel.build(variance, &lengthscales);
-        let (chol, alpha) = Self::build_posterior(xs, &ys_std, kernel.as_ref(), noise)?;
+        let kernel = Matern52::new(variance, &lengthscales);
+        let (chol, alpha) = Self::build_posterior(xs, &ys_std, &kernel, noise)?;
 
         Ok(GaussianProcess {
             xs: xs.to_vec(),
@@ -294,11 +254,18 @@ impl GaussianProcess {
         })
     }
 
+    /// Heuristic hyperparameters on standardized data (inputs are
+    /// unit-cube coordinates in BoFL), used when no fit runs or every
+    /// start fails.
+    fn default_hyperparameters(dim: usize) -> (f64, Vec<f64>, f64) {
+        (1.0, vec![0.3; dim], 1e-3)
+    }
+
     /// Builds the Gram Cholesky and the weight vector `α = K⁻¹ y`.
     fn build_posterior(
         xs: &[Vec<f64>],
         ys_std: &[f64],
-        kernel: &dyn Kernel,
+        kernel: &Matern52,
         noise: f64,
     ) -> Result<(Cholesky, Vec<f64>), GpError> {
         let n = xs.len();
@@ -312,7 +279,7 @@ impl GaussianProcess {
     /// Fills the lower triangle (all [`Cholesky::factor`] reads) of the
     /// Gram matrix `K + noise·I` into `gram`, overwriting previous
     /// contents — the buffer can be reused across likelihood evaluations.
-    fn fill_gram_lower(gram: &mut Matrix, xs: &[Vec<f64>], kernel: &dyn Kernel, noise: f64) {
+    fn fill_gram_lower(gram: &mut Matrix, xs: &[Vec<f64>], kernel: &Matern52, noise: f64) {
         for i in 0..xs.len() {
             for j in 0..i {
                 gram[(i, j)] = kernel.eval(&xs[i], &xs[j]);
@@ -321,20 +288,12 @@ impl GaussianProcess {
         }
     }
 
-    fn log_marginal_likelihood_for(
-        xs: &[Vec<f64>],
-        ys_std: &[f64],
-        kernel: &dyn Kernel,
-        noise: f64,
-    ) -> f64 {
-        match Self::build_posterior(xs, ys_std, kernel, noise) {
-            Ok((chol, alpha)) => {
-                let fit: f64 = ys_std.iter().zip(&alpha).map(|(y, a)| y * a).sum();
-                let n = ys_std.len() as f64;
-                -0.5 * fit - 0.5 * chol.log_det() - 0.5 * n * (2.0 * std::f64::consts::PI).ln()
-            }
-            Err(_) => f64::NEG_INFINITY,
-        }
+    /// Negated log marginal likelihood `½ yᵀα + ½ log|K| + ½ n ln 2π` from
+    /// the Gram factor and `α = K⁻¹y`.
+    fn neg_log_likelihood(chol: &Cholesky, alpha: &[f64], ys_std: &[f64]) -> f64 {
+        let data_fit: f64 = ys_std.iter().zip(alpha).map(|(y, a)| y * a).sum();
+        let n = ys_std.len() as f64;
+        0.5 * data_fit + 0.5 * chol.log_det() + 0.5 * n * (2.0 * std::f64::consts::PI).ln()
     }
 
     fn optimize_hyperparameters(
@@ -342,11 +301,9 @@ impl GaussianProcess {
         ys_std: &[f64],
         config: &GpConfig,
         dim: usize,
-        init_noise: f64,
         warm: Option<&WarmStart>,
     ) -> (f64, Vec<f64>, f64) {
-        let fit_noise = config.noise_variance.is_none();
-        let n_params = 1 + dim + usize::from(fit_noise);
+        let n_params = dim + 2;
         let n = xs.len();
 
         // One Gram buffer for the whole optimization; each likelihood
@@ -354,32 +311,24 @@ impl GaussianProcess {
         // allocating a fresh n×n matrix.
         let mut gram = Matrix::zeros(n, n);
         let mut objective = |theta: &[f64]| -> f64 {
-            // theta = [log σ², log ℓ₁…ℓ_d, (log σ_n²)]
+            // theta = [log σ², log ℓ₁…ℓ_d, log σ_n²]
             let variance = theta[0].exp();
             let ls: Vec<f64> = theta[1..=dim].iter().map(|v| v.exp()).collect();
-            let noise = if fit_noise {
-                theta[dim + 1].exp()
-            } else {
-                init_noise
-            };
+            let noise = theta[dim + 1].exp();
             if !(1e-8..=1e4).contains(&variance)
                 || ls.iter().any(|l| !(1e-4..=1e3).contains(l))
                 || !(1e-9..=1.0).contains(&noise)
             {
                 return f64::INFINITY;
             }
-            let kernel = config.kernel.build(variance, &ls);
-            Self::fill_gram_lower(&mut gram, xs, kernel.as_ref(), noise);
+            Self::fill_gram_lower(&mut gram, xs, &Matern52::new(variance, &ls), noise);
             let Ok(chol) = Cholesky::factor(&gram) else {
                 return f64::INFINITY;
             };
             let Ok(alpha) = chol.solve(ys_std) else {
                 return f64::INFINITY;
             };
-            let data_fit: f64 = ys_std.iter().zip(&alpha).map(|(y, a)| y * a).sum();
-            let nf = ys_std.len() as f64;
-            // Negated log marginal likelihood (we minimize).
-            0.5 * data_fit + 0.5 * chol.log_det() + 0.5 * nf * (2.0 * std::f64::consts::PI).ln()
+            Self::neg_log_likelihood(&chol, &alpha, ys_std)
         };
 
         // The warm start (when valid) displaces the first deterministic
@@ -392,9 +341,7 @@ impl GaussianProcess {
             for (slot, l) in s[1..=dim].iter_mut().zip(&w.lengthscales) {
                 *slot = l.clamp(1e-4, 1e3).ln();
             }
-            if fit_noise {
-                s[dim + 1] = w.noise.clamp(1e-9, 1.0).ln();
-            }
+            s[dim + 1] = w.noise.clamp(1e-9, 1.0).ln();
             starts.push(s);
         }
         let mut r = 0;
@@ -407,9 +354,7 @@ impl GaussianProcess {
             for v in s.iter_mut().take(dim + 1).skip(1) {
                 *v = ls0.ln();
             }
-            if fit_noise {
-                s[dim + 1] = (1e-3f64).ln();
-            }
+            s[dim + 1] = (1e-3f64).ln();
             starts.push(s);
             r += 1;
         }
@@ -427,14 +372,9 @@ impl GaussianProcess {
             Some((_, theta)) => {
                 let variance = theta[0].exp();
                 let ls: Vec<f64> = theta[1..=dim].iter().map(|v| v.exp()).collect();
-                let noise = if fit_noise {
-                    theta[dim + 1].exp()
-                } else {
-                    init_noise
-                };
-                (variance, ls, noise.max(1e-9))
+                (variance, ls, theta[dim + 1].exp().max(1e-9))
             }
-            None => (1.0, vec![0.3; dim], init_noise.max(1e-8)),
+            None => Self::default_hyperparameters(dim),
         }
     }
 
@@ -455,8 +395,8 @@ impl GaussianProcess {
     }
 
     /// The fitted kernel.
-    pub fn kernel(&self) -> &dyn Kernel {
-        self.kernel.as_ref()
+    pub fn kernel(&self) -> &Matern52 {
+        &self.kernel
     }
 
     /// The fitted observation-noise variance (standardized units).
@@ -467,12 +407,10 @@ impl GaussianProcess {
     /// Log marginal likelihood of the training data under the fitted
     /// hyperparameters.
     pub fn log_marginal_likelihood(&self) -> f64 {
-        Self::log_marginal_likelihood_for(
-            &self.xs,
-            &self.ys_std,
-            self.kernel.as_ref(),
-            self.noise_variance,
-        )
+        match Self::build_posterior(&self.xs, &self.ys_std, &self.kernel, self.noise_variance) {
+            Ok((chol, alpha)) => -Self::neg_log_likelihood(&chol, &alpha, &self.ys_std),
+            Err(_) => f64::NEG_INFINITY,
+        }
     }
 
     /// Posterior predictive distribution at `x`.
@@ -629,9 +567,7 @@ impl GaussianProcess {
             xs,
             ys_std,
             y_transform: self.y_transform,
-            kernel: self
-                .kernel
-                .with_hyperparameters(self.kernel.variance(), self.kernel.lengthscales()),
+            kernel: self.kernel.clone(),
             noise_variance: self.noise_variance,
             chol,
             alpha,
@@ -831,7 +767,7 @@ mod tests {
         let mut ys_std2 = gp.ys_std.clone();
         ys_std2.push(gp.y_transform.apply(1.7));
         let (chol, alpha) =
-            GaussianProcess::build_posterior(&xs2, &ys_std2, gp.kernel.as_ref(), gp.noise_variance)
+            GaussianProcess::build_posterior(&xs2, &ys_std2, &gp.kernel, gp.noise_variance)
                 .unwrap();
         for (a, b) in inc.alpha.iter().zip(&alpha) {
             assert!((a - b).abs() < 1e-8, "alpha diverged: {a} vs {b}");
@@ -842,9 +778,7 @@ mod tests {
                 xs: xs2.clone(),
                 ys_std: ys_std2.clone(),
                 y_transform: gp.y_transform,
-                kernel: gp
-                    .kernel
-                    .with_hyperparameters(gp.kernel.variance(), gp.kernel.lengthscales()),
+                kernel: gp.kernel.clone(),
                 noise_variance: gp.noise_variance,
                 chol: chol.clone(),
                 alpha: alpha.clone(),
@@ -951,18 +885,5 @@ mod tests {
         assert_eq!(gp.kernel().variance(), warm.variance);
         assert_eq!(gp.kernel().lengthscales(), warm.lengthscales.as_slice());
         assert_eq!(gp.noise_variance(), warm.noise);
-    }
-
-    #[test]
-    fn fixed_noise_is_respected() {
-        let xs = grid_1d(6);
-        let ys: Vec<f64> = xs.iter().map(|x| x[0]).collect();
-        let cfg = GpConfig {
-            noise_variance: Some(0.25),
-            restarts: 0,
-            ..GpConfig::default()
-        };
-        let gp = GaussianProcess::fit(&xs, &ys, cfg).unwrap();
-        assert_eq!(gp.noise_variance(), 0.25);
     }
 }

@@ -5,12 +5,13 @@
 //! processes with zero prior mean and a Matérn-5/2 kernel (§4.3, "MBO prior
 //! function"). This crate implements that surrogate from scratch:
 //!
-//! - [`Kernel`] — covariance functions: [`Matern52`] (the paper's choice),
-//!   [`Matern32`] and [`SquaredExponential`], all with ARD lengthscales;
+//! - [`Matern52`] — the paper's covariance function, with ARD
+//!   lengthscales; it is the only kernel;
 //! - [`GaussianProcess`] — exact GP regression with Cholesky solves,
-//!   type-II maximum-likelihood hyperparameters (multi-start Nelder–Mead
-//!   on the log marginal likelihood), and *fantasized conditioning* for
-//!   the sequential-greedy batch strategy of §4.3;
+//!   type-II maximum-likelihood hyperparameters (kernel variance,
+//!   lengthscales and observation noise, by multi-start Nelder–Mead on
+//!   the log marginal likelihood), and *fantasized conditioning* for the
+//!   sequential-greedy batch strategy of §4.3;
 //! - [`SurrogateModel`] — the object-safe seam the MBO engine drives its
 //!   surrogates through;
 //! - [`NelderMead`] — the derivative-free optimizer used for the MLE fit.
@@ -77,6 +78,6 @@ mod surrogate;
 
 pub use error::GpError;
 pub use gp::{GaussianProcess, GpConfig, Posterior, PredictCache, WarmStart};
-pub use kernel::{Kernel, KernelKind, Matern32, Matern52, SquaredExponential};
+pub use kernel::Matern52;
 pub use neldermead::{NelderMead, NelderMeadResult};
 pub use surrogate::SurrogateModel;

@@ -33,40 +33,28 @@ pub struct NelderMeadResult {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NelderMead {
     max_evaluations: usize,
-    tolerance: f64,
-    initial_step: f64,
 }
 
+/// Convergence tolerance on the simplex value spread. A quadratic basin
+/// maps value error to the square of position error, so 1e-12 in value is
+/// roughly 1e-6 in position.
+const TOLERANCE: f64 = 1e-12;
+
+/// Edge length of the initial simplex.
+const INITIAL_STEP: f64 = 0.5;
+
 impl NelderMead {
-    /// Creates an optimizer with defaults suited to GP hyperparameter
-    /// fitting (2000 evaluations, 1e-12 tolerance, 0.5 initial step).
-    ///
-    /// The tolerance applies to the simplex *value* spread; because a
-    /// quadratic basin maps value error to the square of position error,
-    /// 1e-12 in value corresponds to roughly 1e-6 in position.
+    /// Creates an optimizer with a 2000-evaluation budget, suited to GP
+    /// hyperparameter fitting.
     pub fn new() -> Self {
         NelderMead {
             max_evaluations: 2000,
-            tolerance: 1e-12,
-            initial_step: 0.5,
         }
     }
 
     /// Sets the evaluation budget.
     pub fn with_max_evaluations(mut self, n: usize) -> Self {
         self.max_evaluations = n;
-        self
-    }
-
-    /// Sets the convergence tolerance on the simplex value spread.
-    pub fn with_tolerance(mut self, tol: f64) -> Self {
-        self.tolerance = tol;
-        self
-    }
-
-    /// Sets the initial simplex edge length.
-    pub fn with_initial_step(mut self, step: f64) -> Self {
-        self.initial_step = step;
         self
     }
 
@@ -95,7 +83,7 @@ impl NelderMead {
         simplex.push((x0.to_vec(), v0));
         for i in 0..n {
             let mut x = x0.to_vec();
-            x[i] += self.initial_step;
+            x[i] += INITIAL_STEP;
             let v = eval(&x, &mut evals);
             simplex.push((x, v));
         }
@@ -115,8 +103,8 @@ impl NelderMead {
                 .flat_map(|(x, _)| x.iter().zip(&simplex[0].0).map(|(a, b)| (a - b).abs()))
                 .fold(0.0f64, f64::max);
             let scale = 1.0 + simplex[0].0.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            if (worst - best).abs() <= self.tolerance * (1.0 + best.abs())
-                && diameter <= self.tolerance.sqrt() * scale
+            if (worst - best).abs() <= TOLERANCE * (1.0 + best.abs())
+                && diameter <= TOLERANCE.sqrt() * scale
             {
                 converged = true;
                 break;

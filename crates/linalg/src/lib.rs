@@ -48,4 +48,4 @@ pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use stats::{OnlineStats, Standardizer};
 pub use triangular::{solve_lower, solve_upper};
-pub use vecops::{axpy, dot, infinity_norm, norm2, scale};
+pub use vecops::{dot, infinity_norm, norm2};

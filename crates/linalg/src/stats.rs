@@ -2,8 +2,7 @@ use crate::LinalgError;
 
 /// Streaming mean/variance accumulator (Welford's algorithm).
 ///
-/// Used by the device sensor simulation (averaging noisy power samples) and
-/// by output standardization in the GP, both of which need numerically
+/// Used by output standardization in the GP, which needs numerically
 /// stable single-pass statistics.
 ///
 /// # Examples
@@ -16,7 +15,7 @@ use crate::LinalgError;
 ///     s.push(v);
 /// }
 /// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.population_variance(), 4.0);
+/// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
@@ -60,15 +59,6 @@ impl OnlineStats {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Population variance `Σ(x−μ)²/n` (zero when fewer than one sample).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
         }
     }
 
@@ -119,7 +109,7 @@ impl OnlineStats {
 }
 
 /// An affine `z = (x − shift) / scale` transform fit from data, used to
-/// standardize GP inputs and outputs.
+/// standardize GP outputs.
 ///
 /// # Examples
 ///
@@ -173,22 +163,6 @@ impl Standardizer {
         }
     }
 
-    /// Builds a transform mapping `[lo, hi]` onto `[0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NonFinite`] if the bounds are non-finite or
-    /// `hi <= lo`.
-    pub fn from_bounds(lo: f64, hi: f64) -> Result<Self, LinalgError> {
-        if !lo.is_finite() || !hi.is_finite() || hi <= lo {
-            return Err(LinalgError::NonFinite { what: "bounds" });
-        }
-        Ok(Standardizer {
-            shift: lo,
-            scale: hi - lo,
-        })
-    }
-
     /// Applies the forward transform.
     pub fn apply(&self, x: f64) -> f64 {
         (x - self.shift) / self.scale
@@ -199,18 +173,12 @@ impl Standardizer {
         z * self.scale + self.shift
     }
 
-    /// Rescales a standardized *standard deviation* back to original units
-    /// (shift does not apply to dispersions).
-    pub fn invert_std(&self, z_std: f64) -> f64 {
-        z_std * self.scale
-    }
-
-    /// The shift (mean or lower bound).
+    /// The shift (the data mean).
     pub fn shift(&self) -> f64 {
         self.shift
     }
 
-    /// The scale (std or range width); always positive.
+    /// The scale (the data std, or 1 for constant data); always positive.
     pub fn scale(&self) -> f64 {
         self.scale
     }
@@ -280,7 +248,6 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.sample_variance(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
     }
 
     #[test]
@@ -297,15 +264,6 @@ mod tests {
         let s = Standardizer::fit(&[5.0, 5.0, 5.0]).unwrap();
         assert_eq!(s.scale(), 1.0);
         assert_eq!(s.apply(5.0), 0.0);
-    }
-
-    #[test]
-    fn standardizer_bounds() {
-        let s = Standardizer::from_bounds(100.0, 300.0).unwrap();
-        assert_eq!(s.apply(100.0), 0.0);
-        assert_eq!(s.apply(300.0), 1.0);
-        assert!(Standardizer::from_bounds(1.0, 1.0).is_err());
-        assert!(Standardizer::from_bounds(f64::NAN, 1.0).is_err());
     }
 
     #[test]

@@ -41,25 +41,6 @@ pub fn infinity_norm(a: &[f64]) -> f64 {
     a.iter().fold(0.0, |m, &v| m.max(v.abs()))
 }
 
-/// In-place `y ← α x + y`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// In-place `x ← α x`.
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    for xi in x.iter_mut() {
-        *xi *= alpha;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,15 +69,6 @@ mod tests {
     fn norm2_zero_and_empty() {
         assert_eq!(norm2(&[]), 0.0);
         assert_eq!(norm2(&[0.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    fn axpy_and_scale() {
-        let mut y = vec![1.0, 2.0];
-        axpy(2.0, &[3.0, 4.0], &mut y);
-        assert_eq!(y, vec![7.0, 10.0]);
-        scale(0.5, &mut y);
-        assert_eq!(y, vec![3.5, 5.0]);
     }
 
     #[test]

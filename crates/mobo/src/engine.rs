@@ -12,6 +12,10 @@ const MIN_PARALLEL_SCAN: usize = 64;
 /// Hard cap on scan workers when `scan_workers == 0` (auto).
 const MAX_AUTO_WORKERS: usize = 8;
 
+/// Relative padding added to the worst observed objectives when the
+/// reference point is derived automatically.
+const REFERENCE_PADDING: f64 = 0.05;
+
 /// The boxed per-objective surrogate pair [`MoboEngine::fit_surrogates`]
 /// hands to the suggestion loop.
 type SurrogatePair = (Box<dyn SurrogateModel>, Box<dyn SurrogateModel>);
@@ -86,9 +90,6 @@ pub struct MoboConfig {
     /// Surrogate-model configuration (one GP per objective; the paper
     /// uses independent Matérn-5/2 GPs).
     pub gp: GpConfig,
-    /// Relative padding added to the worst observed objectives when
-    /// deriving the reference point automatically.
-    pub reference_padding: f64,
     /// Stopping rule parameters.
     pub stopping: StoppingRule,
     /// Full multi-start hyperparameter refits run on the first fit and
@@ -115,7 +116,6 @@ impl Default for MoboConfig {
     fn default() -> Self {
         MoboConfig {
             gp: GpConfig::default(),
-            reference_padding: 0.05,
             stopping: StoppingRule::default(),
             refit_every: 8,
             scan_workers: 0,
@@ -218,7 +218,7 @@ impl MoboEngine {
     }
 
     /// The reference point: the pinned one if set, otherwise the worst
-    /// observed value per objective padded by `reference_padding`.
+    /// observed value per objective padded by 5%.
     ///
     /// Returns `None` when there are no observations and no pinned point.
     pub fn reference(&self) -> Option<[f64; 2]> {
@@ -228,7 +228,7 @@ impl MoboEngine {
         if self.observations.is_empty() {
             return None;
         }
-        let pad = 1.0 + self.config.reference_padding;
+        let pad = 1.0 + REFERENCE_PADDING;
         let mut worst = [f64::NEG_INFINITY; 2];
         for o in &self.observations {
             worst[0] = worst[0].max(o.objectives[0]);

@@ -297,7 +297,8 @@ fn front_bits(front: &ParetoFront) -> Vec<[u64; 2]> {
 enum Surrogate {
     /// Exact GP, noise fitted.
     Exact,
-    /// Exact GP, noise fixed at 1e-9 (near-interpolating fantasies).
+    /// Exact GP's variance and lengthscales with the noise set to 1e-9
+    /// (near-interpolating fantasies).
     Interpolating,
     /// Exact GP whose later fantasies grow some candidates' σ.
     SigmaGrows,
@@ -395,9 +396,8 @@ fn surrogates(
 ) -> (Box<dyn SurrogateModel>, Box<dyn SurrogateModel>) {
     let fit = |obj: usize| -> Box<dyn SurrogateModel> {
         let ys: Vec<f64> = xs.iter().map(|x| objectives(x)[obj]).collect();
-        let gp = |noise_variance| {
+        let gp = || {
             let config = GpConfig {
-                noise_variance,
                 restarts: 1,
                 max_evaluations: 80,
                 ..GpConfig::default()
@@ -406,14 +406,25 @@ fn surrogates(
         };
         let scripted = |script| -> Box<dyn SurrogateModel> {
             Box::new(Scripted {
-                inner: Box::new(gp(None)),
+                inner: Box::new(gp()),
                 depth: 0,
                 script,
             })
         };
         match kind {
-            Surrogate::Exact => Box::new(gp(None)),
-            Surrogate::Interpolating => Box::new(gp(Some(1e-9))),
+            Surrogate::Exact => Box::new(gp()),
+            Surrogate::Interpolating => {
+                let exact = gp();
+                let config = GpConfig {
+                    restarts: 0,
+                    warm_start: Some(WarmStart {
+                        noise: 1e-9,
+                        ..exact.hyperparameters()
+                    }),
+                    ..GpConfig::default()
+                };
+                Box::new(GaussianProcess::fit(xs, &ys, config).unwrap())
+            }
             Surrogate::SigmaGrows => scripted(sigma_grows),
             Surrogate::MeanDrifts => scripted(mean_drifts),
             Surrogate::NanFirst => scripted(nan_first),
