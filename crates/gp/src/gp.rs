@@ -1,4 +1,4 @@
-use crate::{GpError, Matern52, NelderMead};
+use crate::{GpError, Matern52, NelderMead, PairTable};
 use bofl_linalg::{Cholesky, Matrix, Standardizer};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -270,22 +270,15 @@ impl GaussianProcess {
     ) -> Result<(Cholesky, Vec<f64>), GpError> {
         let n = xs.len();
         let mut gram = Matrix::zeros(n, n);
-        Self::fill_gram_lower(&mut gram, xs, kernel, noise);
+        PairTable::new(xs).fill_gram_lower(
+            &mut gram,
+            kernel.variance(),
+            kernel.lengthscales(),
+            noise,
+        );
         let chol = Cholesky::factor(&gram)?;
         let alpha = chol.solve(ys_std)?;
         Ok((chol, alpha))
-    }
-
-    /// Fills the lower triangle (all [`Cholesky::factor`] reads) of the
-    /// Gram matrix `K + noise·I` into `gram`, overwriting previous
-    /// contents — the buffer can be reused across likelihood evaluations.
-    fn fill_gram_lower(gram: &mut Matrix, xs: &[Vec<f64>], kernel: &Matern52, noise: f64) {
-        for i in 0..xs.len() {
-            for j in 0..i {
-                gram[(i, j)] = kernel.eval(&xs[i], &xs[j]);
-            }
-            gram[(i, i)] = kernel.eval(&xs[i], &xs[i]) + noise;
-        }
     }
 
     /// Negated log marginal likelihood `½ yᵀα + ½ log|K| + ½ n ln 2π` from
@@ -306,14 +299,18 @@ impl GaussianProcess {
         let n_params = dim + 2;
         let n = xs.len();
 
-        // One Gram buffer for the whole optimization; each likelihood
-        // evaluation overwrites the lower triangle in place instead of
-        // allocating a fresh n×n matrix.
+        // The pair differences, the Gram buffer and the lengthscales are
+        // built once for the whole optimization; each likelihood
+        // evaluation overwrites them in place instead of allocating.
+        let mut pairs = PairTable::new(xs);
         let mut gram = Matrix::zeros(n, n);
+        let mut ls = vec![0.0; dim];
         let mut objective = |theta: &[f64]| -> f64 {
             // theta = [log σ², log ℓ₁…ℓ_d, log σ_n²]
             let variance = theta[0].exp();
-            let ls: Vec<f64> = theta[1..=dim].iter().map(|v| v.exp()).collect();
+            for (l, log_l) in ls.iter_mut().zip(&theta[1..=dim]) {
+                *l = log_l.exp();
+            }
             let noise = theta[dim + 1].exp();
             if !(1e-8..=1e4).contains(&variance)
                 || ls.iter().any(|l| !(1e-4..=1e3).contains(l))
@@ -321,7 +318,7 @@ impl GaussianProcess {
             {
                 return f64::INFINITY;
             }
-            Self::fill_gram_lower(&mut gram, xs, &Matern52::new(variance, &ls), noise);
+            pairs.fill_gram_lower(&mut gram, variance, &ls, noise);
             let Ok(chol) = Cholesky::factor(&gram) else {
                 return f64::INFINITY;
             };
@@ -421,7 +418,8 @@ impl GaussianProcess {
     /// dimension and [`GpError::NonFinite`] if it contains NaN/infinities.
     pub fn predict(&self, x: &[f64]) -> Result<Posterior, GpError> {
         self.validate_query(x)?;
-        let k_star: Vec<f64> = self.xs.iter().map(|xi| self.kernel.eval(xi, x)).collect();
+        let mut k_star = vec![0.0; self.xs.len()];
+        self.kernel.row_into(&self.xs, x, &mut k_star);
         let mean_std: f64 = k_star.iter().zip(&self.alpha).map(|(k, a)| k * a).sum();
         let v = self.chol.solve_half(&k_star)?;
         Ok(self.posterior(mean_std, v.iter().map(|vi| vi * vi).sum::<f64>()))
@@ -487,9 +485,8 @@ impl GaussianProcess {
         for (c, x) in queries.iter().enumerate() {
             let row = c * stride..c * stride + n;
             let k_star = &mut cache.k[row.clone()];
-            for (k, xi) in k_star[from..].iter_mut().zip(&self.xs[from..]) {
-                *k = self.kernel.eval(xi, x);
-            }
+            self.kernel
+                .row_into(&self.xs[from..], x, &mut k_star[from..]);
             let mean_std: f64 = k_star.iter().zip(&self.alpha).map(|(k, a)| k * a).sum();
             let v = &mut cache.v[row];
             self.chol.solve_half_from(k_star, v, from)?;
@@ -555,7 +552,8 @@ impl GaussianProcess {
         if !y.is_finite() {
             return Err(GpError::NonFinite);
         }
-        let k_star: Vec<f64> = self.xs.iter().map(|xi| self.kernel.eval(xi, x)).collect();
+        let mut k_star = vec![0.0; self.xs.len()];
+        self.kernel.row_into(&self.xs, x, &mut k_star);
         let border_diag = self.kernel.eval(x, x) + self.noise_variance;
         let chol = self.chol.extend(&k_star, border_diag)?;
         let mut xs = self.xs.clone();

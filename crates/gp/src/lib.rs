@@ -7,6 +7,8 @@
 //!
 //! - [`Matern52`] — the paper's covariance function, with ARD
 //!   lengthscales; it is the only kernel;
+//! - [`PairTable`] — a point set's pair differences, built once so a
+//!   likelihood search fills each Gram matrix in vectorizable passes;
 //! - [`GaussianProcess`] — exact GP regression with Cholesky solves,
 //!   type-II maximum-likelihood hyperparameters (kernel variance,
 //!   lengthscales and observation noise, by multi-start Nelder–Mead on
@@ -78,6 +80,6 @@ mod surrogate;
 
 pub use error::GpError;
 pub use gp::{GaussianProcess, GpConfig, Posterior, PredictCache, WarmStart};
-pub use kernel::Matern52;
+pub use kernel::{Matern52, PairTable};
 pub use neldermead::{NelderMead, NelderMeadResult};
 pub use surrogate::SurrogateModel;

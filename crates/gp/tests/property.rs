@@ -1,7 +1,8 @@
 //! Property-based tests for the GP surrogate.
 
 use bofl_gp::{
-    GaussianProcess, GpConfig, Matern52, Posterior, PredictCache, SurrogateModel, WarmStart,
+    GaussianProcess, GpConfig, Matern52, PairTable, Posterior, PredictCache, SurrogateModel,
+    WarmStart,
 };
 use bofl_linalg::{Cholesky, Matrix};
 use proptest::prelude::*;
@@ -54,7 +55,84 @@ fn quick_gp(xs: &[Vec<f64>], lengthscale: f64) -> GaussianProcess {
     GaussianProcess::fit(xs, &ys, config).unwrap()
 }
 
+/// SplitMix64 hyperparameters spanning the likelihood search's bounds:
+/// variance in `[1e-8, 1e4]`, lengthscales in `[1e-4, 1e3]`, noise in
+/// `[1e-9, 1]`, all log-uniform.
+fn hyperparameters(seed: u64, dim: usize) -> (f64, Vec<f64>, f64) {
+    let u = unit_points(seed, 1, dim + 2).remove(0);
+    let log_uniform = |u: f64, lo: f64, hi: f64| (lo.ln() + u * (hi.ln() - lo.ln())).exp();
+    (
+        log_uniform(u[0], 1e-8, 1e4),
+        u[1..=dim]
+            .iter()
+            .map(|&v| log_uniform(v, 1e-4, 1e3))
+            .collect(),
+        log_uniform(u[dim + 1], 1e-9, 1.0),
+    )
+}
+
 proptest! {
+    /// The pair-table Gram fill is `Matern52::eval` bit for bit on every
+    /// lower-triangle entry, and `eval(x, x) + noise` on the diagonal,
+    /// across fills of one table at several hyperparameters (the
+    /// likelihood search's reuse pattern), for 1 to 40 points in 1 to 4
+    /// dimensions. Repeated points give zero differences off the
+    /// diagonal too.
+    #[test]
+    fn pair_table_gram_matches_kernel_eval_bitwise(
+        n in 1usize..40,
+        dim in 1usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut xs = unit_points(seed, n, dim);
+        if n > 2 {
+            xs[n - 1] = xs[0].clone();
+        }
+        let mut pairs = PairTable::new(&xs);
+        // Upper-triangle sentinel: the fill must leave it alone.
+        let mut gram = Matrix::from_fn(n, n, |_, _| f64::NAN);
+        for fill in 0..3 {
+            let (variance, ls, noise) = hyperparameters(seed ^ (fill << 40), dim);
+            pairs.fill_gram_lower(&mut gram, variance, &ls, noise);
+            let k = Matern52::new(variance, &ls);
+            for i in 0..n {
+                for j in 0..i {
+                    let want = k.eval(&xs[i], &xs[j]);
+                    prop_assert!(
+                        gram[(i, j)].to_bits() == want.to_bits(),
+                        "K[{},{}]: {} vs {}", i, j, gram[(i, j)], want
+                    );
+                    prop_assert!(gram[(j, i)].is_nan());
+                }
+                let want = k.eval(&xs[i], &xs[i]) + noise;
+                prop_assert!(
+                    gram[(i, i)].to_bits() == want.to_bits(),
+                    "K[{},{}]: {} vs {}", i, i, gram[(i, i)], want
+                );
+            }
+        }
+    }
+
+    /// A one-query kernel row is `Matern52::eval(xs[i], x)` bit for bit,
+    /// for queries off the points and on one of them.
+    #[test]
+    fn kernel_row_matches_kernel_eval_bitwise(
+        n in 1usize..40,
+        dim in 1usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let xs = unit_points(seed, n, dim);
+        let (variance, ls, _) = hyperparameters(seed, dim);
+        let k = Matern52::new(variance, &ls);
+        let mut row = vec![f64::NAN; n];
+        for x in unit_points(seed ^ 1, 3, dim).iter().chain(&xs[..1]) {
+            k.row_into(&xs, x, &mut row);
+            for (xi, got) in xs.iter().zip(&row) {
+                prop_assert_eq!(got.to_bits(), k.eval(xi, x).to_bits());
+            }
+        }
+    }
+
     /// The kernel's covariance matrix over distinct points must be
     /// positive semi-definite (verified PD after a tiny diagonal bump).
     #[test]

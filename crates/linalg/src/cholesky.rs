@@ -1,4 +1,5 @@
-use crate::{solve_lower, solve_upper, LinalgError, Matrix};
+use crate::kernels::{dot_kernel, dot_kernel_strided};
+use crate::{solve_lower, LinalgError, Matrix};
 
 /// Base jitter added to the diagonal when a factorization first fails.
 const BASE_JITTER: f64 = 1e-10;
@@ -80,25 +81,32 @@ impl Cholesky {
 
     fn try_factor(a: &Matrix, jitter: f64) -> Result<Matrix, LinalgError> {
         let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        // Row-by-row: every entry is
+        let a = a.as_slice();
+        // Row-major `L`, built in a flat buffer so each prefix below is a
+        // plain subslice.
+        let mut l = vec![0.0; n * n];
+        // Column by column: the diagonal `j` first, then every entry
+        // below it,
         //   l[i][j] = (a[i][j] (+ jitter on the diagonal) − ⟨L[i][..j], L[j][..j]⟩) / l[j][j]
-        // with the prefix product computed as ONE fixed-order dot.
-        for i in 0..n {
-            for j in 0..=i {
-                let prefix = crate::kernels::dot_kernel(&l.row(i)[..j], &l.row(j)[..j]);
-                if i == j {
-                    let sum = a[(i, i)] + jitter - prefix;
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite { pivot: i, jitter });
-                    }
-                    l[(i, i)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = (a[(i, j)] - prefix) / l[(j, j)];
-                }
+        // with the prefix product computed as ONE fixed-order dot. The
+        // entries of one column do not depend on each other, so their dots
+        // and divides overlap instead of forming one chain; each reads
+        // only earlier columns, so the bits (and the first failing pivot)
+        // are those of a row-by-row walk.
+        for j in 0..n {
+            let lj = &l[j * n..j * n + j];
+            let sum = a[j * n + j] + jitter - dot_kernel(lj, lj);
+            if sum <= 0.0 || !sum.is_finite() {
+                return Err(LinalgError::NotPositiveDefinite { pivot: j, jitter });
+            }
+            let pivot = sum.sqrt();
+            l[j * n + j] = pivot;
+            for i in j + 1..n {
+                let prefix = dot_kernel(&l[i * n..i * n + j], &l[j * n..j * n + j]);
+                l[i * n + j] = (a[i * n + j] - prefix) / pivot;
             }
         }
-        Ok(l)
+        Ok(Matrix::from_row_major(n, n, l))
     }
 
     /// Extends the factorization by one bordered row: given the factor of
@@ -213,8 +221,18 @@ impl Cholesky {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let y = solve_lower(&self.l, b)?;
-        solve_upper(&self.l.transpose(), &y)
+        let mut x = solve_lower(&self.l, b)?;
+        // Back-substitution against `Lᵀ`: row `i` of `Lᵀ` past the
+        // diagonal is column `i` of `L` below it, read in place with the
+        // dot kernel's association. The forward pass has already rejected
+        // any non-normal diagonal.
+        let n = self.dim();
+        let l = self.l.as_slice();
+        for i in (0..n).rev() {
+            let suffix = dot_kernel_strided(l, (i + 1) * n + i, n, &x[i + 1..]);
+            x[i] = (x[i] - suffix) / l[i * n + i];
+        }
+        Ok(x)
     }
 
     /// Solves `L y = b` (half-solve), useful for computing quadratic forms
@@ -227,29 +245,17 @@ impl Cholesky {
         solve_lower(&self.l, b)
     }
 
-    /// Like [`Cholesky::solve_half`] but writes into a caller-provided
-    /// buffer, so hot loops (batched GP prediction) can reuse one
-    /// allocation across many solves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b.len()` or
-    /// `out.len()` differs from `self.dim()`, and
-    /// [`LinalgError::SingularTriangular`] on a (near-)zero diagonal.
-    pub fn solve_half_into(&self, b: &[f64], out: &mut [f64]) -> Result<(), LinalgError> {
-        self.solve_half_from(b, out, 0)
-    }
-
-    /// Resumes [`Cholesky::solve_half_into`] at row `from`, reading
-    /// `out[..from]` as the already-solved prefix.
+    /// [`Cholesky::solve_half`] into a caller-provided buffer, resumed at
+    /// row `from` with `out[..from]` read as the already-solved prefix.
     ///
     /// Row `i` of the half-solve reads only `L[i][..=i]`, `b[i]` and
     /// `out[..i]`, and [`Cholesky::extend`] copies the existing rows of
     /// `L` unchanged. So when `out[..from]` holds the half-solve of
     /// `b[..from]` against the leading `from×from` block of this factor —
     /// e.g. the solve computed before `extend` appended rows — the result
-    /// is bitwise identical to a full `solve_half_into` at `O(n·(n−from))`
-    /// instead of `O(n²)`. `from = 0` is the full solve.
+    /// is bitwise identical to a full half-solve at `O(n·(n−from))`
+    /// instead of `O(n²)`. `from = 0` is the full solve, bitwise equal to
+    /// [`Cholesky::solve_half`].
     ///
     /// # Errors
     ///
@@ -267,11 +273,11 @@ impl Cholesky {
             return Err(LinalgError::DimensionMismatch {
                 left: (n, n),
                 right: (b.len().max(out.len()).max(from), 1),
-                op: "solve_half_into",
+                op: "solve_half_from",
             });
         }
         for i in from..n {
-            let prefix = crate::kernels::dot_kernel(&self.l.row(i)[..i], &out[..i]);
+            let prefix = dot_kernel(&self.l.row(i)[..i], &out[..i]);
             let d = self.l[(i, i)];
             if !d.is_normal() {
                 return Err(LinalgError::SingularTriangular { index: i });
@@ -290,9 +296,7 @@ impl Cholesky {
     /// fixed-order dot of two rows of `L` per entry.
     pub fn reconstruct(&self) -> Matrix {
         let n = self.dim();
-        Matrix::from_fn(n, n, |i, j| {
-            crate::kernels::dot_kernel(self.l.row(i), self.l.row(j))
-        })
+        Matrix::from_fn(n, n, |i, j| dot_kernel(self.l.row(i), self.l.row(j)))
     }
 }
 
@@ -368,7 +372,8 @@ mod tests {
     #[test]
     fn rejects_non_square_and_nan() {
         assert!(Cholesky::factor(&Matrix::zeros(2, 3)).is_err());
-        let mut a = Matrix::identity(2);
+        let mut a = Matrix::zeros(2, 2);
+        a.add_diagonal(1.0);
         a[(0, 0)] = f64::NAN;
         assert!(matches!(
             Cholesky::factor(&a).unwrap_err(),
@@ -451,16 +456,16 @@ mod tests {
     }
 
     #[test]
-    fn solve_half_into_matches_solve_half() {
+    fn solve_half_from_zero_matches_solve_half() {
         let chol = Cholesky::factor(&spd3()).unwrap();
         let b = [1.0, 2.0, 3.0];
         let expect = chol.solve_half(&b).unwrap();
         let mut out = vec![0.0; 3];
-        chol.solve_half_into(&b, &mut out).unwrap();
+        chol.solve_half_from(&b, &mut out, 0).unwrap();
         assert_eq!(out, expect);
         let mut short = vec![0.0; 2];
         assert!(matches!(
-            chol.solve_half_into(&b, &mut short).unwrap_err(),
+            chol.solve_half_from(&b, &mut short, 0).unwrap_err(),
             LinalgError::DimensionMismatch { .. }
         ));
     }

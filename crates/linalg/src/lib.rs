@@ -47,5 +47,5 @@ pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use stats::{OnlineStats, Standardizer};
-pub use triangular::{solve_lower, solve_upper};
-pub use vecops::{dot, infinity_norm, norm2};
+pub use triangular::solve_lower;
+pub use vecops::dot;

@@ -11,10 +11,11 @@ use crate::LinalgError;
 /// use bofl_linalg::Matrix;
 ///
 /// # fn main() -> Result<(), bofl_linalg::LinalgError> {
-/// let b = Matrix::from_rows(&[&[1.0, 2.0, 3.0]])?;
-/// let t = b.transpose();
-/// assert_eq!((t.rows(), t.cols()), (3, 1));
-/// assert_eq!(t.col(0), vec![1.0, 2.0, 3.0]);
+/// let mut a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
+/// a.add_diagonal(0.5);
+/// assert_eq!((a.rows(), a.cols()), (2, 2));
+/// assert_eq!(a.row(1), &[3.0, 4.5]);
+/// assert_eq!(a[(0, 0)], 1.5);
 /// # Ok(())
 /// # }
 /// ```
@@ -33,15 +34,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
     }
 
     /// Builds a matrix from row slices.
@@ -74,20 +66,10 @@ impl Matrix {
         })
     }
 
-    /// Builds a matrix from a flat row-major vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, LinalgError> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::DimensionMismatch {
-                left: (rows, cols),
-                right: (data.len(), 1),
-                op: "from_vec",
-            });
-        }
-        Ok(Matrix { rows, cols, data })
+    /// Wraps a row-major buffer of exactly `rows × cols` entries.
+    pub(crate) fn from_row_major(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+        debug_assert_eq!(data.len(), rows * cols);
+        Matrix { rows, cols, data }
     }
 
     /// Builds a matrix by evaluating `f(i, j)` at every entry.
@@ -126,59 +108,9 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copies column `j` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "col index {j} out of bounds ({})", self.cols);
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     /// Borrows the backing row-major storage.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Returns the transpose.
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
-    /// Elementwise sum `self + rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] on shape mismatch.
-    pub fn add(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if (self.rows, self.cols) != (rhs.rows, rhs.cols) {
-            return Err(LinalgError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: (rhs.rows, rhs.cols),
-                op: "add",
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Returns `self` scaled by `s`.
-    pub fn scaled(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|a| a * s).collect(),
-        }
     }
 
     /// Adds `v` to every diagonal entry in place.
@@ -191,11 +123,6 @@ impl Matrix {
         for i in 0..self.rows {
             self[(i, i)] += v;
         }
-    }
-
-    /// Maximum absolute entry (zero for an empty matrix).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
     }
 
     /// `true` if every entry is finite.
@@ -241,14 +168,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeros_and_identity() {
+    fn zeros_has_the_shape() {
         let z = Matrix::zeros(2, 3);
         assert_eq!(z.rows(), 2);
         assert_eq!(z.cols(), 3);
+        assert!(!z.is_square());
         assert!(z.as_slice().iter().all(|&v| v == 0.0));
-        let i = Matrix::identity(3);
-        assert_eq!(i[(0, 0)], 1.0);
-        assert_eq!(i[(0, 1)], 0.0);
     }
 
     #[test]
@@ -266,43 +191,15 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_checks_len() {
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().row(0), &[1.0, 4.0]);
-    }
-
-    #[test]
-    fn add_and_scale() {
-        let a = Matrix::identity(2);
-        let s = a.add(&a).unwrap();
-        assert_eq!(s[(0, 0)], 2.0);
-        assert_eq!(a.scaled(3.0)[(1, 1)], 3.0);
-    }
-
-    #[test]
-    fn add_diagonal_and_max_abs() {
+    fn add_diagonal_touches_only_the_diagonal() {
         let mut a = Matrix::zeros(2, 2);
         a.add_diagonal(0.5);
-        assert_eq!(a[(0, 0)], 0.5);
-        assert_eq!(a.max_abs(), 0.5);
-    }
-
-    #[test]
-    fn col_extraction() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!(a.col(1), vec![2.0, 4.0]);
+        assert_eq!(a.as_slice(), &[0.5, 0.0, 0.0, 0.5]);
     }
 
     #[test]
     fn display_nonempty() {
-        let a = Matrix::identity(2);
+        let a = Matrix::zeros(2, 2);
         assert!(!format!("{a}").is_empty());
     }
 

@@ -30,7 +30,7 @@ pub fn solve_lower(l: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
     let mut x = vec![0.0; n];
     for i in 0..n {
         // One fixed-order dot over the already-solved prefix; same
-        // association as `Cholesky::solve_half_into` so the two paths stay
+        // association as `Cholesky::solve_half_from` so the two paths stay
         // bitwise interchangeable.
         let prefix = crate::kernels::dot_kernel(&l.row(i)[..i], &x[..i]);
         let d = l[(i, i)];
@@ -38,41 +38,6 @@ pub fn solve_lower(l: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
             return Err(LinalgError::SingularTriangular { index: i });
         }
         x[i] = (b[i] - prefix) / d;
-    }
-    Ok(x)
-}
-
-/// Solves `U x = b` by backward substitution, where `U` is upper triangular.
-///
-/// Only the upper triangle of `u` is read.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_lower`].
-///
-/// # Examples
-///
-/// ```
-/// use bofl_linalg::{Matrix, solve_upper};
-///
-/// # fn main() -> Result<(), bofl_linalg::LinalgError> {
-/// let u = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 3.0]])?;
-/// let x = solve_upper(&u, &[4.0, 6.0])?;
-/// assert_eq!(x, vec![1.0, 2.0]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn solve_upper(u: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    check(u, b)?;
-    let n = u.rows();
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let suffix = crate::kernels::dot_kernel(&u.row(i)[i + 1..], &x[i + 1..]);
-        let d = u[(i, i)];
-        if !d.is_normal() {
-            return Err(LinalgError::SingularTriangular { index: i });
-        }
-        x[i] = (b[i] - suffix) / d;
     }
     Ok(x)
 }
@@ -109,17 +74,6 @@ mod tests {
     }
 
     #[test]
-    fn upper_roundtrip() {
-        let u = Matrix::from_rows(&[&[1.0, 2.0, 4.0], &[0.0, 3.0, 5.0], &[0.0, 0.0, 6.0]]).unwrap();
-        let x_true = [0.25, -1.0, 2.0];
-        let b: Vec<f64> = (0..3).map(|i| crate::dot(u.row(i), &x_true)).collect();
-        let x = solve_upper(&u, &b).unwrap();
-        for (a, b) in x.iter().zip(&x_true) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn singular_detected() {
         let l = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0]]).unwrap();
         assert!(matches!(
@@ -135,9 +89,9 @@ mod tests {
             solve_lower(&l, &[1.0, 1.0]).unwrap_err(),
             LinalgError::NotSquare { .. }
         ));
-        let l = Matrix::identity(2);
+        let l = Matrix::zeros(2, 2);
         assert!(matches!(
-            solve_upper(&l, &[1.0]).unwrap_err(),
+            solve_lower(&l, &[1.0]).unwrap_err(),
             LinalgError::DimensionMismatch { .. }
         ));
     }
