@@ -47,12 +47,18 @@
 //! seeded backoffs and seeded chaos draws — never from the wall clock —
 //! the journal this produces is byte-identical at any worker count and
 //! any transport lane count.
+//!
+//! The round's test-set score ([`RoundEngine::score`]) runs on the same
+//! pool, one contiguous stripe of samples per worker; the server folds
+//! the per-sample losses in order, so the score's bits do not depend on
+//! the worker count either.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use bofl_fl::client::FlClient;
 use bofl_fl::engine::{run_client_job, ClientJob, ClientOutcome, RoundEngine};
+use bofl_fl::model::{Minibatch, TrainableModel};
 use bofl_fl::network::RetryPolicy;
 use bofl_fl::server::AggregationPolicy;
 use bofl_fleet::compress::{CompressedUpdate, Compressor, COMPRESS_SALT};
@@ -923,6 +929,32 @@ impl RoundEngine for EventDrivenEngine {
         outcomes.extend(synthetic);
         outcomes.sort_by_key(|o| o.client_id);
         outcomes
+    }
+
+    /// Scores the model in one contiguous stripe of samples per worker,
+    /// on the same pool the jobs run on; each stripe writes its own
+    /// slice of `losses` and its own hit count.
+    fn score(
+        &mut self,
+        model: &dyn TrainableModel,
+        data: &Minibatch<'_>,
+        losses: &mut [f64],
+    ) -> usize {
+        assert_eq!(losses.len(), data.len(), "one loss slot per sample");
+        let rows = data.len().div_ceil(self.workers).max(1);
+        let mut hits = vec![0; self.workers];
+        let stripes: Vec<_> = data
+            .chunks(rows)
+            .zip(losses.chunks_mut(rows))
+            .zip(hits.iter_mut())
+            .collect();
+        drain_tasks(
+            self.workers,
+            stripes,
+            || (),
+            |(), ((stripe, losses), hits)| *hits = model.score_rows(&stripe, losses),
+        );
+        hits.iter().sum()
     }
 }
 

@@ -20,6 +20,7 @@
 //! reproduces the sequential trace bit-for-bit.
 
 use crate::client::{ClientRoundResult, FlClient};
+use crate::model::{Minibatch, TrainableModel};
 use crate::network::ReportingDeadline;
 
 /// The deadline a job is executed against.
@@ -156,6 +157,22 @@ pub trait RoundEngine: Send {
         global: &[f64],
         jobs: &[ClientJob],
     ) -> Vec<ClientOutcome>;
+
+    /// Scores the aggregated `model` on `data` as
+    /// [`TrainableModel::score_rows`] does: one loss per sample into
+    /// `losses`, the hit count returned. The default scores inline; an
+    /// engine with a worker pool may score contiguous stripes of samples
+    /// on it. Each sample's loss does not depend on who computes it, and
+    /// the server folds them in order, so the round's score carries the
+    /// same bits at any stripe count.
+    fn score(
+        &mut self,
+        model: &dyn TrainableModel,
+        data: &Minibatch<'_>,
+        losses: &mut [f64],
+    ) -> usize {
+        model.score_rows(data, losses)
+    }
 }
 
 /// The classic single-threaded path: jobs run inline, one after another,

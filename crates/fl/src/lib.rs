@@ -60,7 +60,7 @@ pub use aggregate::{aggregate_sharded, ShardPlan, UpdateAccumulator};
 pub use client::{FlClient, TrainingExecutor};
 pub use data::{FederatedData, SyntheticDataset};
 pub use engine::{ClientJob, ClientOutcome, RoundDeadline, RoundEngine, SequentialEngine};
-pub use model::{Minibatch, SoftmaxModel, TrainableModel};
+pub use model::{fold_scores, Minibatch, SoftmaxModel, TrainableModel};
 pub use network::{BandwidthEstimator, NetworkModel, ReportingDeadline, RetryPolicy};
 pub use server::{
     AggregationPolicy, DeadlinePolicy, Federation, FederationBuilder, FederationConfig,

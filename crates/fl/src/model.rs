@@ -4,8 +4,25 @@
 //! *costs*; these models decide what the minibatch *learns*. Both are
 //! driven from the same job loop, so an example run produces a genuinely
 //! converging federated model alongside its energy ledger.
+//!
+//! # The probability kernel
+//!
+//! [`SoftmaxModel`] computes class probabilities [`BLOCK`] rows at a
+//! time, phase by phase: every row's logits, then every row's max, every
+//! row's exponentials, every row's sum and divides. Within a row each
+//! value comes from the same expression, in the same order, as a
+//! one-row-at-a-time softmax, so the probabilities carry the same bits;
+//! only the interleaving across rows changes, which lets the rows'
+//! independent `exp` and divide chains overlap. SGD steps and scoring
+//! both run on this one kernel, and scoring folds the per-row losses in
+//! row order ([`fold_scores`]), so a dataset scored in stripes gives the
+//! same bits as one scored whole.
 
 use rand::Rng;
+use std::cell::RefCell;
+
+/// Rows the probability kernel scores at once.
+pub const BLOCK: usize = 8;
 
 /// A borrowed view of labelled samples, for an SGD step or an
 /// evaluation: features row-major in one flat slice (sample `i` is
@@ -53,10 +70,30 @@ impl<'a> Minibatch<'a> {
             .chunks_exact(self.dims)
             .zip(self.labels.iter().copied())
     }
+
+    /// Contiguous runs of at most `rows` samples each, in order (the last
+    /// one shorter when `rows` does not divide the length).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows == 0`.
+    pub fn chunks(&self, rows: usize) -> impl Iterator<Item = Minibatch<'a>> + 'a {
+        let dims = self.dims;
+        self.features
+            .chunks(rows * dims)
+            .zip(self.labels.chunks(rows))
+            .map(move |(features, labels)| Minibatch {
+                features,
+                labels,
+                dims,
+            })
+    }
 }
 
 /// A model trainable by minibatch SGD and aggregable by FedAvg.
-pub trait TrainableModel: Send {
+///
+/// `Sync` so an engine can score one model on several threads at once.
+pub trait TrainableModel: Send + Sync {
     /// Flat parameter vector (read).
     fn parameters(&self) -> Vec<f64>;
 
@@ -72,17 +109,31 @@ pub trait TrainableModel: Send {
     /// mean cross-entropy loss.
     fn sgd_step(&mut self, batch: &Minibatch<'_>, learning_rate: f64) -> f64;
 
+    /// Scores every sample without updating: writes each one's
+    /// cross-entropy loss into `losses` (one slot per sample, in order)
+    /// and returns how many samples the model classifies correctly.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if `losses.len() != data.len()`.
+    fn score_rows(&self, data: &Minibatch<'_>, losses: &mut [f64]) -> usize;
+
+    /// `(accuracy, mean cross-entropy loss)` on a dataset (no update):
+    /// [`TrainableModel::score_rows`] folded by [`fold_scores`].
+    fn evaluate(&self, data: &Minibatch<'_>) -> (f64, f64) {
+        let mut losses = vec![0.0; data.len()];
+        let hits = self.score_rows(data, &mut losses);
+        fold_scores(hits, &losses)
+    }
+
     /// Mean cross-entropy loss on a dataset (no update).
-    fn loss(&self, data: &Minibatch<'_>) -> f64;
+    fn loss(&self, data: &Minibatch<'_>) -> f64 {
+        self.evaluate(data).1
+    }
 
     /// Classification accuracy on a dataset.
-    fn accuracy(&self, data: &Minibatch<'_>) -> f64;
-
-    /// `(accuracy, loss)` on a dataset in one call, bit for bit the two
-    /// separate calls. Models that can score both in one pass override
-    /// this.
-    fn evaluate(&self, data: &Minibatch<'_>) -> (f64, f64) {
-        (self.accuracy(data), self.loss(data))
+    fn accuracy(&self, data: &Minibatch<'_>) -> f64 {
+        self.evaluate(data).0
     }
 
     /// Clones the model behind a box (object-safe clone).
@@ -95,25 +146,79 @@ impl Clone for Box<dyn TrainableModel> {
     }
 }
 
-fn softmax_in_place(logits: &mut [f64]) {
-    let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let mut sum = 0.0;
-    for v in logits.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
+/// `(accuracy, mean loss)` from a hit count and the per-sample losses
+/// ([`TrainableModel::score_rows`]'s outputs); `(0.0, 0.0)` for no
+/// samples. The losses fold in order, so the result does not depend on
+/// how the samples were split up for scoring.
+pub fn fold_scores(hits: usize, losses: &[f64]) -> (f64, f64) {
+    if losses.is_empty() {
+        return (0.0, 0.0);
     }
-    for v in logits.iter_mut() {
-        *v /= sum;
+    let n = losses.len() as f64;
+    (hits as f64 / n, losses.iter().sum::<f64>() / n)
+}
+
+/// The probability kernel: the softmax class probabilities of up to
+/// [`BLOCK`] rows (`xs`, row-major, `features` wide) into `out`
+/// (row-major, one slot per class), one phase across all rows at a time.
+fn proba_block(weights: &[f64], features: usize, xs: &[f64], out: &mut [f64]) {
+    let stride = features + 1;
+    let classes = weights.len() / stride;
+    debug_assert!(xs.len() <= BLOCK * features);
+    debug_assert_eq!(out.len() * features, xs.len() * classes);
+    // 1. Every row's logits.
+    for (x, logits) in xs.chunks_exact(features).zip(out.chunks_exact_mut(classes)) {
+        for (row, o) in weights.chunks_exact(stride).zip(logits) {
+            *o = row[..features]
+                .iter()
+                .zip(x)
+                .map(|(w, xi)| w * xi)
+                .sum::<f64>()
+                + row[features];
+        }
+    }
+    // 2. Every row's max.
+    let mut max = [0.0; BLOCK];
+    for (m, logits) in max.iter_mut().zip(out.chunks_exact(classes)) {
+        *m = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    }
+    // 3. Every row's exponentials.
+    for (m, logits) in max.iter().zip(out.chunks_exact_mut(classes)) {
+        for v in logits {
+            *v = (*v - m).exp();
+        }
+    }
+    // 4. Every row's sum, then its divides.
+    let mut sum = [0.0; BLOCK];
+    for (s, p) in sum.iter_mut().zip(out.chunks_exact(classes)) {
+        for v in p {
+            *s += *v;
+        }
+    }
+    for (s, p) in sum.iter().zip(out.chunks_exact_mut(classes)) {
+        for v in p {
+            *v /= s;
+        }
     }
 }
 
-/// Index of the largest probability (the last one on ties).
+/// Index of the largest probability (the last one on ties). A diverged
+/// model's NaN probabilities order by [`f64::total_cmp`] instead of
+/// panicking.
 fn argmax(p: &[f64]) -> usize {
     p.iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("probabilities are finite"))
+        .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(i, _)| i)
         .expect("at least two classes")
+}
+
+thread_local! {
+    /// The SGD workspace: the gradient, then one block's probabilities.
+    /// Kept per thread rather than in the model, so a model's size, value,
+    /// clones and equality are its weights alone; a thread's first step
+    /// grows it, later steps of the same shape reuse it.
+    static SGD_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Multinomial logistic regression (softmax) with bias, trained by SGD.
@@ -170,37 +275,24 @@ impl SoftmaxModel {
         self.classes
     }
 
-    /// The probability kernel: writes the logits of `x` into `out`
-    /// (one slot per class), then softmaxes them in place. The caller
-    /// owns the buffer, so SGD and evaluation reuse one per pass.
-    fn proba_into(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.features, "feature dimension mismatch");
-        debug_assert_eq!(out.len(), self.classes);
-        for (row, o) in self
-            .weights
-            .chunks_exact(self.features + 1)
-            .zip(out.iter_mut())
-        {
-            *o = row[..self.features]
-                .iter()
-                .zip(x)
-                .map(|(w, xi)| w * xi)
-                .sum::<f64>()
-                + row[self.features];
-        }
-        softmax_in_place(out);
-    }
-
     /// Class probabilities for one sample.
     pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.features, "feature dimension mismatch");
         let mut p = vec![0.0; self.classes];
-        self.proba_into(x, &mut p);
+        proba_block(&self.weights, self.features, x, &mut p);
         p
     }
 
     /// Most likely class for one sample.
     pub fn predict(&self, x: &[f64]) -> usize {
         argmax(&self.predict_proba(x))
+    }
+
+    fn check_dims(&self, data: &Minibatch<'_>) {
+        assert!(
+            data.is_empty() || data.dims == self.features,
+            "feature dimension mismatch"
+        );
     }
 }
 
@@ -220,66 +312,52 @@ impl TrainableModel for SoftmaxModel {
 
     fn sgd_step(&mut self, batch: &Minibatch<'_>, learning_rate: f64) -> f64 {
         assert!(!batch.is_empty(), "minibatch must not be empty");
-        let stride = self.features + 1;
+        self.check_dims(batch);
+        let (features, classes) = (self.features, self.classes);
+        let stride = features + 1;
         let scale = learning_rate / batch.len() as f64;
-        let mut total_loss = 0.0;
-        let mut grad = vec![0.0; self.weights.len()];
-        let mut p = vec![0.0; self.classes];
-        for (x, y) in batch.rows() {
-            assert!(y < self.classes, "label {y} out of range");
-            self.proba_into(x, &mut p);
-            total_loss -= p[y].max(1e-12).ln();
-            for c in 0..self.classes {
-                let err = p[c] - if c == y { 1.0 } else { 0.0 };
-                let row = &mut grad[c * stride..(c + 1) * stride];
-                for (g, xi) in row[..self.features].iter_mut().zip(x) {
-                    *g += err * xi;
+        SGD_SCRATCH.with_borrow_mut(|scratch| {
+            scratch.resize(self.weights.len() + BLOCK * classes, 0.0);
+            let (grad, probs) = scratch.split_at_mut(self.weights.len());
+            grad.fill(0.0);
+            let mut total_loss = 0.0;
+            for block in batch.chunks(BLOCK) {
+                let probs = &mut probs[..block.len() * classes];
+                proba_block(&self.weights, features, block.features, probs);
+                for ((x, y), p) in block.rows().zip(probs.chunks_exact(classes)) {
+                    assert!(y < classes, "label {y} out of range");
+                    total_loss -= p[y].max(1e-12).ln();
+                    for (c, row) in grad.chunks_exact_mut(stride).enumerate() {
+                        let err = p[c] - if c == y { 1.0 } else { 0.0 };
+                        for (g, xi) in row[..features].iter_mut().zip(x) {
+                            *g += err * xi;
+                        }
+                        row[features] += err;
+                    }
                 }
-                row[self.features] += err;
+            }
+            for (w, g) in self.weights.iter_mut().zip(grad.iter()) {
+                *w -= scale * g;
+            }
+            total_loss / batch.len() as f64
+        })
+    }
+
+    fn score_rows(&self, data: &Minibatch<'_>, losses: &mut [f64]) -> usize {
+        assert_eq!(losses.len(), data.len(), "one loss slot per sample");
+        self.check_dims(data);
+        let classes = self.classes;
+        let mut probs = vec![0.0; BLOCK * classes];
+        let mut hits = 0;
+        for (block, losses) in data.chunks(BLOCK).zip(losses.chunks_mut(BLOCK)) {
+            let probs = &mut probs[..block.len() * classes];
+            proba_block(&self.weights, self.features, block.features, probs);
+            for ((_, y), (p, loss)) in block.rows().zip(probs.chunks_exact(classes).zip(losses)) {
+                hits += usize::from(argmax(p) == y);
+                *loss = -p[y].max(1e-12).ln();
             }
         }
-        for (w, g) in self.weights.iter_mut().zip(&grad) {
-            *w -= scale * g;
-        }
-        total_loss / batch.len() as f64
-    }
-
-    fn loss(&self, data: &Minibatch<'_>) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        data.rows()
-            .map(|(x, y)| -self.predict_proba(x)[y].max(1e-12).ln())
-            .sum::<f64>()
-            / data.len() as f64
-    }
-
-    fn accuracy(&self, data: &Minibatch<'_>) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let hits = data.rows().filter(|&(x, y)| self.predict(x) == y).count();
-        hits as f64 / data.len() as f64
-    }
-
-    /// One pass over the data: each sample's probabilities are computed
-    /// once and scored for both the hit count and the loss.
-    fn evaluate(&self, data: &Minibatch<'_>) -> (f64, f64) {
-        if data.is_empty() {
-            return (0.0, 0.0);
-        }
-        let mut p = vec![0.0; self.classes];
-        let mut hits = 0usize;
-        let loss = data
-            .rows()
-            .map(|(x, y)| {
-                self.proba_into(x, &mut p);
-                hits += usize::from(argmax(&p) == y);
-                -p[y].max(1e-12).ln()
-            })
-            .sum::<f64>()
-            / data.len() as f64;
-        (hits as f64 / data.len() as f64, loss)
+        hits
     }
 
     fn clone_box(&self) -> Box<dyn TrainableModel> {
@@ -387,6 +465,23 @@ mod tests {
     #[should_panic(expected = "parameter length mismatch")]
     fn set_parameters_checks_length() {
         SoftmaxModel::new(2, 2, 0).set_parameters(&[1.0]);
+    }
+
+    #[test]
+    fn diverged_weights_score_without_panicking() {
+        let xs = [1.0, -2.0, 0.5, 0.0, 3.0, 1.0];
+        let batch = Minibatch::new(&xs, 3, &[0, 2]);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut m = SoftmaxModel::new(3, 3, 1);
+            let mut weights = m.parameters();
+            weights[0] = bad;
+            weights[5] = bad;
+            m.set_parameters(&weights);
+            let (accuracy, loss) = m.evaluate(&batch);
+            assert!(loss.is_finite(), "{bad} weights: loss {loss}");
+            assert!((0.0..=1.0).contains(&accuracy), "{bad} weights: {accuracy}");
+            assert!(m.predict(&xs[..3]) < 3);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::aggregate::{aggregate_sharded, ShardPlan, UpdateAccumulator};
 use crate::client::FlClient;
 use crate::data::{FederatedData, SyntheticDataset};
 use crate::engine::{ClientJob, ClientOutcome, RoundDeadline, RoundEngine, SequentialEngine};
-use crate::model::{SoftmaxModel, TrainableModel};
+use crate::model::{fold_scores, SoftmaxModel, TrainableModel};
 use crate::network::{NetworkModel, ReportingDeadline};
 use bofl::task::PaceController;
 use bofl_device::Device;
@@ -255,6 +255,9 @@ pub struct Federation {
     agg_root: UpdateAccumulator,
     agg_shard: UpdateAccumulator,
     avg_buf: Vec<f64>,
+    // Per-sample test losses, filled by the engine's score each round and
+    // folded in order; sized on the first round.
+    test_losses: Vec<f64>,
 }
 
 impl std::fmt::Debug for Federation {
@@ -450,7 +453,14 @@ impl Federation {
             .quorum(self.config.clients_per_round);
         let quorum_shortfall = quorum.saturating_sub(aggregated.len());
 
-        let (test_accuracy, test_loss) = self.global.evaluate(&self.test_set.as_batch());
+        // 6. Score the new global model on the test set, through the
+        //    engine so a worker pool can share the rows.
+        let test = self.test_set.as_batch();
+        self.test_losses.resize(test.len(), 0.0);
+        let hits = self
+            .engine
+            .score(self.global.as_ref(), &test, &mut self.test_losses);
+        let (test_accuracy, test_loss) = fold_scores(hits, &self.test_losses);
         let record = RoundRecord {
             round,
             selected: ids,
@@ -623,6 +633,7 @@ impl FederationBuilder {
             agg_root: UpdateAccumulator::new(),
             agg_shard: UpdateAccumulator::new(),
             avg_buf: Vec::new(),
+            test_losses: Vec::new(),
         }
     }
 }

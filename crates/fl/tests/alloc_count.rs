@@ -1,10 +1,15 @@
-//! Allocation guard on the synthetic data layer: a counting global
-//! allocator proves that generating, splitting and partitioning a
-//! dataset makes a number of heap allocations that grows with the
-//! client and class counts, not with the sample count. One allocation
-//! per sample (a row `Vec` each) is what the flat layout removed.
+//! Allocation guards on the FL substrate, by a counting global allocator:
+//!
+//! - generating, splitting and partitioning a dataset makes a number of
+//!   heap allocations that grows with the client and class counts, not
+//!   with the sample count (one allocation per sample, a row `Vec` each,
+//!   is what the flat layout removed);
+//! - a `SoftmaxModel` is one allocation (its weights), and its SGD step
+//!   allocates nothing once a thread's first step has grown the
+//!   workspace, so neither a built fleet's heap nor its jobs carry SGD
+//!   scratch.
 
-use bofl_fl::{FederatedData, SyntheticDataset};
+use bofl_fl::{FederatedData, SoftmaxModel, SyntheticDataset, TrainableModel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -73,4 +78,18 @@ fn building_a_federated_dataset_allocates_per_client_not_per_sample() {
         "{allocations} allocations for {SAMPLES} samples, {CLIENTS} clients \
          and {CLASSES} classes (bound {bound})"
     );
+}
+
+#[test]
+fn a_model_is_one_allocation_and_its_sgd_step_reuses_its_workspace() {
+    let (allocations, mut model) = allocations_during(|| SoftmaxModel::new(8, 4, 1));
+    assert_eq!(allocations, 1, "a model allocates its weights only");
+    let data = SyntheticDataset::gaussian_blobs(45, 8, 4, 0.5, 2);
+    let batch = |rows| data.batch(0..rows);
+    // The first step on this thread may grow the workspace.
+    model.sgd_step(&batch(32), 0.2);
+    for rows in [32, 1, 7, 8, 9, 45] {
+        let (allocations, _) = allocations_during(|| model.sgd_step(&batch(rows), 0.2));
+        assert_eq!(allocations, 0, "a {rows}-row step allocated");
+    }
 }

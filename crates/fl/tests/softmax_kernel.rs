@@ -1,15 +1,23 @@
-//! Bit-level pins on `SoftmaxModel`'s probability kernel.
+//! Bit-level pins on `SoftmaxModel`'s row-blocked probability kernel.
 //!
-//! - `evaluate` scores accuracy and loss in one pass; it must equal the
-//!   two separate calls bit for bit.
-//! - `sgd_step` reuses one probability buffer per step; it must equal a
-//!   verbatim copy of the step that allocated a fresh logits `Vec` per
-//!   sample, in the returned loss and in every weight bit.
+//! The references below are verbatim copies of the one-row-at-a-time
+//! code the kernel replaced: a fresh logits `Vec` and an in-place softmax
+//! per sample, the per-sample `loss` and `accuracy` scans, and the SGD
+//! step built on them.
+//!
+//! - `evaluate`, `loss` and `accuracy` must equal the per-sample scans.
+//! - `sgd_step` must equal the per-sample step, in the returned loss and
+//!   in every weight bit.
+//! - Both hold at every row count around a block boundary (0, 1,
+//!   `BLOCK - 1`, `BLOCK`, `BLOCK + 1`, and a non-multiple above 40).
+//! - A dataset scored in stripes and folded by `fold_scores` equals the
+//!   dataset scored whole, at stripe counts no row count divides.
 //!
 //! Half the cases draw weights and features from {-1, 0, 1}, so tied
 //! probabilities (and the argmax tie-break) come up often.
 
-use bofl_fl::{Minibatch, SoftmaxModel, TrainableModel};
+use bofl_fl::model::BLOCK;
+use bofl_fl::{fold_scores, Minibatch, SoftmaxModel, TrainableModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,8 +58,61 @@ fn softmax_in_place(logits: &mut [f64]) {
     }
 }
 
-/// The step as it was before the shared kernel: a fresh logits `Vec` per
-/// sample, over a bare weight vector.
+/// One sample's probabilities: a fresh logits `Vec`, softmaxed in place.
+fn reference_proba(weights: &[f64], features: usize, classes: usize, x: &[f64]) -> Vec<f64> {
+    let stride = features + 1;
+    let mut p: Vec<f64> = (0..classes)
+        .map(|c| {
+            let row = &weights[c * stride..(c + 1) * stride];
+            row[..features]
+                .iter()
+                .zip(x)
+                .map(|(w, xi)| w * xi)
+                .sum::<f64>()
+                + row[features]
+        })
+        .collect();
+    softmax_in_place(&mut p);
+    p
+}
+
+/// Index of the largest probability (the last one on ties).
+fn reference_argmax(p: &[f64]) -> usize {
+    p.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("probabilities are finite"))
+        .map(|(i, _)| i)
+        .expect("at least two classes")
+}
+
+/// The per-sample `loss` scan.
+fn reference_loss(model: &SoftmaxModel, data: &Minibatch<'_>) -> f64 {
+    if data.is_empty() {
+        return 0.0;
+    }
+    let weights = model.parameters();
+    let proba = |x: &[f64]| reference_proba(&weights, model.features(), model.classes(), x);
+    data.rows()
+        .map(|(x, y)| -proba(x)[y].max(1e-12).ln())
+        .sum::<f64>()
+        / data.len() as f64
+}
+
+/// The per-sample `accuracy` scan.
+fn reference_accuracy(model: &SoftmaxModel, data: &Minibatch<'_>) -> f64 {
+    if data.is_empty() {
+        return 0.0;
+    }
+    let weights = model.parameters();
+    let proba = |x: &[f64]| reference_proba(&weights, model.features(), model.classes(), x);
+    let hits = data
+        .rows()
+        .filter(|&(x, y)| reference_argmax(&proba(x)) == y)
+        .count();
+    hits as f64 / data.len() as f64
+}
+
+/// The per-sample SGD step over a bare weight vector.
 fn reference_step(
     weights: &mut [f64],
     features: usize,
@@ -59,27 +120,12 @@ fn reference_step(
     batch: &Minibatch<'_>,
     learning_rate: f64,
 ) -> f64 {
-    let logits = |weights: &[f64], x: &[f64]| -> Vec<f64> {
-        let stride = features + 1;
-        (0..classes)
-            .map(|c| {
-                let row = &weights[c * stride..(c + 1) * stride];
-                row[..features]
-                    .iter()
-                    .zip(x)
-                    .map(|(w, xi)| w * xi)
-                    .sum::<f64>()
-                    + row[features]
-            })
-            .collect()
-    };
     let stride = features + 1;
     let scale = learning_rate / batch.len() as f64;
     let mut total_loss = 0.0;
     let mut grad = vec![0.0; weights.len()];
     for (x, y) in batch.rows() {
-        let mut p = logits(weights, x);
-        softmax_in_place(&mut p);
+        let p = reference_proba(weights, features, classes, x);
         total_loss -= p[y].max(1e-12).ln();
         for c in 0..classes {
             let err = p[c] - if c == y { 1.0 } else { 0.0 };
@@ -100,9 +146,45 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// `evaluate`, `loss` and `accuracy` against the per-sample scans.
+fn assert_scores_match(model: &SoftmaxModel, data: &Minibatch<'_>) {
+    let (accuracy, loss) = model.evaluate(data);
+    let expected = (reference_accuracy(model, data), reference_loss(model, data));
+    assert_eq!(accuracy.to_bits(), expected.0.to_bits(), "accuracy");
+    assert_eq!(loss.to_bits(), expected.1.to_bits(), "loss");
+    assert_eq!(model.accuracy(data).to_bits(), expected.0.to_bits());
+    assert_eq!(model.loss(data).to_bits(), expected.1.to_bits());
+}
+
+/// A few consecutive SGD steps against the per-sample step, so later
+/// steps start from trained weights rather than the drawn ones.
+fn assert_steps_match(model: &mut SoftmaxModel, batch: &Minibatch<'_>, learning_rate: f64) {
+    let mut weights = model.parameters();
+    for step in 0..3 {
+        let loss = model.sgd_step(batch, learning_rate);
+        let expected = reference_step(
+            &mut weights,
+            model.features(),
+            model.classes(),
+            batch,
+            learning_rate,
+        );
+        assert_eq!(loss.to_bits(), expected.to_bits(), "loss of step {step}");
+        assert_eq!(
+            bits(&model.parameters()),
+            bits(&weights),
+            "weights after step {step}"
+        );
+    }
+}
+
+/// Row counts on both sides of a block boundary, plus one above 40 that
+/// no block divides.
+const BOUNDARY_ROWS: [usize; 6] = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 3];
+
 proptest! {
     #[test]
-    fn evaluate_is_accuracy_and_loss_bit_for_bit(
+    fn evaluate_matches_the_per_sample_loss_and_accuracy(
         features in 1usize..7,
         classes in 2usize..6,
         samples in 0usize..60,
@@ -110,10 +192,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let (model, xs, ys) = draw(features, classes, samples, ties, seed);
-        let data = Minibatch::new(&xs, features, &ys);
-        let (accuracy, loss) = model.evaluate(&data);
-        prop_assert_eq!(accuracy.to_bits(), model.accuracy(&data).to_bits());
-        prop_assert_eq!(loss.to_bits(), model.loss(&data).to_bits());
+        assert_scores_match(&model, &Minibatch::new(&xs, features, &ys));
     }
 
     #[test]
@@ -126,15 +205,44 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let (mut model, xs, ys) = draw(features, classes, batch_size, ties, seed);
-        let mut weights = model.parameters();
-        let batch = Minibatch::new(&xs, features, &ys);
-        // A few consecutive steps, so later steps start from trained
-        // weights rather than the drawn ones.
-        for _ in 0..3 {
-            let loss = model.sgd_step(&batch, learning_rate);
-            let expected = reference_step(&mut weights, features, classes, &batch, learning_rate);
-            prop_assert_eq!(loss.to_bits(), expected.to_bits());
-            prop_assert_eq!(bits(&model.parameters()), bits(&weights));
+        assert_steps_match(&mut model, &Minibatch::new(&xs, features, &ys), learning_rate);
+    }
+}
+
+#[test]
+fn block_boundaries_match_the_per_sample_references() {
+    for rows in BOUNDARY_ROWS {
+        for ties in [false, true] {
+            for seed in 0..4 {
+                let (mut model, xs, ys) = draw(5, 4, rows, ties, seed);
+                let data = Minibatch::new(&xs, 5, &ys);
+                assert_scores_match(&model, &data);
+                if rows > 0 {
+                    assert_steps_match(&mut model, &data, 0.7);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn striped_scores_fold_to_the_whole_score() {
+    // No stripe count from 2 to 4 divides 61 rows.
+    for ties in [false, true] {
+        let (model, xs, ys) = draw(4, 3, 61, ties, 11);
+        let data = Minibatch::new(&xs, 4, &ys);
+        let whole = model.evaluate(&data);
+        for stripes in 1..=4 {
+            let rows = data.len().div_ceil(stripes);
+            let mut losses = vec![f64::NAN; data.len()];
+            let hits: usize = data
+                .chunks(rows)
+                .zip(losses.chunks_mut(rows))
+                .map(|(stripe, losses)| model.score_rows(&stripe, losses))
+                .sum();
+            let (accuracy, loss) = fold_scores(hits, &losses);
+            assert_eq!(accuracy.to_bits(), whole.0.to_bits(), "{stripes} stripes");
+            assert_eq!(loss.to_bits(), whole.1.to_bits(), "{stripes} stripes");
         }
     }
 }
@@ -148,8 +256,6 @@ fn evaluate_breaks_argmax_ties_like_accuracy() {
     // Six samples labelled with the last class, two with the first.
     let ys: Vec<usize> = (0..8).map(|i| if i < 6 { 3 } else { 0 }).collect();
     let data = Minibatch::new(&xs, 3, &ys);
-    let (accuracy, loss) = model.evaluate(&data);
-    assert_eq!(accuracy.to_bits(), model.accuracy(&data).to_bits());
-    assert_eq!(loss.to_bits(), model.loss(&data).to_bits());
-    assert_eq!(accuracy, 0.75, "ties go to the last class");
+    assert_scores_match(&model, &data);
+    assert_eq!(model.evaluate(&data).0, 0.75, "ties go to the last class");
 }
