@@ -215,13 +215,14 @@ impl ObservationStore {
     /// The observed configurations whose mean costs are Pareto-optimal
     /// (energy, latency both minimized), in first-observation order.
     pub fn pareto_set(&self) -> Vec<&AggregatedObservation> {
-        let all: Vec<&AggregatedObservation> = self.iter().collect();
+        let all: Vec<(&AggregatedObservation, JobCost)> =
+            self.iter().map(|a| (a, a.mean_cost())).collect();
         all.iter()
-            .filter(|a| {
+            .filter(|(a, a_cost)| {
                 !all.iter()
-                    .any(|b| b.config != a.config && b.mean_cost().dominates(&a.mean_cost()))
+                    .any(|(b, b_cost)| b.config != a.config && b_cost.dominates(a_cost))
             })
-            .copied()
+            .map(|&(a, _)| a)
             .collect()
     }
 

@@ -24,6 +24,10 @@ use std::cell::RefCell;
 /// Rows the probability kernel scores at once.
 pub const BLOCK: usize = 8;
 
+/// Rows [`TrainableModel::evaluate`] scores per [`TrainableModel::score_rows`]
+/// call, their losses on the stack.
+const EVAL_ROWS: usize = 32 * BLOCK;
+
 /// A borrowed view of labelled samples, for an SGD step or an
 /// evaluation: features row-major in one flat slice (sample `i` is
 /// `features[i * dims..(i + 1) * dims]`) plus one label per row.
@@ -119,11 +123,24 @@ pub trait TrainableModel: Send + Sync {
     fn score_rows(&self, data: &Minibatch<'_>, losses: &mut [f64]) -> usize;
 
     /// `(accuracy, mean cross-entropy loss)` on a dataset (no update):
-    /// [`TrainableModel::score_rows`] folded by [`fold_scores`].
+    /// [`TrainableModel::score_rows`] a few hundred rows at a time, the
+    /// losses folded in row order as [`fold_scores`] folds them: the same
+    /// bits, with no loss buffer as long as the dataset.
     fn evaluate(&self, data: &Minibatch<'_>) -> (f64, f64) {
-        let mut losses = vec![0.0; data.len()];
-        let hits = self.score_rows(data, &mut losses);
-        fold_scores(hits, &losses)
+        if data.is_empty() {
+            return (0.0, 0.0);
+        }
+        let mut hits = 0;
+        let loss_sum: f64 = data
+            .chunks(EVAL_ROWS)
+            .flat_map(|rows| {
+                let mut losses = [0.0; EVAL_ROWS];
+                hits += self.score_rows(&rows, &mut losses[..rows.len()]);
+                losses.into_iter().take(rows.len())
+            })
+            .sum();
+        let n = data.len() as f64;
+        (hits as f64 / n, loss_sum / n)
     }
 
     /// Mean cross-entropy loss on a dataset (no update).
@@ -273,19 +290,6 @@ impl SoftmaxModel {
     /// Number of classes.
     pub fn classes(&self) -> usize {
         self.classes
-    }
-
-    /// Class probabilities for one sample.
-    pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.features, "feature dimension mismatch");
-        let mut p = vec![0.0; self.classes];
-        proba_block(&self.weights, self.features, x, &mut p);
-        p
-    }
-
-    /// Most likely class for one sample.
-    pub fn predict(&self, x: &[f64]) -> usize {
-        argmax(&self.predict_proba(x))
     }
 
     fn check_dims(&self, data: &Minibatch<'_>) {
@@ -468,6 +472,25 @@ mod tests {
     }
 
     #[test]
+    fn evaluate_folds_across_its_chunks_as_one_score() {
+        let rows = 2 * EVAL_ROWS + 3;
+        let mut rng = small_rng(11);
+        let xs: Vec<f64> = (0..rows * 3)
+            .map(|_| rng.gen::<f64>() * 4.0 - 2.0)
+            .collect();
+        let ys: Vec<usize> = (0..rows).map(|i| i % 4).collect();
+        let data = Minibatch::new(&xs, 3, &ys);
+        let mut m = SoftmaxModel::new(3, 4, 2);
+        let weights: Vec<f64> = (0..16).map(|_| rng.gen::<f64>() * 6.0 - 3.0).collect();
+        m.set_parameters(&weights);
+        let mut losses = vec![0.0; rows];
+        let whole = fold_scores(m.score_rows(&data, &mut losses), &losses);
+        let (accuracy, loss) = m.evaluate(&data);
+        assert_eq!(accuracy.to_bits(), whole.0.to_bits());
+        assert_eq!(loss.to_bits(), whole.1.to_bits());
+    }
+
+    #[test]
     fn diverged_weights_score_without_panicking() {
         let xs = [1.0, -2.0, 0.5, 0.0, 3.0, 1.0];
         let batch = Minibatch::new(&xs, 3, &[0, 2]);
@@ -480,7 +503,9 @@ mod tests {
             let (accuracy, loss) = m.evaluate(&batch);
             assert!(loss.is_finite(), "{bad} weights: loss {loss}");
             assert!((0.0..=1.0).contains(&accuracy), "{bad} weights: {accuracy}");
-            assert!(m.predict(&xs[..3]) < 3);
+            let mut p = [0.0; 3];
+            proba_block(&m.weights, 3, &xs[..3], &mut p);
+            assert!(argmax(&p) < 3);
         }
     }
 

@@ -20,6 +20,7 @@
 //! breakpoints finds the optimal `λ*`. The LP optimum then mixes the fills
 //! on either side of `λ*` so that the deadline row is met exactly.
 
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::error::Error;
@@ -190,18 +191,25 @@ pub fn solve_profile(
 }
 
 /// The ILP's data plus the `λ` values where two candidates swap places in
-/// the `E_k + λ·T_k` order, sorted and distinct.
+/// the `E_k + λ·T_k` order, sorted and distinct, and each λ-interval's
+/// fill order once a node has asked for it. The order depends on the
+/// interval alone, never on a node's box, so one solve orders each
+/// interval at most once.
 struct Problem<'a> {
     costs: &'a [ConfigCost],
     jobs: u64,
     deadline_s: f64,
     breakpoints: Vec<f64>,
+    orders: Vec<OnceCell<Box<[usize]>>>,
 }
 
-/// The LP relaxation's optimum at one node.
-struct Relaxation {
+/// Buffers reused by every node's relaxation: the binary search's probe,
+/// its latest fills on either side of `λ*`, and the LP counts.
+struct Scratch {
+    probe: Vec<u64>,
+    left: Vec<u64>,
+    right: Vec<u64>,
     counts: Vec<f64>,
-    energy_j: f64,
 }
 
 /// A search node: the box `lo ≤ n ≤ hi` plus the bound it was queued with
@@ -248,11 +256,13 @@ impl<'a> Problem<'a> {
         }
         breakpoints.sort_unstable_by(f64::total_cmp);
         breakpoints.dedup();
+        let orders = (0..=breakpoints.len()).map(|_| OnceCell::new()).collect();
         Problem {
             costs,
             jobs,
             deadline_s,
             breakpoints,
+            orders,
         }
     }
 
@@ -267,6 +277,12 @@ impl<'a> Problem<'a> {
             lo: vec![0; k],
             hi: vec![self.jobs; k],
         });
+        let mut scratch = Scratch {
+            probe: vec![0; k],
+            left: vec![0; k],
+            right: vec![0; k],
+            counts: vec![0.0; k],
+        };
         let mut incumbent: Option<Profile> = None;
         let mut nodes = 0usize;
         while let Some(node) = heap.pop() {
@@ -281,23 +297,22 @@ impl<'a> Problem<'a> {
             if beaten(node.bound, &incumbent) {
                 continue;
             }
-            let Some(lp) = self.relax(&node.lo, &node.hi) else {
+            let Some(energy_j) = self.relax(&node.lo, &node.hi, &mut scratch) else {
                 continue;
             };
-            if beaten(lp.energy_j, &incumbent) {
+            if beaten(energy_j, &incumbent) {
                 continue;
             }
+            let lp = &scratch.counts;
             let frac = |v: f64| (v - v.round()).abs();
-            let branch = (0..k)
-                .filter(|&i| frac(lp.counts[i]) > INT_TOL)
-                .max_by(|&a, &b| {
-                    frac(lp.counts[a])
-                        .partial_cmp(&frac(lp.counts[b]))
-                        .unwrap_or(Ordering::Equal)
-                });
+            let branch = (0..k).filter(|&i| frac(lp[i]) > INT_TOL).max_by(|&a, &b| {
+                frac(lp[a])
+                    .partial_cmp(&frac(lp[b]))
+                    .unwrap_or(Ordering::Equal)
+            });
             match branch {
                 None => {
-                    let counts = lp.counts.iter().map(|v| v.round() as u64).collect();
+                    let counts = lp.iter().map(|v| v.round() as u64).collect();
                     let found = profile_from_counts(self.costs, counts);
                     if incumbent
                         .as_ref()
@@ -307,18 +322,18 @@ impl<'a> Problem<'a> {
                     }
                 }
                 Some(i) => {
-                    let v = lp.counts[i];
+                    let v = lp[i];
                     let mut hi = node.hi.clone();
                     hi[i] = v.floor() as u64;
                     heap.push(Node {
-                        bound: lp.energy_j,
+                        bound: energy_j,
                         lo: node.lo.clone(),
                         hi,
                     });
                     let mut lo = node.lo;
                     lo[i] = v.ceil() as u64;
                     heap.push(Node {
-                        bound: lp.energy_j,
+                        bound: energy_j,
                         lo,
                         hi: node.hi,
                     });
@@ -343,52 +358,70 @@ impl<'a> Problem<'a> {
         }
     }
 
-    /// The LP relaxation over the box `lo ≤ n ≤ hi`, or `None` when the
-    /// box holds no point that meets both rows.
-    fn relax(&self, lo: &[u64], hi: &[u64]) -> Option<Relaxation> {
+    /// The LP relaxation over the box `lo ≤ n ≤ hi`: its energy, with its
+    /// counts left in `scratch.counts`, or `None` when the box holds no
+    /// point that meets both rows.
+    fn relax(&self, lo: &[u64], hi: &[u64], scratch: &mut Scratch) -> Option<f64> {
         let total = |bounds: &[u64]| bounds.iter().fold(0u64, |s, &n| s.saturating_add(n));
-        if total(lo) > self.jobs || total(hi) < self.jobs {
+        let lo_total = total(lo);
+        if lo_total > self.jobs || total(hi) < self.jobs {
             return None;
         }
+        let free = self.jobs - lo_total;
         // Interval `i` of λ runs from breakpoint `i − 1` to breakpoint `i`
         // (from 0, to ∞ at the ends). The fill is the same across an
         // interval and its latency falls from one interval to the next, so
         // find the first interval whose fill meets the deadline.
-        let fill = |interval: usize| self.fill(self.inside(interval), lo, hi);
         let (mut first, mut past) = (0, self.breakpoints.len() + 1);
+        let (mut left_s, mut right_s) = (f64::NAN, f64::NAN);
+        let Scratch {
+            probe,
+            left,
+            right,
+            counts,
+        } = scratch;
+        let mut near = None;
         while first < past {
             let mid = (first + past) / 2;
-            if fill(mid).1 > self.deadline_s {
+            let probe_s = self.fill(self.order(mid, near), lo, hi, free, probe);
+            near = Some(mid);
+            // Keep the latest fill on each side: when the search ends they
+            // are the fills of intervals `first − 1` (the last miss) and
+            // `first` (the last hit).
+            if probe_s > self.deadline_s {
                 first = mid + 1;
+                std::mem::swap(probe, left);
+                left_s = probe_s;
             } else {
                 past = mid;
+                std::mem::swap(probe, right);
+                right_s = probe_s;
             }
         }
         if first > self.breakpoints.len() {
             return None;
         }
-        let (right, right_s) = fill(first);
-        let counts: Vec<f64> = if first == 0 {
+        if first == 0 {
             // The deadline row is slack: the unconstrained fill is optimal.
-            right.iter().map(|&n| n as f64).collect()
+            for (c, &r) in counts.iter_mut().zip(right.iter()) {
+                *c = r as f64;
+            }
         } else {
             // λ* is the breakpoint between the two fills; both minimize
             // the Lagrangian there, so the mix that meets the deadline
             // exactly is the LP optimum.
-            let (left, left_s) = fill(first - 1);
             let theta = (left_s - self.deadline_s) / (left_s - right_s);
-            left.iter()
-                .zip(&right)
-                .map(|(&l, &r)| l as f64 + theta * (r as f64 - l as f64))
-                .collect()
-        };
-        let energy_j = self
-            .costs
-            .iter()
-            .zip(&counts)
-            .map(|(c, n)| c.energy_j * n)
-            .sum();
-        Some(Relaxation { counts, energy_j })
+            for ((c, &l), &r) in counts.iter_mut().zip(left.iter()).zip(right.iter()) {
+                *c = l as f64 + theta * (r as f64 - l as f64);
+            }
+        }
+        Some(
+            self.costs
+                .iter()
+                .zip(counts.iter())
+                .map(|(c, n)| c.energy_j * n)
+                .sum(),
+        )
     }
 
     /// A `λ` strictly inside interval `i`, where no two keys tie.
@@ -402,32 +435,52 @@ impl<'a> Problem<'a> {
         }
     }
 
-    /// Fills `W` jobs into the box in order of `E_k + λ·T_k`, cheapest
-    /// first, on top of the lower bounds. Returns the counts and their
-    /// total latency.
-    fn fill(&self, lambda: f64, lo: &[u64], hi: &[u64]) -> (Vec<u64>, f64) {
-        let mut order: Vec<(f64, usize)> = self
-            .costs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.energy_j + lambda * c.latency_s, i))
-            .collect();
-        // Equal keys (duplicate candidates) fill in index order.
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut counts = lo.to_vec();
-        let mut left = self.jobs - lo.iter().sum::<u64>();
-        for (_, i) in order {
+    /// Candidate indices in order of `E_k + λ·T_k` for a `λ` inside
+    /// `interval`, cheapest first, computed on the interval's first use:
+    /// an insertion sort that starts from interval `near`'s order when that
+    /// one is known. Two intervals' orders differ only in the pairs whose
+    /// breakpoints lie between them, so few candidates move. The result is
+    /// the one sorted order of the keys, ties by index.
+    fn order(&self, interval: usize, near: Option<usize>) -> &[usize] {
+        self.orders[interval].get_or_init(|| {
+            let lambda = self.inside(interval);
+            let key = |i: usize| self.costs[i].energy_j + lambda * self.costs[i].latency_s;
+            // Equal keys (duplicate candidates) fill in index order.
+            let before = |a: usize, b: usize| key(a).total_cmp(&key(b)).then(a.cmp(&b)).is_lt();
+            let mut order = match near.and_then(|n| self.orders[n].get()) {
+                Some(near) => near.clone(),
+                None => (0..self.costs.len()).collect(),
+            };
+            for j in 1..order.len() {
+                let mut i = j;
+                while i > 0 && before(order[i], order[i - 1]) {
+                    order.swap(i, i - 1);
+                    i -= 1;
+                }
+            }
+            order
+        })
+    }
+
+    /// Fills the `free` jobs above the lower bounds into the box in
+    /// `order`, writing the counts into `counts`. Returns their total
+    /// latency.
+    fn fill(&self, order: &[usize], lo: &[u64], hi: &[u64], free: u64, counts: &mut [u64]) -> f64 {
+        counts.copy_from_slice(lo);
+        let mut left = free;
+        for &i in order {
+            if left == 0 {
+                break;
+            }
             let take = left.min(hi[i] - lo[i]);
             counts[i] += take;
             left -= take;
         }
-        let latency_s = self
-            .costs
+        self.costs
             .iter()
-            .zip(&counts)
+            .zip(counts.iter())
             .map(|(c, &n)| c.latency_s * n as f64)
-            .sum();
-        (counts, latency_s)
+            .sum()
     }
 }
 
