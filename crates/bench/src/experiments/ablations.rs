@@ -23,7 +23,7 @@ use bofl::prelude::*;
 use bofl_workload::{TaskKind, Testbed};
 
 /// Ablation variants, in report order.
-pub fn variants() -> Vec<(&'static str, BoflConfig)> {
+pub(crate) fn variants() -> Vec<(&'static str, BoflConfig)> {
     let base = BoflConfig::default();
     vec![
         ("bofl", base),

@@ -39,7 +39,7 @@ impl ExperimentScale {
 }
 
 /// The device preset for a testbed.
-pub fn device_for(testbed: Testbed) -> Device {
+pub(crate) fn device_for(testbed: Testbed) -> Device {
     match testbed {
         Testbed::JetsonAgx => Device::jetson_agx(),
         Testbed::JetsonTx2 => Device::jetson_tx2(),
@@ -72,19 +72,19 @@ pub struct TripleRun {
 
 impl TripleRun {
     /// Energy improvement of BoFL vs Performant (paper §6.4 metric 1).
-    pub fn improvement(&self) -> f64 {
+    pub(crate) fn improvement(&self) -> f64 {
         bofl::metrics::improvement_vs(&self.bofl, &self.performant)
     }
 
     /// Energy regret of BoFL vs Oracle (paper §6.4 metric 2).
-    pub fn regret(&self) -> f64 {
+    pub(crate) fn regret(&self) -> f64 {
         bofl::metrics::regret_vs(&self.bofl, &self.oracle)
     }
 }
 
 /// Runs BoFL, Performant and Oracle on one task/testbed with deadlines
 /// drawn uniformly from `[T_min, ratio × T_min]`.
-pub fn run_triple(
+pub(crate) fn run_triple(
     kind: TaskKind,
     testbed: Testbed,
     ratio: f64,

@@ -7,7 +7,7 @@ use crate::report::{f, Report, Table};
 use bofl_workload::{TaskKind, Testbed};
 
 /// The deadline ratios the paper sweeps.
-pub const RATIOS: [f64; 5] = [2.0, 2.5, 3.0, 3.5, 4.0];
+pub(crate) const RATIOS: [f64; 5] = [2.0, 2.5, 3.0, 3.5, 4.0];
 
 /// Runs the Fig. 12 sweep.
 pub fn figure(scale: ExperimentScale) -> Report {

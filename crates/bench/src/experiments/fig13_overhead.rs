@@ -22,7 +22,7 @@ use bofl_workload::{TaskKind, Testbed};
 /// Calibrated so a typical per-invocation suggestion (~0.05–0.15 s of Rust
 /// on a server-class core) maps into the paper's measured 6–9 s of Python
 /// on the Jetson CPUs (interpreter overhead × embedded-core slowdown).
-pub fn mbo_slowdown(testbed: Testbed) -> f64 {
+pub(crate) fn mbo_slowdown(testbed: Testbed) -> f64 {
     match testbed {
         Testbed::JetsonAgx => 60.0,
         // The TX2's Denver2/A57 complex runs the Python BO stack far

@@ -17,7 +17,7 @@ fn phase_tag(p: Option<Phase>) -> &'static str {
 }
 
 /// Builds the per-round energy table for one task at one deadline ratio.
-pub fn energy_rounds_table(triple: &TripleRun, plot_rounds: usize) -> Table {
+pub(crate) fn energy_rounds_table(triple: &TripleRun, plot_rounds: usize) -> Table {
     let mut t = Table::new(
         format!(
             "fig_energy_{}_ratio{}",

@@ -10,7 +10,7 @@ use super::ExperimentScale;
 
 /// Fleet population and round schedule for the experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetScale {
+pub(crate) struct FleetScale {
     /// Clients in the fleet.
     pub num_clients: usize,
     /// Clients selected per round.
@@ -23,7 +23,7 @@ pub struct FleetScale {
 
 impl FleetScale {
     /// Derives a fleet scale from the experiment scale.
-    pub fn from(scale: ExperimentScale) -> Self {
+    pub(crate) fn from(scale: ExperimentScale) -> Self {
         if scale.rounds >= 100 {
             FleetScale {
                 num_clients: 100,

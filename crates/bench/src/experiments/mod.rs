@@ -12,4 +12,4 @@ pub mod fleet_scale;
 pub mod table1_table2_specs;
 pub mod table3_walkthrough;
 
-pub use common::{run_triple, ExperimentScale, TripleRun};
+pub use common::{ExperimentScale, TripleRun};

@@ -10,7 +10,7 @@ use bofl_device::ConfigIndex;
 use bofl_workload::{TaskKind, Testbed};
 
 /// Builds the Table 3 rows for one triple run.
-pub fn rows_for(triple: &TripleRun) -> Vec<(usize, &'static str, usize, usize)> {
+pub(crate) fn rows_for(triple: &TripleRun) -> Vec<(usize, &'static str, usize, usize)> {
     let pareto: Vec<ConfigIndex> = triple.bofl_pareto.iter().map(|&(i, _, _)| i).collect();
     walkthrough(&triple.bofl, &pareto)
         .into_iter()

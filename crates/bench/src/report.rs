@@ -19,7 +19,7 @@ pub struct Table {
 
 impl Table {
     /// Creates an empty table.
-    pub fn new(name: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(name: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             name: name.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -32,7 +32,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row width differs from the header width.
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -45,7 +45,7 @@ impl Table {
     }
 
     /// Renders the table as aligned monospace text.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -74,7 +74,7 @@ impl Table {
 
     /// Renders the table as CSV (RFC-4180-ish; quotes cells containing
     /// commas or quotes).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let esc = |s: &str| -> String {
             if s.contains(',') || s.contains('"') || s.contains('\n') {
                 format!("\"{}\"", s.replace('"', "\"\""))
@@ -113,7 +113,7 @@ pub struct Report {
 
 impl Report {
     /// Creates an empty report.
-    pub fn new(title: impl Into<String>) -> Self {
+    pub(crate) fn new(title: impl Into<String>) -> Self {
         Report {
             title: title.into(),
             ..Report::default()
@@ -121,12 +121,12 @@ impl Report {
     }
 
     /// Adds a note line.
-    pub fn note(&mut self, s: impl Into<String>) {
+    pub(crate) fn note(&mut self, s: impl Into<String>) {
         self.notes.push(s.into());
     }
 
     /// Adds a table.
-    pub fn push_table(&mut self, t: Table) {
+    pub(crate) fn push_table(&mut self, t: Table) {
         self.tables.push(t);
     }
 
@@ -159,7 +159,7 @@ impl Report {
 }
 
 /// Formats a float with `digits` decimal places (helper for tables).
-pub fn f(v: f64, digits: usize) -> String {
+pub(crate) fn f(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
 }
 

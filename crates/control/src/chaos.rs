@@ -160,7 +160,7 @@ impl ChaosPlan {
     }
 
     /// Whether this plan can ever inject a fault.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         self.drop_probability == 0.0
             && self.delay_probability == 0.0
             && self.duplicate_probability == 0.0
@@ -175,14 +175,14 @@ impl ChaosPlan {
     }
 
     /// Whether the message from `client` in `round` is dropped outright.
-    pub fn drops(&self, round: usize, client: usize) -> bool {
+    pub(crate) fn drops(&self, round: usize, client: usize) -> bool {
         self.chance(round, client, DROP_SALT, self.drop_probability)
             .0
     }
 
     /// The partition healing time for `(round, client)` measured from
     /// round start: `None` when the client is not partitioned this round.
-    pub fn partition_heal_s(&self, round: usize, client: usize) -> Option<f64> {
+    pub(crate) fn partition_heal_s(&self, round: usize, client: usize) -> Option<f64> {
         let (hit, mut rng) = self.chance(round, client, PARTITION_SALT, self.partition_probability);
         if !hit {
             return None;
@@ -193,7 +193,7 @@ impl ChaosPlan {
 
     /// The extra uplink delay for `(round, client)`: `None` when the
     /// message is not delayed.
-    pub fn delay_s(&self, round: usize, client: usize) -> Option<f64> {
+    pub(crate) fn delay_s(&self, round: usize, client: usize) -> Option<f64> {
         let (hit, mut rng) = self.chance(round, client, DELAY_SALT, self.delay_probability);
         if !hit {
             return None;
@@ -204,7 +204,7 @@ impl ChaosPlan {
 
     /// The reorder jitter for `(round, client)`: `None` when the message
     /// is not jittered.
-    pub fn reorder_jitter(&self, round: usize, client: usize) -> Option<f64> {
+    pub(crate) fn reorder_jitter(&self, round: usize, client: usize) -> Option<f64> {
         let (hit, mut rng) = self.chance(round, client, REORDER_SALT, self.reorder_probability);
         if !hit {
             return None;
@@ -215,7 +215,7 @@ impl ChaosPlan {
     /// The duplicate lag for `(round, client)`: `None` when no duplicate
     /// copy is injected, otherwise how long after the original the copy
     /// arrives (always > 0 so the copy never ties the original).
-    pub fn duplicate_lag_s(&self, round: usize, client: usize) -> Option<f64> {
+    pub(crate) fn duplicate_lag_s(&self, round: usize, client: usize) -> Option<f64> {
         let (hit, mut rng) = self.chance(round, client, DUP_SALT, self.duplicate_probability);
         if !hit {
             return None;
@@ -249,11 +249,6 @@ impl ChaosTransport {
     /// Chaos over the identity carrier.
     pub fn over_virtual(plan: ChaosPlan) -> Self {
         ChaosTransport::new(Box::new(VirtualTransport), plan)
-    }
-
-    /// The plan in force.
-    pub fn plan(&self) -> &ChaosPlan {
-        &self.plan
     }
 }
 

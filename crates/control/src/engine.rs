@@ -75,7 +75,7 @@ use crate::transport::{Envelope, Transport, VirtualTransport};
 /// A shared, lockable handle onto an engine's [`ControlPlane`]. The
 /// federation owns the boxed engine, so callers that want to read the
 /// journal after a run keep one of these.
-pub type PlaneHandle = Arc<Mutex<ControlPlane>>;
+pub(crate) type PlaneHandle = Arc<Mutex<ControlPlane>>;
 
 /// An event-driven round engine: a worker pool for execution (with
 /// seeded fault injection and upload retry), a pluggable [`Transport`]
@@ -120,9 +120,8 @@ impl EventDrivenEngine {
     ///
     /// Panics if `workers == 0`.
     pub fn new(workers: usize) -> Self {
-        assert!(workers > 0, "an engine needs at least one worker");
         EventDrivenEngine {
-            workers,
+            workers: 1,
             faults: FaultPlan::none(),
             retry: RetryPolicy::none(),
             cohort: 0,
@@ -137,21 +136,35 @@ impl EventDrivenEngine {
             compress_seed: 0,
             residuals: HashMap::new(),
             now_s: 0.0,
-            label: format!("event-driven({workers} workers)"),
+            label: String::new(),
         }
+        .with_workers(workers)
+    }
+
+    /// Sets the worker-thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers == 0`.
+    #[must_use]
+    pub(crate) fn with_workers(mut self, workers: usize) -> Self {
+        assert!(workers > 0, "an engine needs at least one worker");
+        self.workers = workers;
+        self.label = format!("event-driven({workers} workers)");
+        self
     }
 
     /// Attaches a fault-injection plan (including churn, which only this
     /// engine acts on — the barrier engine has no fault plan).
     #[must_use]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+    pub(crate) fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
     }
 
     /// Attaches an upload retry policy.
     #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
+    pub(crate) fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
     }
@@ -174,29 +187,22 @@ impl EventDrivenEngine {
 
     /// Replaces the delivery transport (default [`VirtualTransport`]).
     #[must_use]
-    pub fn with_transport(self, transport: impl Transport + 'static) -> Self {
-        self.with_boxed_transport(Box::new(transport))
-    }
-
-    /// [`EventDrivenEngine::with_transport`] for an already-boxed carrier.
-    #[must_use]
-    pub fn with_boxed_transport(mut self, transport: Box<dyn Transport>) -> Self {
-        self.transport = transport;
+    pub fn with_transport(mut self, transport: impl Transport + 'static) -> Self {
+        self.transport = Box::new(transport);
         self
     }
 
     /// Wraps the current transport in a [`ChaosTransport`] injecting the
     /// given plan.
     #[must_use]
-    pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
+    pub(crate) fn with_chaos(mut self, plan: ChaosPlan) -> Self {
         let inner = std::mem::replace(&mut self.transport, Box::new(VirtualTransport));
         self.transport = Box::new(ChaosTransport::new(inner, plan));
         self
     }
 
-    /// Arms server-side liveness tracking (default
-    /// [`LivenessPolicy::none`]). Required for degraded closes and
-    /// over-selection escalation.
+    /// Arms server-side liveness tracking (off by default). Required for
+    /// degraded closes and over-selection escalation.
     #[must_use]
     pub fn with_liveness(mut self, liveness: LivenessPolicy) -> Self {
         self.liveness = liveness;
@@ -216,7 +222,7 @@ impl EventDrivenEngine {
     ///
     /// Panics if `quorum_fraction` is outside `[0, 1]`.
     #[must_use]
-    pub fn with_shard_plan(mut self, plan: ShardPlan, quorum_fraction: f64) -> Self {
+    pub(crate) fn with_shard_plan(mut self, plan: ShardPlan, quorum_fraction: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&quorum_fraction),
             "shard quorum fraction must be in [0, 1]"
@@ -228,21 +234,21 @@ impl EventDrivenEngine {
 
     /// Arms an uplink compressor: every finished update is encoded at
     /// send time with a per-`(round, client)` stream seed derived from
-    /// `seed`, decoded back in place (so aggregation sees exactly the
-    /// lossy bytes the wire carried), and its compressed/raw byte counts
-    /// flow into the round's [`crate::transport::WireStats`]. Error
-    /// feedback is always on: a per-client residual carries what each
-    /// encoding could not express into the next round.
+    /// [`EventDrivenEngine::with_compress_seed`]'s seed, decoded back in
+    /// place (so aggregation sees exactly the lossy bytes the wire
+    /// carried), and its compressed/raw byte counts flow into the round's
+    /// [`crate::transport::WireStats`]. Error feedback is always on: a
+    /// per-client residual carries what each encoding could not express
+    /// into the next round.
     #[must_use]
-    pub fn with_compressor(self, compressor: impl Compressor + 'static, seed: u64) -> Self {
-        self.with_boxed_compressor(Box::new(compressor), seed)
+    pub(crate) fn with_compressor(mut self, compressor: impl Compressor + 'static) -> Self {
+        self.compressor = Some(Box::new(compressor));
+        self
     }
 
-    /// [`EventDrivenEngine::with_compressor`] for an already-boxed
-    /// encoder.
+    /// Sets the seed the compressor's stream seeds derive from.
     #[must_use]
-    pub fn with_boxed_compressor(mut self, compressor: Box<dyn Compressor>, seed: u64) -> Self {
-        self.compressor = Some(compressor);
+    pub(crate) fn with_compress_seed(mut self, seed: u64) -> Self {
         self.compress_seed = seed;
         self
     }
@@ -250,7 +256,7 @@ impl EventDrivenEngine {
     /// Bounds the event journal ring (default
     /// [`crate::journal::DEFAULT_JOURNAL_CAPACITY`]).
     #[must_use]
-    pub fn with_journal_capacity(mut self, capacity: usize) -> Self {
+    pub(crate) fn with_journal_capacity(mut self, capacity: usize) -> Self {
         self.plane = Arc::new(Mutex::new(ControlPlane::with_journal_capacity(0, capacity)));
         self
     }
@@ -262,7 +268,7 @@ impl EventDrivenEngine {
     /// [`EventDrivenEngine::with_journal_capacity`], which replaces the
     /// plane.
     #[must_use]
-    pub fn with_wal(self, wal: Arc<Mutex<crate::wal::JournalWal>>) -> Self {
+    pub(crate) fn with_wal(self, wal: Arc<Mutex<crate::wal::JournalWal>>) -> Self {
         self.plane
             .lock()
             .expect("control plane poisoned")
@@ -277,7 +283,7 @@ impl EventDrivenEngine {
     /// close: a live run sets it to the close's `degraded` flag, and the
     /// flag is only consulted with liveness armed.
     #[must_use]
-    pub fn with_resumed(mut self, plane: ControlPlane, now_s: f64) -> Self {
+    pub(crate) fn with_resumed(mut self, plane: ControlPlane, now_s: f64) -> Self {
         self.escalated = plane.closes().last().is_some_and(|c| c.degraded);
         self.plane = Arc::new(Mutex::new(plane));
         self.now_s = now_s;
@@ -291,13 +297,8 @@ impl EventDrivenEngine {
     }
 
     /// Worker threads in the execution pool.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The delivery transport's label.
-    pub fn transport_label(&self) -> &str {
-        self.transport.label()
     }
 
     /// Runs `jobs` (sorted by unique client id) on the worker pool and
@@ -977,8 +978,7 @@ mod tests {
             .with_journal_capacity(128);
         assert_eq!(engine.workers(), 4);
         assert_eq!(engine.label(), "event-driven(4 workers)");
-        assert_eq!(engine.transport_label(), "virtual");
-        assert_eq!(engine.plane().lock().unwrap().journal().capacity(), 128);
+        assert_eq!(engine.transport.label(), "virtual");
     }
 
     #[test]
@@ -987,9 +987,9 @@ mod tests {
             .with_transport(SocketTransport::in_process(2))
             .with_chaos(ChaosPlan::new(1).with_drops(0.5))
             .with_liveness(LivenessPolicy::recovery(1));
-        assert_eq!(engine.transport_label(), "chaos(socket(2 lanes))");
+        assert_eq!(engine.transport.label(), "chaos(socket(2 lanes))");
         // Cloning an engine clones its boxed transport.
-        assert_eq!(engine.clone().transport_label(), engine.transport_label());
+        assert_eq!(engine.clone().transport.label(), engine.transport.label());
     }
 
     /// A pool of `n` Performant clients on AGX boards, one small

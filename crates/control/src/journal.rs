@@ -22,7 +22,7 @@ use crate::state::ClientState;
 
 /// Default journal capacity: comfortably holds several hundred rounds of
 /// a mid-size cohort before eviction begins.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
 
 /// Why a transition happened — the semantic tag alongside the raw
 /// `(from, to)` edge, so exports stay interpretable without cross-
@@ -107,12 +107,12 @@ impl EventCause {
 
     /// The cause with discriminant `b`, if any — the inverse of `as u8`,
     /// used when decoding binary journal records (the WAL).
-    pub fn from_u8(b: u8) -> Option<EventCause> {
+    pub(crate) fn from_u8(b: u8) -> Option<EventCause> {
         EventCause::ALL.get(b as usize).copied()
     }
 
     /// Stable lowercase name (journal CSV/JSONL vocabulary).
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             EventCause::ChurnArrival => "churn_arrival",
             EventCause::ChurnDeparture => "churn_departure",
@@ -165,7 +165,7 @@ pub struct EventEntry {
 
 impl EventEntry {
     /// The entry as one CSV row (no trailing newline).
-    pub fn to_csv_row(&self) -> String {
+    pub(crate) fn to_csv_row(self) -> String {
         format!(
             "{},{},{},{},{},{},{:.6}",
             self.seq,
@@ -258,7 +258,7 @@ pub struct EventJournal {
 
 impl EventJournal {
     /// An empty journal with the given ring capacity (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         EventJournal {
             entries: VecDeque::new(),
             capacity: capacity.max(1),
@@ -270,7 +270,7 @@ impl EventJournal {
     /// Append one transition, evicting the oldest entry if the ring is
     /// full. Returns the sequence number assigned to the entry.
     #[allow(clippy::too_many_arguments)]
-    pub fn append(
+    pub(crate) fn append(
         &mut self,
         round: u32,
         client: u32,
@@ -332,11 +332,6 @@ impl EventJournal {
     /// Whether the ring holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Total transitions ever journalled (including evicted ones).
@@ -411,13 +406,13 @@ impl EventJournal {
 
     /// Write the CSV export crash-safely (temp file + rename), creating
     /// parent directories as needed.
-    pub fn write_csv(&self, path: &Path) -> io::Result<()> {
+    pub(crate) fn write_csv(&self, path: &Path) -> io::Result<()> {
         bofl_fleet::metrics::write_atomic(path, &self.to_csv())
     }
 
     /// Write the JSONL export crash-safely (temp file + rename), creating
     /// parent directories as needed.
-    pub fn write_jsonl(&self, path: &Path) -> io::Result<()> {
+    pub(crate) fn write_jsonl(&self, path: &Path) -> io::Result<()> {
         bofl_fleet::metrics::write_atomic(path, &self.to_jsonl())
     }
 }

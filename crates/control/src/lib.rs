@@ -92,12 +92,12 @@ pub mod transport;
 pub mod wal;
 
 pub use chaos::{ChaosPlan, ChaosTransport};
-pub use engine::{EventDrivenEngine, PlaneHandle};
-pub use journal::{EventCause, EventEntry, EventJournal, RoundClose, DEFAULT_JOURNAL_CAPACITY};
+pub use engine::EventDrivenEngine;
+pub use journal::{EventCause, EventEntry, EventJournal, RoundClose};
 pub use liveness::LivenessPolicy;
 pub use plane::{ControlPlane, ReplayError, ResumeError, ResumeReport};
 pub use sim::{ControlRunReport, ControlSimulation, ControlSimulationBuilder};
-pub use socket::{ReconnectPolicy, SocketTransport};
+pub use socket::SocketTransport;
 pub use state::{ClientEvent, ClientState, TransitionError};
 pub use transport::{Carried, Delivery, Envelope, Transport, VirtualTransport, WireStats};
 pub use wal::{JournalTail, JournalWal, WalError, WalRecord};
@@ -105,12 +105,12 @@ pub use wal::{JournalTail, JournalWal, WalError, WalRecord};
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::chaos::{ChaosPlan, ChaosTransport};
-    pub use crate::engine::{EventDrivenEngine, PlaneHandle};
+    pub use crate::engine::EventDrivenEngine;
     pub use crate::journal::{EventCause, EventEntry, EventJournal, RoundClose};
     pub use crate::liveness::LivenessPolicy;
     pub use crate::plane::{ControlPlane, ReplayError, ResumeError, ResumeReport};
     pub use crate::sim::{ControlRunReport, ControlSimulation, ControlSimulationBuilder};
-    pub use crate::socket::{ReconnectPolicy, SocketTransport};
+    pub use crate::socket::SocketTransport;
     pub use crate::state::{ClientEvent, ClientState, TransitionError};
     pub use crate::transport::{
         Carried, Delivery, Envelope, Transport, VirtualTransport, WireStats,

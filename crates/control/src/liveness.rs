@@ -41,7 +41,7 @@ pub struct LivenessPolicy {
 impl LivenessPolicy {
     /// No liveness tracking (the default): clients are never suspected
     /// and the engine behaves exactly as before this layer existed.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         LivenessPolicy {
             seed: 0,
             suspect_factor: f64::INFINITY,
@@ -84,7 +84,7 @@ impl LivenessPolicy {
     }
 
     /// Whether liveness tracking is disabled.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         !self.armed
     }
 
@@ -99,7 +99,7 @@ impl LivenessPolicy {
 
     /// When the server suspects `client` in `round`, in seconds after the
     /// round start, for a round with training deadline `deadline_s`.
-    pub fn suspect_deadline_s(&self, deadline_s: f64, round: usize, client: usize) -> f64 {
+    pub(crate) fn suspect_deadline_s(&self, deadline_s: f64, round: usize, client: usize) -> f64 {
         self.jittered(
             deadline_s * self.suspect_factor,
             round,
@@ -110,15 +110,15 @@ impl LivenessPolicy {
 
     /// When the server declares `client` dead in `round`, in seconds
     /// after the round start. Always strictly after the suspect deadline.
-    pub fn expire_deadline_s(&self, deadline_s: f64, round: usize, client: usize) -> f64 {
+    pub(crate) fn expire_deadline_s(&self, deadline_s: f64, round: usize, client: usize) -> f64 {
         self.suspect_deadline_s(deadline_s, round, client)
             + self.jittered(deadline_s * self.expire_factor, round, client, EXPIRE_SALT)
     }
 }
 
 impl Default for LivenessPolicy {
-    /// [`LivenessPolicy::none`] — liveness is opt-in so existing journals
-    /// are untouched.
+    /// No liveness tracking: liveness is opt-in so existing journals are
+    /// untouched.
     fn default() -> Self {
         LivenessPolicy::none()
     }

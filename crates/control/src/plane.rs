@@ -17,7 +17,7 @@ use crate::wal::{JournalWal, WalError, WalRecord};
 
 /// Tracks every client's lifecycle state and journals transitions.
 ///
-/// With a WAL attached ([`ControlPlane::attach_wal`]) every journalled
+/// With a WAL attached (`ControlPlane::attach_wal`) every journalled
 /// transition and round close is also logged to an on-disk write-ahead
 /// log under its group-commit contract ([`crate::wal`]), and
 /// [`ControlPlane::resume`] can rebuild the plane from that log after a
@@ -46,7 +46,7 @@ impl ControlPlane {
     }
 
     /// Same, with an explicit journal ring capacity.
-    pub fn with_journal_capacity(clients: usize, capacity: usize) -> Self {
+    pub(crate) fn with_journal_capacity(clients: usize, capacity: usize) -> Self {
         ControlPlane {
             states: vec![ClientState::Idle; clients],
             journal: EventJournal::with_capacity(capacity),
@@ -61,18 +61,13 @@ impl ControlPlane {
     /// it returns. Transitions are visible there at once and durable once
     /// their round's close is (the group-commit contract in
     /// [`crate::wal`]).
-    pub fn attach_wal(&mut self, wal: Arc<Mutex<JournalWal>>) {
+    pub(crate) fn attach_wal(&mut self, wal: Arc<Mutex<JournalWal>>) {
         self.wal = Some(wal);
-    }
-
-    /// The attached write-ahead log, if any.
-    pub fn wal(&self) -> Option<&Arc<Mutex<JournalWal>>> {
-        self.wal.as_ref()
     }
 
     /// Grow the tracked fleet to at least `clients` entries (new clients
     /// start Idle). Shrinking is never done — ids are stable.
-    pub fn ensure_clients(&mut self, clients: usize) {
+    pub(crate) fn ensure_clients(&mut self, clients: usize) {
         if self.states.len() < clients {
             self.states.resize(clients, ClientState::Idle);
         }
@@ -150,7 +145,7 @@ impl ControlPlane {
     /// `shard_shortfalls` counts shards that closed below their local
     /// quorum.
     #[allow(clippy::too_many_arguments)]
-    pub fn close_round(
+    pub(crate) fn close_round(
         &mut self,
         round: usize,
         t_s: f64,
@@ -182,7 +177,7 @@ impl ControlPlane {
     }
 
     /// Record what the transport did to one round's messages.
-    pub fn record_wire(&mut self, round: usize, stats: WireStats) {
+    pub(crate) fn record_wire(&mut self, round: usize, stats: WireStats) {
         self.wire.push((round as u32, stats));
     }
 
@@ -248,21 +243,7 @@ impl ControlPlane {
     }
 
     /// Rebuild a plane from the write-ahead log at `path` after a
-    /// coordinator crash, with the default journal capacity. See
-    /// [`ControlPlane::resume_with_capacity`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ControlPlane::resume_with_capacity`].
-    pub fn resume(
-        path: &Path,
-        clients: usize,
-    ) -> Result<(ControlPlane, ResumeReport), ResumeError> {
-        ControlPlane::resume_with_capacity(path, clients, DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// Rebuild a plane from the write-ahead log at `path` after a
-    /// coordinator crash.
+    /// coordinator crash, with the default journal capacity.
     ///
     /// Recovery is two truncations deep. [`JournalWal::open`] first cuts
     /// away the torn tail (a record the crash interrupted mid-write).
@@ -284,7 +265,15 @@ impl ControlPlane {
     ///   transition contract (real corruption, not a torn tail).
     /// - [`ResumeError::SeqGap`] — committed event records are not a
     ///   gapless sequence from 0 (a missing or duplicated append).
-    pub fn resume_with_capacity(
+    pub fn resume(
+        path: &Path,
+        clients: usize,
+    ) -> Result<(ControlPlane, ResumeReport), ResumeError> {
+        ControlPlane::resume_with_capacity(path, clients, DEFAULT_JOURNAL_CAPACITY)
+    }
+
+    /// [`ControlPlane::resume`] with a journal ring of `capacity` entries.
+    pub(crate) fn resume_with_capacity(
         path: &Path,
         clients: usize,
         capacity: usize,

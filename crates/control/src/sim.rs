@@ -58,16 +58,10 @@ impl ControlSimulation {
         ControlSimulationBuilder {
             spec,
             config,
-            workers: 1,
-            faults: FaultPlan::none(),
-            retry: RetryPolicy::none(),
             controller_factory: None,
-            journal_capacity: None,
-            transport: None,
+            engine: EventDrivenEngine::new(1),
             chaos: ChaosPlan::none(),
-            liveness: LivenessPolicy::none(),
-            shard_plan: None,
-            compressor: None,
+            journal_capacity: None,
             wal_path: None,
             resume_path: None,
         }
@@ -202,16 +196,15 @@ type ControllerFactory = Box<dyn Fn(usize) -> Box<dyn PaceController>>;
 pub struct ControlSimulationBuilder {
     spec: FleetSpec,
     config: FederationConfig,
-    workers: usize,
-    faults: FaultPlan,
-    retry: RetryPolicy,
     controller_factory: Option<ControllerFactory>,
-    journal_capacity: Option<usize>,
-    transport: Option<Box<dyn Transport>>,
+    /// Every engine setting but the four below takes effect as it is set.
+    engine: EventDrivenEngine,
+    /// `build` applies these in a fixed order, whatever order they were
+    /// set in: the chaos plan wraps the final transport, the journal
+    /// capacity replaces the plane, and the WAL attaches to (or the
+    /// resume replaces) that plane.
     chaos: ChaosPlan,
-    liveness: LivenessPolicy,
-    shard_plan: Option<(ShardPlan, f64)>,
-    compressor: Option<Box<dyn Compressor>>,
+    journal_capacity: Option<usize>,
     wal_path: Option<PathBuf>,
     resume_path: Option<PathBuf>,
 }
@@ -220,7 +213,7 @@ impl std::fmt::Debug for ControlSimulationBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ControlSimulationBuilder")
             .field("spec", &self.spec)
-            .field("workers", &self.workers)
+            .field("workers", &self.engine.workers())
             .finish()
     }
 }
@@ -242,14 +235,14 @@ impl ControlSimulationBuilder {
     /// Sets the worker-thread count (default 1 = sequential).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+        self.engine = self.engine.with_workers(workers.max(1));
         self
     }
 
     /// Attaches a fault-injection plan (churn included).
     #[must_use]
     pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
+        self.engine = self.engine.with_faults(faults);
         self
     }
 
@@ -257,7 +250,7 @@ impl ControlSimulationBuilder {
     /// [`RetryPolicy::none`]).
     #[must_use]
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+        self.engine = self.engine.with_retry(retry);
         self
     }
 
@@ -283,7 +276,7 @@ impl ControlSimulationBuilder {
     /// [`crate::transport::VirtualTransport`]).
     #[must_use]
     pub fn transport(mut self, transport: impl Transport + 'static) -> Self {
-        self.transport = Some(Box::new(transport));
+        self.engine = self.engine.with_transport(transport);
         self
     }
 
@@ -295,11 +288,10 @@ impl ControlSimulationBuilder {
         self
     }
 
-    /// Arms server-side liveness tracking (defaults to
-    /// [`LivenessPolicy::none`]).
+    /// Arms server-side liveness tracking (off by default).
     #[must_use]
     pub fn liveness(mut self, liveness: LivenessPolicy) -> Self {
-        self.liveness = liveness;
+        self.engine = self.engine.with_liveness(liveness);
         self
     }
 
@@ -307,9 +299,13 @@ impl ControlSimulationBuilder {
     /// partitioned by `plan`, each shard closing against a local quorum
     /// of `ceil(members × quorum_fraction)`. Shard counts and shortfalls
     /// surface in the round-close records and the metrics CSV.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quorum_fraction` is outside `[0, 1]`.
     #[must_use]
     pub fn shard_plan(mut self, plan: ShardPlan, quorum_fraction: f64) -> Self {
-        self.shard_plan = Some((plan, quorum_fraction));
+        self.engine = self.engine.with_shard_plan(plan, quorum_fraction);
         self
     }
 
@@ -318,7 +314,7 @@ impl ControlSimulationBuilder {
     /// and the metrics CSV.
     #[must_use]
     pub fn compressor(mut self, compressor: impl Compressor + 'static) -> Self {
-        self.compressor = Some(Box::new(compressor));
+        self.engine = self.engine.with_compressor(compressor);
         self
     }
 
@@ -362,20 +358,10 @@ impl ControlSimulationBuilder {
     /// Builds the simulation.
     pub fn build(self) -> ControlSimulation {
         let spec = self.spec;
-        let mut engine = EventDrivenEngine::new(self.workers.max(1))
-            .with_faults(self.faults)
-            .with_retry(self.retry)
+        let mut engine = self
+            .engine
             .with_close_policy(self.config.aggregation, self.config.clients_per_round)
-            .with_liveness(self.liveness);
-        if let Some(transport) = self.transport {
-            engine = engine.with_boxed_transport(transport);
-        }
-        if let Some((plan, quorum_fraction)) = self.shard_plan {
-            engine = engine.with_shard_plan(plan, quorum_fraction);
-        }
-        if let Some(compressor) = self.compressor {
-            engine = engine.with_boxed_compressor(compressor, self.config.seed);
-        }
+            .with_compress_seed(self.config.seed);
         if !self.chaos.is_none() {
             engine = engine.with_chaos(self.chaos);
         }

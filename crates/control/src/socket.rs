@@ -13,7 +13,7 @@
 //! - a lane writes one `Data` frame per envelope and waits for the
 //!   coordinator's matching `Ack` within [`SocketTransport::with_ack_timeout`];
 //! - a missing ack, write error, or EOF tears the connection down and the
-//!   lane retries under a bounded, *seeded* [`ReconnectPolicy`] —
+//!   lane retries under a bounded, *seeded* `ReconnectPolicy` —
 //!   exponential backoff whose jitter is drawn from
 //!   `stream_seed(seed, round, client, salt + attempt)`, never the wall
 //!   clock, so two runs retry on the same schedule;
@@ -67,7 +67,7 @@ const MAX_BACKOFF_SLEEP: Duration = Duration::from_millis(250);
 /// `backoff_s` is a pure function of `(seed, round, client, attempt)` —
 /// the schedule is reproducible and independent of thread scheduling.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReconnectPolicy {
+pub(crate) struct ReconnectPolicy {
     /// Total send attempts per message (first try included). At least 1.
     pub max_attempts: u32,
     /// Backoff before the second attempt, in seconds.
@@ -96,7 +96,7 @@ impl Default for ReconnectPolicy {
 impl ReconnectPolicy {
     /// The backoff slept *before* `attempt` (attempts count from 1; the
     /// first attempt never waits).
-    pub fn backoff_s(&self, round: usize, client: usize, attempt: u32) -> f64 {
+    pub(crate) fn backoff_s(&self, round: usize, client: usize, attempt: u32) -> f64 {
         if attempt <= 1 {
             return 0.0;
         }
@@ -171,23 +171,10 @@ impl SocketTransport {
         }
     }
 
-    /// Replace the reconnect/backoff policy.
-    pub fn with_reconnect(mut self, policy: ReconnectPolicy) -> Self {
-        self.reconnect = policy;
-        self
-    }
-
     /// How long a lane waits for the coordinator's ack before tearing the
     /// connection down and retrying.
     pub fn with_ack_timeout(mut self, timeout: Duration) -> Self {
         self.ack_timeout = timeout;
-        self
-    }
-
-    /// Enable or disable the ping/pong probe on pooled connections
-    /// (half-open detection; on by default for in-process lanes).
-    pub fn with_heartbeat(mut self, on: bool) -> Self {
-        self.heartbeat = on;
         self
     }
 
@@ -198,11 +185,6 @@ impl SocketTransport {
     pub fn with_accept_faults(mut self, n: u32) -> Self {
         self.accept_faults = n;
         self
-    }
-
-    /// Lane count (1 in spawned mode — each envelope gets a process).
-    pub fn lanes(&self) -> usize {
-        self.lanes
     }
 }
 
@@ -522,12 +504,13 @@ mod tests {
     fn exhausted_retries_surface_as_drops_not_hangs() {
         let msgs = envelopes(3, 0);
         // More accept faults than total attempts: nothing ever connects.
-        let got = SocketTransport::in_process(2)
-            .with_reconnect(ReconnectPolicy {
-                max_attempts: 2,
-                base_s: 0.001,
-                ..ReconnectPolicy::default()
-            })
+        let mut transport = SocketTransport::in_process(2);
+        transport.reconnect = ReconnectPolicy {
+            max_attempts: 2,
+            base_s: 0.001,
+            ..ReconnectPolicy::default()
+        };
+        let got = transport
             .with_ack_timeout(Duration::from_millis(100))
             .with_accept_faults(u32::MAX)
             .carry(0, 0.0, &msgs);

@@ -125,12 +125,12 @@ impl ClientState {
 
     /// The state with discriminant `b`, if any — the inverse of `as u8`,
     /// used when decoding binary journal records (the WAL).
-    pub fn from_u8(b: u8) -> Option<ClientState> {
+    pub(crate) fn from_u8(b: u8) -> Option<ClientState> {
         ClientState::ALL.get(b as usize).copied()
     }
 
     /// Stable lowercase name (journal CSV/JSONL vocabulary).
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             ClientState::Idle => "idle",
             ClientState::Selected => "selected",
@@ -178,20 +178,6 @@ impl ClientState {
             _ => None,
         }
     }
-
-    /// Whether the client is mid-round (selected but not yet settled). A
-    /// suspect is still in flight: its update may yet heal and arrive.
-    pub fn in_flight(&self) -> bool {
-        matches!(
-            self,
-            ClientState::Selected
-                | ClientState::Training
-                | ClientState::Escalated
-                | ClientState::Quarantined
-                | ClientState::Reporting
-                | ClientState::Suspected
-        )
-    }
 }
 
 impl ClientEvent {
@@ -212,7 +198,7 @@ impl ClientEvent {
     ];
 
     /// Stable lowercase name.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             ClientEvent::Select => "select",
             ClientEvent::Start => "start",
@@ -337,25 +323,6 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "client 3: no legal transition from `idle` on `accept`"
-        );
-    }
-
-    #[test]
-    fn in_flight_covers_exactly_the_open_states() {
-        let open: Vec<ClientState> = ClientState::ALL
-            .into_iter()
-            .filter(|s| s.in_flight())
-            .collect();
-        assert_eq!(
-            open,
-            vec![
-                ClientState::Selected,
-                ClientState::Training,
-                ClientState::Escalated,
-                ClientState::Quarantined,
-                ClientState::Reporting,
-                ClientState::Suspected
-            ]
         );
     }
 }

@@ -77,7 +77,7 @@ pub struct WireStats {
 
 impl WireStats {
     /// Element-wise accumulate (for multi-round totals).
-    pub fn merge(&mut self, other: &WireStats) {
+    pub(crate) fn merge(&mut self, other: &WireStats) {
         self.sent += other.sent;
         self.dropped += other.dropped;
         self.delayed += other.delayed;
@@ -142,7 +142,7 @@ pub fn sort_deliveries(deliveries: &mut [Delivery]) {
 /// Count original (`copy == 0`) deliveries overtaken on the wire: a
 /// message sent strictly later arrived strictly earlier. Quadratic, but
 /// cohorts are small and the count is only bookkeeping.
-pub fn count_reordered(deliveries: &[Delivery]) -> usize {
+pub(crate) fn count_reordered(deliveries: &[Delivery]) -> usize {
     let originals: Vec<&Delivery> = deliveries.iter().filter(|d| d.copy == 0).collect();
     originals
         .iter()

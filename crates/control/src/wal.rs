@@ -31,13 +31,13 @@
 //!
 //! - An Event record is **visible** to readers ([`JournalTail`], a
 //!   concurrent `journal_tail --follow`) as soon as
-//!   [`JournalWal::write_event`] returns: it is written, not fsync'd.
+//!   `JournalWal::write_event` returns: it is written, not fsync'd.
 //! - A round is **durable** once its Close record is:
-//!   [`JournalWal::append_close`] writes the Close and fsyncs the file,
+//!   `JournalWal::append_close` writes the Close and fsyncs the file,
 //!   which makes every Event record written before it durable too. One
 //!   fsync per round, not one per record.
 //! - [`JournalWal::append`] keeps write + fsync for a single record of
-//!   either kind; [`JournalWal::open`] and [`JournalWal::truncate_to`]
+//!   either kind; [`JournalWal::open`] and `JournalWal::truncate_to`
 //!   fsync the truncations they make.
 //!
 //! Nothing recoverable is lost by this: resume already discards every
@@ -63,7 +63,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use bofl_fleet::wire::crc32;
 
@@ -73,10 +73,10 @@ use crate::state::ClientState;
 /// Every WAL record starts with this little-endian magic (distinct from
 /// the socket frame magic, so a WAL can never be mistaken for a capture
 /// of wire traffic).
-pub const WAL_MAGIC: u32 = 0xB0F1_A110;
+pub(crate) const WAL_MAGIC: u32 = 0xB0F1_A110;
 
 /// Fixed overhead around a record payload: magic + kind + len + crc.
-pub const WAL_OVERHEAD: usize = 4 + 1 + 4 + 4;
+pub(crate) const WAL_OVERHEAD: usize = 4 + 1 + 4 + 4;
 
 const KIND_EVENT: u8 = 1;
 const KIND_CLOSE: u8 = 2;
@@ -97,7 +97,7 @@ pub enum WalRecord {
 
 impl WalRecord {
     /// The record's virtual timestamp (seconds since the run began).
-    pub fn t_s(&self) -> f64 {
+    pub(crate) fn t_s(&self) -> f64 {
         match self {
             WalRecord::Event(e) => e.t_s,
             WalRecord::Close(c) => c.t_s,
@@ -282,14 +282,13 @@ pub fn decode_record(buf: &[u8], offset: u64) -> Result<Option<(WalRecord, usize
 #[derive(Debug)]
 pub struct JournalWal {
     file: File,
-    path: PathBuf,
     len: u64,
 }
 
 /// What [`JournalWal::open`] recovers: the writer positioned at the
 /// clean tail, the committed records with their byte offsets, and how
 /// many torn-tail bytes were truncated away.
-pub type RecoveredWal = (JournalWal, Vec<(u64, WalRecord)>, u64);
+pub(crate) type RecoveredWal = (JournalWal, Vec<(u64, WalRecord)>, u64);
 
 impl JournalWal {
     /// Create a fresh, empty WAL at `path` (truncating any existing
@@ -305,11 +304,7 @@ impl JournalWal {
             }
         }
         let file = File::create(path)?;
-        Ok(JournalWal {
-            file,
-            path: path.to_path_buf(),
-            len: 0,
-        })
+        Ok(JournalWal { file, len: 0 })
     }
 
     /// Open an existing WAL for recovery: decode every whole record and
@@ -350,7 +345,6 @@ impl JournalWal {
         }
         let wal = JournalWal {
             file,
-            path: path.to_path_buf(),
             len: pos as u64,
         };
         Ok((wal, records, torn))
@@ -383,7 +377,7 @@ impl JournalWal {
     /// # Errors
     ///
     /// Propagates the underlying file error.
-    pub fn write_event(&mut self, entry: &EventEntry) -> io::Result<()> {
+    pub(crate) fn write_event(&mut self, entry: &EventEntry) -> io::Result<()> {
         self.write(&WalRecord::Event(*entry))
     }
 
@@ -393,7 +387,7 @@ impl JournalWal {
     /// # Errors
     ///
     /// Propagates the underlying file error.
-    pub fn append_close(&mut self, close: &RoundClose) -> io::Result<()> {
+    pub(crate) fn append_close(&mut self, close: &RoundClose) -> io::Result<()> {
         self.append(&WalRecord::Close(*close))
     }
 
@@ -403,7 +397,7 @@ impl JournalWal {
     /// # Errors
     ///
     /// Propagates the underlying file error.
-    pub fn truncate_to(&mut self, offset: u64) -> io::Result<()> {
+    pub(crate) fn truncate_to(&mut self, offset: u64) -> io::Result<()> {
         self.file.set_len(offset)?;
         self.file.seek(SeekFrom::End(0))?;
         self.file.sync_data()?;
@@ -412,18 +406,8 @@ impl JournalWal {
     }
 
     /// Logical length in bytes: the clean prefix written so far.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.len
-    }
-
-    /// Whether the log holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The file path the log writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -480,20 +464,6 @@ impl JournalTail {
             }
         }
     }
-
-    /// Drain every record currently available (a non-follow, read-to-end
-    /// pass).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first poll error.
-    pub fn drain(&mut self) -> Result<Vec<WalRecord>, WalError> {
-        let mut out = Vec::new();
-        while let Some(record) = self.poll()? {
-            out.push(record);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -528,7 +498,7 @@ mod tests {
         }
     }
 
-    fn temp(name: &str) -> PathBuf {
+    fn temp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("bofl-wal-{}-{name}.wal", std::process::id()))
     }
 
@@ -678,7 +648,11 @@ mod tests {
         for seq in 0..5 {
             wal.write_event(&event(seq)).unwrap();
         }
-        let records = JournalTail::open(&path).unwrap().drain().unwrap();
+        let mut tail = JournalTail::open(&path).unwrap();
+        let mut records = Vec::new();
+        while let Some(record) = tail.poll().unwrap() {
+            records.push(record);
+        }
         let seqs: Vec<u64> = records
             .iter()
             .map(|r| match r {

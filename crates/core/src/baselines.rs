@@ -64,13 +64,6 @@ impl OracleController {
         }
     }
 
-    /// Overrides the deadline safety margin (default 1%).
-    pub fn with_safety_margin(mut self, margin: f64) -> Self {
-        assert!((0.0..0.5).contains(&margin), "margin must be in [0, 0.5)");
-        self.safety_margin = margin;
-        self
-    }
-
     /// Overrides the exploitation parameters (strategy and mid-round
     /// escalation). The default enables escalation; robustness
     /// experiments disable it to measure what the recovery layer buys.
@@ -166,7 +159,8 @@ mod tests {
     fn oracle_matches_performant_under_tight_deadline() {
         let mut exec = FakeExecutor::new();
         let profile = fake_profile(&exec);
-        let mut oracle = OracleController::new(profile).with_safety_margin(0.0);
+        let mut oracle = OracleController::new(profile);
+        oracle.safety_margin = 0.0;
         let t_max = FakeExecutor::true_cost(exec.config_space().x_max()).latency_s;
         let jobs = 20;
         let spec = RoundSpec::new(0, jobs, jobs as f64 * t_max * 1.0001);

@@ -174,11 +174,6 @@ impl BoflController {
         }
     }
 
-    /// The controller's current phase.
-    pub fn phase(&self) -> Phase {
-        self.phase
-    }
-
     /// The observation store (everything measured so far).
     pub fn observations(&self) -> &ObservationStore {
         &self.store
@@ -188,16 +183,6 @@ impl BoflController {
     /// are Pareto-optimal.
     pub fn pareto_configs(&self) -> Vec<DvfsConfig> {
         self.store.pareto_set().iter().map(|a| a.config).collect()
-    }
-
-    /// Wall-clock duration of the most recent MBO update, if any.
-    pub fn last_mbo_duration(&self) -> Option<Duration> {
-        self.last_mbo_duration
-    }
-
-    /// How many times the MBO engine has run so far.
-    pub fn mbo_invocations(&self) -> u32 {
-        self.mbo_invocations
     }
 
     /// Lazily samples the Sobol start points on first use (needs the
@@ -536,7 +521,7 @@ mod tests {
         let jobs = 60;
         let deadline = jobs as f64 * t_max * 4.0;
         let _ = run_rounds(&mut ctrl, 10, jobs, deadline);
-        assert_eq!(ctrl.phase(), Phase::Exploitation);
+        assert_eq!(ctrl.phase, Phase::Exploitation);
         assert!(!ctrl.pareto_configs().is_empty());
 
         // In exploitation, energy should beat all-x_max (Performant).
@@ -580,7 +565,7 @@ mod tests {
         });
         let t_max = FakeExecutor::true_cost(FakeExecutor::new().config_space().x_max()).latency_s;
         let _ = run_rounds(&mut ctrl, 6, 80, 80.0 * t_max * 4.0);
-        assert!(ctrl.mbo_invocations() > 0);
-        assert!(ctrl.last_mbo_duration().is_some());
+        assert!(ctrl.mbo_invocations > 0);
+        assert!(ctrl.last_mbo_duration.is_some());
     }
 }

@@ -21,7 +21,7 @@ use bofl_device::{ConfigIndex, DvfsConfig};
 
 /// Result of a safe exploration round.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SafeExplorationOutcome {
+pub(crate) struct SafeExplorationOutcome {
     /// Grid indices newly observed this round, in exploration order.
     pub explored: Vec<ConfigIndex>,
     /// Number of candidates consumed from the front of the candidate list
@@ -39,7 +39,7 @@ pub struct SafeExplorationOutcome {
 
 /// Parameters of the safe exploration algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SafeExplorationParams {
+pub(crate) struct SafeExplorationParams {
     /// Reference measurement duration τ in seconds (paper §4.2 uses 5 s).
     pub tau_s: f64,
     /// Fraction of the deadline held back as safety margin against
@@ -90,7 +90,7 @@ impl Default for SafeExplorationParams {
 /// # Panics
 ///
 /// Panics if a candidate is not on the executor's grid.
-pub fn explore_safely(
+pub(crate) fn explore_safely(
     exec: &mut dyn JobExecutor,
     spec: &RoundSpec,
     store: &mut ObservationStore,

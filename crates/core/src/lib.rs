@@ -64,7 +64,7 @@ pub mod trace;
 
 pub use controller::{BoflConfig, BoflController};
 pub use executor::JobExecutor;
-pub use exploit::{ExploitParams, ExploitReport};
+pub use exploit::ExploitParams;
 pub use observation::{AggregatedObservation, ObservationStore, QuarantinePolicy};
 pub use runner::{ClientRunner, DeadlineSchedule, RoundReport, RunSummary};
 pub use task::{Phase, RoundSpec};
@@ -86,7 +86,7 @@ pub mod prelude {
     pub use crate::baselines::{OracleController, PerformantController};
     pub use crate::controller::{BoflConfig, BoflController};
     pub use crate::executor::JobExecutor;
-    pub use crate::exploit::{ExploitParams, ExploitReport};
+    pub use crate::exploit::ExploitParams;
     pub use crate::metrics::{improvement_vs, regret_vs};
     pub use crate::observation::QuarantinePolicy;
     pub use crate::runner::{ClientRunner, DeadlineSchedule, RoundReport, RunSummary};

@@ -156,6 +156,5 @@ mod tests {
         assert_eq!(run.deadlines_met(), 2);
         assert_eq!(run.total_explored(), 1);
         assert_eq!(run.phase_reports(Phase::Exploitation).count(), 1);
-        assert_eq!(run.total_mbo_s(), 0.0);
     }
 }

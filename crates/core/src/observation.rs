@@ -36,7 +36,7 @@ impl QuarantinePolicy {
     /// # Panics
     ///
     /// Panics if `factor <= 1`.
-    pub fn with_factor(factor: f64) -> Self {
+    pub(crate) fn with_factor(factor: f64) -> Self {
         assert!(factor > 1.0, "quarantine factor must exceed 1");
         QuarantinePolicy {
             enabled: true,
@@ -46,7 +46,7 @@ impl QuarantinePolicy {
     }
 
     /// No quarantine: every sample is folded into the aggregates.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         QuarantinePolicy {
             enabled: false,
             ..QuarantinePolicy::with_factor(3.0)
@@ -92,7 +92,7 @@ impl AggregatedObservation {
     }
 
     /// The mean cost as a [`JobCost`].
-    pub fn mean_cost(&self) -> JobCost {
+    pub(crate) fn mean_cost(&self) -> JobCost {
         JobCost {
             latency_s: self.mean_latency_s(),
             energy_j: self.mean_energy_j(),
@@ -118,21 +118,16 @@ impl ObservationStore {
     }
 
     /// Creates an empty store with the given quarantine policy.
-    pub fn with_quarantine(policy: QuarantinePolicy) -> Self {
+    pub(crate) fn with_quarantine(policy: QuarantinePolicy) -> Self {
         ObservationStore {
             quarantine: policy,
             ..ObservationStore::default()
         }
     }
 
-    /// The store's quarantine policy.
-    pub fn quarantine_policy(&self) -> QuarantinePolicy {
-        self.quarantine
-    }
-
     /// Total latency samples quarantined (counted but excluded from the
     /// aggregates) since the store was created.
-    pub fn quarantined_jobs(&self) -> u64 {
+    pub(crate) fn quarantined_jobs(&self) -> u64 {
         self.quarantined_jobs
     }
 
@@ -141,7 +136,7 @@ impl ObservationStore {
     ///
     /// Under an enabled [`QuarantinePolicy`], a sample whose latency is
     /// inflated beyond `factor ×` the configuration's established mean is
-    /// quarantined: the sample is counted in [`Self::quarantined_jobs`]
+    /// quarantined: the sample is counted in `Self::quarantined_jobs`
     /// but never reaches the aggregates (and therefore never reaches the
     /// GP training set or the exploitation planner).
     pub fn record(&mut self, space: &ConfigSpace, config: DvfsConfig, cost: JobCost) -> bool {
@@ -178,13 +173,8 @@ impl ObservationStore {
         }
     }
 
-    /// The aggregate for a configuration, if it has been observed.
-    pub fn get(&self, index: ConfigIndex) -> Option<&AggregatedObservation> {
-        self.by_index.get(&index)
-    }
-
     /// The aggregate for a configuration value, if observed.
-    pub fn get_config(
+    pub(crate) fn get_config(
         &self,
         space: &ConfigSpace,
         config: DvfsConfig,
@@ -208,27 +198,53 @@ impl ObservationStore {
     }
 
     /// Grid indices in first-observation order.
-    pub fn indices(&self) -> &[ConfigIndex] {
+    pub(crate) fn indices(&self) -> &[ConfigIndex] {
         &self.order
     }
 
     /// The observed configurations whose mean costs are Pareto-optimal
-    /// (energy, latency both minimized), in first-observation order.
+    /// (energy, latency both minimized), in first-observation order: those
+    /// no other aggregate [dominates](JobCost::dominates), so equal costs
+    /// all stay.
+    ///
+    /// One sort and one sweep. In energy order, an aggregate is dominated
+    /// iff some strictly lower energy has a latency no higher than its
+    /// own, or its own energy has a strictly lower latency. A cost with a
+    /// NaN coordinate neither dominates nor is dominated, so it stays and
+    /// skips the sweep.
     pub fn pareto_set(&self) -> Vec<&AggregatedObservation> {
         let all: Vec<(&AggregatedObservation, JobCost)> =
             self.iter().map(|a| (a, a.mean_cost())).collect();
+        let cost = |i: usize| (all[i].1.energy_j, all[i].1.latency_s);
+        let mut keep = vec![true; all.len()];
+        let mut order: Vec<usize> = (0..all.len())
+            .filter(|&i| !cost(i).0.is_nan() && !cost(i).1.is_nan())
+            .collect();
+        order.sort_by(|&a, &b| {
+            cost(a)
+                .partial_cmp(&cost(b))
+                .expect("NaN costs skip the sort")
+        });
+        // The least latency seen at a strictly lower energy.
+        let mut best: Option<f64> = None;
+        for same_energy in order.chunk_by(|&a, &b| cost(a).0 == cost(b).0) {
+            let least = cost(same_energy[0]).1;
+            for &i in same_energy {
+                let latency = cost(i).1;
+                keep[i] = latency == least && best.is_none_or(|b| latency < b);
+            }
+            best = Some(best.map_or(least, |b| b.min(least)));
+        }
         all.iter()
-            .filter(|(a, a_cost)| {
-                !all.iter()
-                    .any(|(b, b_cost)| b.config != a.config && b_cost.dominates(a_cost))
-            })
-            .map(|&(a, _)| a)
+            .zip(keep)
+            .filter(|&(_, kept)| kept)
+            .map(|(&(a, _), _)| a)
             .collect()
     }
 
     /// Worst observed mean energy and latency — the reference-point
     /// ingredients of the paper's §4.3.
-    pub fn worst_objectives(&self) -> Option<[f64; 2]> {
+    pub(crate) fn worst_objectives(&self) -> Option<[f64; 2]> {
         if self.is_empty() {
             return None;
         }
@@ -245,6 +261,7 @@ impl ObservationStore {
 mod tests {
     use super::*;
     use bofl_device::{ConfigSpace, FreqMHz, FreqTable};
+    use proptest::prelude::*;
 
     fn space() -> ConfigSpace {
         ConfigSpace::new(
@@ -450,7 +467,7 @@ mod tests {
         assert_eq!(warming.get_config(&sp, x).unwrap().jobs, 4);
         // Disabled policy folds everything in (the historical behavior).
         let mut off = ObservationStore::new();
-        assert!(!off.quarantine_policy().enabled);
+        assert!(!off.quarantine.enabled);
         off.record(
             &sp,
             x,
@@ -492,5 +509,60 @@ mod tests {
                 energy_j: 1.0,
             },
         );
+    }
+
+    /// The quadratic dominance filter `pareto_set` ran before its sweep,
+    /// kept as the reference.
+    fn quadratic_pareto_set(store: &ObservationStore) -> Vec<DvfsConfig> {
+        let all: Vec<(&AggregatedObservation, JobCost)> =
+            store.iter().map(|a| (a, a.mean_cost())).collect();
+        all.iter()
+            .filter(|(a, a_cost)| {
+                !all.iter()
+                    .any(|(b, b_cost)| b.config != a.config && b_cost.dominates(a_cost))
+            })
+            .map(|&(a, _)| a.config)
+            .collect()
+    }
+
+    /// A cost coordinate: mostly one of four grid values, so equal
+    /// energies, equal latencies and duplicated costs are common; else
+    /// `-0.0`, `+0.0`, `+∞` or NaN.
+    fn coordinate(pick: u8) -> f64 {
+        match pick {
+            0..=15 => [0.5, 1.0, 1.5, 2.0][usize::from(pick % 4)],
+            16 => -0.0,
+            17 => 0.0,
+            18 => f64::INFINITY,
+            _ => f64::NAN,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Jobs land on up to 48 of a 64-point grid, some configurations
+        /// more than once, so means mix too.
+        #[test]
+        fn sweep_keeps_the_quadratic_filters_set_and_order(
+            jobs in prop::collection::vec((0usize..48, 0u8..20, 0u8..20), 0..64),
+        ) {
+            let sp = ConfigSpace::new(
+                FreqTable::from_mhz(&[100, 200, 300, 400]),
+                FreqTable::from_mhz(&[300, 400, 500, 600]),
+                FreqTable::from_mhz(&[500, 600, 700, 800]),
+            );
+            let mut store = ObservationStore::new();
+            for &(index, energy, latency) in &jobs {
+                let x = sp.iter().nth(index).unwrap();
+                let cost = JobCost {
+                    latency_s: coordinate(latency),
+                    energy_j: coordinate(energy),
+                };
+                store.record(&sp, x, cost);
+            }
+            let swept: Vec<DvfsConfig> = store.pareto_set().iter().map(|a| a.config).collect();
+            prop_assert_eq!(swept, quadratic_pareto_set(&store));
+        }
     }
 }

@@ -52,22 +52,6 @@ impl DeadlineSchedule {
         }
     }
 
-    /// A fixed deadline for every round (the "static timeout" server of
-    /// §2.1).
-    pub fn fixed(device: &Device, task: &FlTask, rounds: usize, ratio: f64) -> Self {
-        assert!(ratio >= 1.0, "deadline ratio must be at least 1");
-        let t_min = device.round_latency_at_max(task);
-        DeadlineSchedule {
-            t_min_s: t_min,
-            deadlines: vec![t_min * ratio; rounds],
-        }
-    }
-
-    /// Builds a schedule from explicit deadline values.
-    pub fn from_deadlines(t_min_s: f64, deadlines: Vec<f64>) -> Self {
-        DeadlineSchedule { t_min_s, deadlines }
-    }
-
     /// `T_min`: the round latency at `x_max` (the feasibility floor).
     pub fn t_min_s(&self) -> f64 {
         self.t_min_s
@@ -131,15 +115,6 @@ impl RunSummary {
         self.reports.iter().map(|r| r.explored.len()).sum()
     }
 
-    /// Total MBO computation time, seconds.
-    pub fn total_mbo_s(&self) -> f64 {
-        self.reports
-            .iter()
-            .filter_map(|r| r.mbo_duration)
-            .map(|d| d.as_secs_f64())
-            .sum()
-    }
-
     /// Reports belonging to a given phase.
     pub fn phase_reports(&self, phase: Phase) -> impl Iterator<Item = &RoundReport> + '_ {
         self.reports.iter().filter(move |r| r.phase == Some(phase))
@@ -179,7 +154,7 @@ impl<'a> SimExecutor<'a> {
 
     /// Marks the beginning of a new round; resets the round-relative
     /// clock and the energy counter, returning the previous round energy.
-    pub fn begin_round(&mut self) -> f64 {
+    pub(crate) fn begin_round(&mut self) -> f64 {
         let e = self.energy_j;
         self.round_start_s = self.clock.now_s();
         self.energy_j = 0.0;
@@ -187,13 +162,8 @@ impl<'a> SimExecutor<'a> {
     }
 
     /// Energy consumed so far in the current round, joules.
-    pub fn round_energy_j(&self) -> f64 {
+    pub(crate) fn round_energy_j(&self) -> f64 {
         self.energy_j
-    }
-
-    /// Absolute virtual time, seconds.
-    pub fn now_s(&self) -> f64 {
-        self.clock.now_s()
     }
 }
 
@@ -303,11 +273,6 @@ mod tests {
             assert!(d >= t_min);
             assert!(d <= 2.0 * t_min);
         }
-        let f = DeadlineSchedule::fixed(&device, &task, 3, 3.0);
-        assert!(f
-            .deadlines()
-            .iter()
-            .all(|&d| (d - 3.0 * t_min).abs() < 1e-9));
     }
 
     #[test]

@@ -42,6 +42,8 @@ pub struct JobEvent {
 ///
 /// assert_eq!(exec.events().len(), 10);
 /// assert!(exec.events().iter().all(|e| e.config == device.config_space().x_max()));
+/// // A header and one row per job.
+/// assert_eq!(exec.to_csv().lines().count(), 11);
 /// ```
 #[derive(Debug)]
 pub struct TracingExecutor<E> {
@@ -61,45 +63,6 @@ impl<E: JobExecutor> TracingExecutor<E> {
     /// The recorded events, in execution order.
     pub fn events(&self) -> &[JobEvent] {
         &self.events
-    }
-
-    /// Clears the trace (e.g. between rounds).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
-    /// Consumes the wrapper, returning the inner executor and the trace.
-    pub fn into_parts(self) -> (E, Vec<JobEvent>) {
-        (self.inner, self.events)
-    }
-
-    /// Borrows the wrapped executor.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
-    /// Aggregates the trace per configuration:
-    /// `(config, jobs, total latency, total energy)`, in first-seen order.
-    pub fn per_config_totals(&self) -> Vec<(DvfsConfig, usize, f64, f64)> {
-        let mut order: Vec<DvfsConfig> = Vec::new();
-        let mut totals: std::collections::HashMap<DvfsConfig, (usize, f64, f64)> =
-            std::collections::HashMap::new();
-        for e in &self.events {
-            let entry = totals.entry(e.config).or_insert_with(|| {
-                order.push(e.config);
-                (0, 0.0, 0.0)
-            });
-            entry.0 += 1;
-            entry.1 += e.cost.latency_s;
-            entry.2 += e.cost.energy_j;
-        }
-        order
-            .into_iter()
-            .map(|c| {
-                let (n, lat, en) = totals[&c];
-                (c, n, lat, en)
-            })
-            .collect()
     }
 
     /// Renders the trace as CSV rows
@@ -173,26 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn per_config_totals_aggregate() {
-        let mut exec = TracingExecutor::new(FakeExecutor::new());
-        let space = exec.config_space().clone();
-        let a = space.x_max();
-        let b = space.x_min();
-        for _ in 0..3 {
-            exec.run_job(a);
-        }
-        exec.run_job(b);
-        let totals = exec.per_config_totals();
-        assert_eq!(totals.len(), 2);
-        assert_eq!(totals[0].0, a);
-        assert_eq!(totals[0].1, 3);
-        let cost_a = FakeExecutor::true_cost(a);
-        assert!((totals[0].2 - 3.0 * cost_a.latency_s).abs() < 1e-12);
-        assert!((totals[0].3 - 3.0 * cost_a.energy_j).abs() < 1e-12);
-        assert_eq!(totals[1].1, 1);
-    }
-
-    #[test]
     fn csv_and_clear() {
         let mut exec = TracingExecutor::new(FakeExecutor::new());
         let x = exec.config_space().x_max();
@@ -200,11 +143,6 @@ mod tests {
         let csv = exec.to_csv();
         assert!(csv.starts_with("job,cpu_mhz"));
         assert_eq!(csv.lines().count(), 2);
-        exec.clear();
-        assert!(exec.events().is_empty());
-        let (inner, events) = exec.into_parts();
-        assert!(events.is_empty());
-        assert_eq!(inner.jobs_run.len(), 1);
     }
 
     #[test]
@@ -213,6 +151,6 @@ mod tests {
         let x = exec.config_space().x_max();
         let cost = exec.run_job(x);
         assert!((exec.elapsed_s() - cost.latency_s).abs() < 1e-12);
-        assert_eq!(exec.inner().jobs_run.len(), 1);
+        assert_eq!(exec.inner.jobs_run.len(), 1);
     }
 }

@@ -87,7 +87,6 @@ pub struct SimulatedActuator {
     space: ConfigSpace,
     current: DvfsConfig,
     transition_latency_s: f64,
-    transitions: u64,
 }
 
 impl SimulatedActuator {
@@ -107,18 +106,7 @@ impl SimulatedActuator {
             space,
             current,
             transition_latency_s,
-            transitions: 0,
         }
-    }
-
-    /// Number of actual frequency transitions performed so far.
-    pub fn transition_count(&self) -> u64 {
-        self.transitions
-    }
-
-    /// The configuration space this actuator validates against.
-    pub fn space(&self) -> &ConfigSpace {
-        &self.space
     }
 }
 
@@ -131,7 +119,6 @@ impl DvfsActuator for SimulatedActuator {
             return Ok(0.0);
         }
         self.current = x;
-        self.transitions += 1;
         Ok(self.transition_latency_s)
     }
 
@@ -157,7 +144,6 @@ mod tests {
     fn starts_at_min() {
         let act = SimulatedActuator::new(space(), 0.001);
         assert_eq!(act.current(), space().x_min());
-        assert_eq!(act.transition_count(), 0);
     }
 
     #[test]
@@ -166,7 +152,6 @@ mod tests {
         let xmax = space().x_max();
         assert_eq!(act.apply(xmax).unwrap(), 0.002);
         assert_eq!(act.apply(xmax).unwrap(), 0.0);
-        assert_eq!(act.transition_count(), 1);
         assert_eq!(act.current(), xmax);
     }
 

@@ -45,11 +45,6 @@ impl VirtualClock {
         );
         self.now_s += dt_s;
     }
-
-    /// Resets the clock to zero (e.g. at the start of a new experiment).
-    pub fn reset(&mut self) {
-        self.now_s = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -63,8 +58,6 @@ mod tests {
         c.advance(2.0);
         c.advance(0.0);
         assert_eq!(c.now_s(), 2.0);
-        c.reset();
-        assert_eq!(c.now_s(), 0.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use crate::sensor::standard_normal;
 use crate::{
-    ConfigSpace, CpuModel, DvfsConfig, FreqTable, GpuModel, JobCost, LatencyBreakdown,
-    LatencyModel, MemoryModel, PowerModel, PowerSensor, RailModel, SensorSpec,
+    ConfigSpace, CpuModel, DvfsConfig, FreqTable, GpuModel, JobCost, LatencyModel, MemoryModel,
+    PowerModel, PowerSensor, RailModel, SensorSpec,
 };
 use bofl_workload::{FlTask, GpuArch};
 use rand::Rng;
@@ -190,29 +190,14 @@ impl Device {
         &self.space
     }
 
-    /// The latency model (exposed for diagnostics and benches).
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
-
     /// The power model (exposed for diagnostics and benches).
     pub fn power_model(&self) -> &PowerModel {
         &self.power
     }
 
-    /// The power sensor used by measured executions.
-    pub fn sensor(&self) -> &PowerSensor {
-        &self.sensor
-    }
-
     /// Latency of one frequency transition, seconds.
     pub fn transition_latency_s(&self) -> f64 {
         self.transition_latency_s
-    }
-
-    /// Latency decomposition of one minibatch of `task` at `x` (noise-free).
-    pub fn latency_breakdown(&self, task: &FlTask, x: DvfsConfig) -> LatencyBreakdown {
-        self.latency.evaluate(task, x)
     }
 
     /// The noise-free blackbox objectives `(T(x), E(x))` for one minibatch.
@@ -293,9 +278,6 @@ pub struct DeviceBuilder {
     gpu_rail: RailModel,
     mem_rail: RailModel,
     static_power_w: f64,
-    sensor_spec: SensorSpec,
-    latency_jitter: f64,
-    transition_latency_s: f64,
 }
 
 impl DeviceBuilder {
@@ -337,9 +319,6 @@ impl DeviceBuilder {
                 idle_fraction: 0.25,
             },
             static_power_w: 3.0,
-            sensor_spec: SensorSpec::default(),
-            latency_jitter: 0.01,
-            transition_latency_s: 0.001,
         }
     }
 
@@ -380,7 +359,7 @@ impl DeviceBuilder {
     }
 
     /// Sets the roofline overlap coefficient γ.
-    pub fn roofline_overlap(mut self, g: f64) -> Self {
+    pub(crate) fn roofline_overlap(mut self, g: f64) -> Self {
         self.roofline_overlap = g;
         self
     }
@@ -415,35 +394,15 @@ impl DeviceBuilder {
         self
     }
 
-    /// Sets the power-sensor characteristics.
-    pub fn sensor_spec(mut self, s: SensorSpec) -> Self {
-        self.sensor_spec = s;
-        self
-    }
-
-    /// Sets the relative standard deviation of per-job latency jitter.
-    pub fn latency_jitter(mut self, j: f64) -> Self {
-        self.latency_jitter = j;
-        self
-    }
-
-    /// Sets the DVFS transition latency in seconds.
-    pub fn transition_latency_s(mut self, s: f64) -> Self {
-        self.transition_latency_s = s;
-        self
-    }
-
     /// Builds the device.
     ///
     /// # Panics
     ///
-    /// Panics if any of the three frequency tables is missing, or if the
-    /// jitter is negative.
+    /// Panics if any of the three frequency tables is missing.
     pub fn build(self) -> Device {
         let cpu = self.cpu_table.expect("cpu_table is required");
         let gpu = self.gpu_table.expect("gpu_table is required");
         let mem = self.mem_table.expect("mem_table is required");
-        assert!(self.latency_jitter >= 0.0, "latency jitter must be >= 0");
         Device {
             name: self.name,
             space: ConfigSpace::new(cpu, gpu, mem),
@@ -460,9 +419,9 @@ impl DeviceBuilder {
                 mem: self.mem_rail,
                 static_w: self.static_power_w,
             },
-            sensor: PowerSensor::new(self.sensor_spec),
-            latency_jitter: self.latency_jitter,
-            transition_latency_s: self.transition_latency_s,
+            sensor: PowerSensor::new(SensorSpec::default()),
+            latency_jitter: 0.01,
+            transition_latency_s: 0.001,
         }
     }
 }

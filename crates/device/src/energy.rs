@@ -30,11 +30,6 @@ impl JobCost {
         no_worse && better
     }
 
-    /// The cost as an `(energy, latency)` point in objective space.
-    pub fn as_objectives(&self) -> [f64; 2] {
-        [self.energy_j, self.latency_s]
-    }
-
     /// Average power over the job, watts.
     pub fn average_power_w(&self) -> f64 {
         if self.latency_s > 0.0 {
@@ -85,7 +80,6 @@ mod tests {
             latency_s: 0.5,
             energy_j: 10.0,
         };
-        assert_eq!(a.as_objectives(), [10.0, 0.5]);
         assert_eq!(a.average_power_w(), 20.0);
         assert!(a.to_string().contains("10.000 J"));
         let z = JobCost {

@@ -39,7 +39,7 @@ impl FreqMHz {
     }
 
     /// The frequency in Hz.
-    pub fn as_hz(self) -> f64 {
+    pub(crate) fn as_hz(self) -> f64 {
         f64::from(self.0) * 1e6
     }
 }
@@ -146,7 +146,7 @@ impl FreqTable {
     }
 
     /// The table entry closest to `f` (ties resolve to the lower step).
-    pub fn nearest(&self, f: FreqMHz) -> FreqMHz {
+    pub(crate) fn nearest(&self, f: FreqMHz) -> FreqMHz {
         *self
             .steps
             .iter()

@@ -39,7 +39,7 @@ pub struct MemoryModel {
 /// `fixed + max(gpu_path, cpu_pipeline)` where
 /// `gpu_path = roofline(compute, memory) + serial`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyBreakdown {
+pub(crate) struct LatencyBreakdown {
     /// GPU compute time at the configured GPU clock.
     pub gpu_compute_s: f64,
     /// DRAM transfer time at the configured EMC clock.
@@ -56,7 +56,7 @@ pub struct LatencyBreakdown {
 
 impl LatencyBreakdown {
     /// Busy fraction of the GPU during the minibatch (for the power model).
-    pub fn gpu_utilization(&self) -> f64 {
+    pub(crate) fn gpu_utilization(&self) -> f64 {
         if self.total_s <= 0.0 {
             return 0.0;
         }
@@ -64,7 +64,7 @@ impl LatencyBreakdown {
     }
 
     /// Busy fraction of the CPU during the minibatch.
-    pub fn cpu_utilization(&self) -> f64 {
+    pub(crate) fn cpu_utilization(&self) -> f64 {
         if self.total_s <= 0.0 {
             return 0.0;
         }
@@ -72,7 +72,7 @@ impl LatencyBreakdown {
     }
 
     /// Busy fraction of the memory controller during the minibatch.
-    pub fn mem_utilization(&self) -> f64 {
+    pub(crate) fn mem_utilization(&self) -> f64 {
         if self.total_s <= 0.0 {
             return 0.0;
         }
@@ -99,7 +99,7 @@ impl LatencyBreakdown {
 /// workloads (the paper's Fig. 3a saturation) and launch-heavy RNNs scale
 /// with CPU frequency (Fig. 4a).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyModel {
+pub(crate) struct LatencyModel {
     /// CPU parameters.
     pub cpu: CpuModel,
     /// GPU parameters.
@@ -116,7 +116,7 @@ pub struct LatencyModel {
 impl LatencyModel {
     /// Evaluates the noise-free latency of one minibatch of `task` under
     /// configuration `x`.
-    pub fn evaluate(&self, task: &FlTask, x: DvfsConfig) -> LatencyBreakdown {
+    pub(crate) fn evaluate(&self, task: &FlTask, x: DvfsConfig) -> LatencyBreakdown {
         let b = task.minibatch_size();
         let model = task.model();
         let eff = model.efficiency().for_arch(self.gpu.arch);

@@ -9,7 +9,7 @@
 //! - [`FreqTable`] / [`ConfigSpace`] reproduce the exact discrete frequency
 //!   grids of the paper's Table 1 (AGX: 25×14×6 = 2100 configurations,
 //!   TX2: 12×13×6 = 936).
-//! - [`LatencyModel`] is a roofline-style pipeline model: per-minibatch
+//! - `LatencyModel` is a roofline-style pipeline model: per-minibatch
 //!   latency is the maximum of the overlappable CPU data pipeline and the
 //!   GPU path (compute/memory roofline plus CPU-serialized kernel-launch
 //!   time). It reproduces the paper's three measured phenomena (§2.2):
@@ -61,6 +61,7 @@ pub use config::{ConfigIndex, ConfigSpace, DvfsConfig};
 pub use device::{Device, DeviceBuilder, ProfileEntry};
 pub use energy::JobCost;
 pub use freq::{FreqMHz, FreqTable};
-pub use latency::{CpuModel, GpuModel, LatencyBreakdown, LatencyModel, MemoryModel};
-pub use power::{PowerBreakdown, PowerModel, RailModel};
+pub use latency::{CpuModel, GpuModel, MemoryModel};
+pub(crate) use latency::{LatencyBreakdown, LatencyModel};
+pub use power::{PowerModel, RailModel};
 pub use sensor::{PowerSensor, SensorSpec};

@@ -30,13 +30,13 @@ pub struct RailModel {
 
 impl RailModel {
     /// Rail voltage at frequency `f_ghz`.
-    pub fn voltage(&self, f_ghz: f64) -> f64 {
+    pub(crate) fn voltage(&self, f_ghz: f64) -> f64 {
         self.v0 + self.v1 * f_ghz
     }
 
     /// Rail power at frequency `f_ghz` and utilization `u` (clamped to
     /// `[0, 1]`).
-    pub fn power(&self, f_ghz: f64, u: f64) -> f64 {
+    pub(crate) fn power(&self, f_ghz: f64, u: f64) -> f64 {
         let u = u.clamp(0.0, 1.0);
         let v = self.voltage(f_ghz);
         self.coeff * f_ghz * v * v * (self.idle_fraction + (1.0 - self.idle_fraction) * u)
@@ -45,7 +45,7 @@ impl RailModel {
 
 /// Average power decomposition over one minibatch, in watts.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerBreakdown {
+pub(crate) struct PowerBreakdown {
     /// CPU rail power.
     pub cpu_w: f64,
     /// GPU rail power.
@@ -73,7 +73,7 @@ pub struct PowerModel {
 
 impl PowerModel {
     /// Average power over a minibatch whose execution produced `lat`.
-    pub fn evaluate(&self, x: DvfsConfig, lat: &LatencyBreakdown) -> PowerBreakdown {
+    pub(crate) fn evaluate(&self, x: DvfsConfig, lat: &LatencyBreakdown) -> PowerBreakdown {
         let cpu_w = self.cpu.power(x.cpu.as_ghz(), lat.cpu_utilization());
         let gpu_w = self.gpu.power(x.gpu.as_ghz(), lat.gpu_utilization());
         let mem_w = self.mem.power(x.mem.as_ghz(), lat.mem_utilization());
@@ -84,15 +84,6 @@ impl PowerModel {
             static_w: self.static_w,
             total_w: cpu_w + gpu_w + mem_w + self.static_w,
         }
-    }
-
-    /// Board power when fully idle at configuration `x` (used to charge
-    /// the energy cost of the MBO computation window in Fig. 13).
-    pub fn idle_power(&self, x: DvfsConfig) -> f64 {
-        self.static_w
-            + self.cpu.power(x.cpu.as_ghz(), 0.0)
-            + self.gpu.power(x.gpu.as_ghz(), 0.0)
-            + self.mem.power(x.mem.as_ghz(), 0.0)
     }
 
     /// Board power with the CPU fully busy and GPU/memory idle at `x`
@@ -200,7 +191,5 @@ mod tests {
         assert!((p.total_w - (p.cpu_w + p.gpu_w + p.mem_w + p.static_w)).abs() < 1e-12);
         // A busy AGX should land in a plausible power envelope.
         assert!(p.total_w > 10.0 && p.total_w < 40.0, "total {}", p.total_w);
-        assert!(pm.idle_power(x) < p.total_w);
-        assert!(pm.cpu_busy_power(x) > pm.idle_power(x));
     }
 }

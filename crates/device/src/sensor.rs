@@ -183,17 +183,6 @@ impl PowerSensor {
         PowerSensor { spec }
     }
 
-    /// The sensor characteristics.
-    pub fn spec(&self) -> SensorSpec {
-        self.spec
-    }
-
-    /// Takes one instantaneous power reading of a true power `true_w`.
-    pub fn read_power(&self, true_w: f64, rng: &mut impl Rng) -> f64 {
-        let (u1, u2) = uniform_pair(rng);
-        Reader::new(&self.spec, true_w).read(fast_normal(u1, u2), u1, u2)
-    }
-
     /// Measures the energy of an interval of `duration_s` seconds during
     /// which the true average power is `true_w`, by integrating sampled
     /// readings. Short intervals see relatively larger error because fewer
@@ -234,19 +223,6 @@ impl PowerSensor {
             }
         }
         mean * duration_s
-    }
-
-    /// Relative 1-σ error expected for an energy measurement over
-    /// `duration_s` (noise shrinks with √samples; quantization adds a
-    /// floor). Useful for clients that want to pick τ analytically.
-    pub fn expected_relative_error(&self, true_w: f64, duration_s: f64) -> f64 {
-        if duration_s <= 0.0 || true_w <= 0.0 {
-            return f64::INFINITY;
-        }
-        let n = (duration_s / self.spec.sample_period_s).floor().max(1.0);
-        let noise_term = self.spec.relative_noise / n.sqrt();
-        let quant_term = self.spec.quantum_w / (2.0 * true_w * n.sqrt());
-        noise_term + quant_term
     }
 }
 
@@ -386,6 +362,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One instantaneous reading of a true power `true_w`, through the
+    /// same reader `measure_energy` folds.
+    fn read_power(sensor: &PowerSensor, true_w: f64, rng: &mut impl Rng) -> f64 {
+        let (u1, u2) = uniform_pair(rng);
+        Reader::new(&sensor.spec, true_w).read(fast_normal(u1, u2), u1, u2)
+    }
+
     #[test]
     fn energy_unbiased_over_long_interval() {
         let sensor = PowerSensor::default();
@@ -425,15 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn expected_error_decreases_with_duration() {
-        let sensor = PowerSensor::default();
-        let e1 = sensor.expected_relative_error(15.0, 0.1);
-        let e2 = sensor.expected_relative_error(15.0, 5.0);
-        assert!(e1 > e2);
-        assert_eq!(sensor.expected_relative_error(15.0, 0.0), f64::INFINITY);
-    }
-
-    #[test]
     fn zero_duration_measures_zero() {
         let sensor = PowerSensor::default();
         let mut rng = StdRng::seed_from_u64(3);
@@ -464,7 +438,7 @@ mod tests {
         let sensor = PowerSensor::new(spec);
         let mut rng = StdRng::seed_from_u64(9);
         // 10.2 W quantizes to 10.0 W exactly with no noise.
-        let p = sensor.read_power(10.2, &mut rng);
+        let p = read_power(&sensor, 10.2, &mut rng);
         assert_eq!(p, 10.0);
     }
 
@@ -575,7 +549,7 @@ mod tests {
             )?;
             for _ in 0..8 {
                 same_bits(
-                    sensor.read_power(true_w, &mut rng),
+                    read_power(&sensor, true_w, &mut rng),
                     reference_reading(&spec, true_w, &mut reference),
                 )?;
             }
@@ -595,7 +569,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for sign in [1.0, -1.0] {
             let want = sign * 401.0 * 0.025;
-            assert_eq!(sensor.read_power(sign * true_w, &mut rng), want);
+            assert_eq!(read_power(&sensor, sign * true_w, &mut rng), want);
             assert_eq!(
                 sensor.measure_energy(sign * true_w, 0.005, &mut rng),
                 want * 0.005
@@ -626,7 +600,7 @@ mod tests {
             }
             let mut reference = rng.clone();
             assert_eq!(
-                sensor.read_power(true_w, &mut rng.clone()),
+                read_power(&sensor, true_w, &mut rng.clone()),
                 reference_reading(&spec, true_w, &mut reference),
                 "seed {seed}"
             );

@@ -39,7 +39,7 @@
 //! ```
 
 /// Number of fractional bits in the fixed-point representation.
-pub const FIXED_POINT_BITS: u32 = 32;
+pub(crate) const FIXED_POINT_BITS: u32 = 32;
 
 /// `2^FIXED_POINT_BITS` as an `f64` scale factor.
 const SCALE: f64 = (1u64 << FIXED_POINT_BITS) as f64;
@@ -72,18 +72,6 @@ impl ShardPlan {
         ShardPlan { shards }
     }
 
-    /// A plan sized so each shard aggregates about `shard_size` members
-    /// of a `cohort`-sized round (`shard_size >= 1`).
-    ///
-    /// # Panics
-    /// Panics if `shard_size == 0`.
-    pub fn by_size(cohort: usize, shard_size: usize) -> Self {
-        assert!(shard_size > 0, "shard_size must be positive");
-        ShardPlan {
-            shards: cohort.div_ceil(shard_size).max(1),
-        }
-    }
-
     /// The configured maximum number of shards.
     pub fn shards(&self) -> usize {
         self.shards
@@ -100,7 +88,7 @@ impl ShardPlan {
     /// cohort of `len` members. Ranges are contiguous, cover `0..len`
     /// exactly, and differ in size by at most one (the first
     /// `len % count` shards get the extra member).
-    pub fn range(&self, shard: usize, len: usize) -> std::ops::Range<usize> {
+    pub(crate) fn range(&self, shard: usize, len: usize) -> std::ops::Range<usize> {
         let count = self.shard_count(len);
         debug_assert!(shard < count.max(1), "shard index out of range");
         let base = len / count.max(1);
@@ -155,18 +143,8 @@ impl UpdateAccumulator {
         self.sum.resize(dim, 0);
     }
 
-    /// Dimensionality of the accumulated update (0 before `reset`).
-    pub fn dim(&self) -> usize {
-        self.sum.len()
-    }
-
-    /// Total accumulated integer weight (sum of sample counts).
-    pub fn weight(&self) -> u64 {
-        self.weight
-    }
-
     /// True when nothing has been folded in.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.weight == 0
     }
 
@@ -346,14 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn by_size_targets_shard_size() {
-        let plan = ShardPlan::by_size(100, 16);
-        assert_eq!(plan.shards(), 7);
-        assert!(plan.ranges(100).iter().all(|r| r.len() <= 16));
-        assert_eq!(ShardPlan::by_size(0, 16).shards(), 1);
-    }
-
-    #[test]
     fn sharded_equals_flat_bitwise() {
         let dim = 37;
         let updates: Vec<(Vec<f64>, u64)> = (0..23)
@@ -418,7 +388,7 @@ mod tests {
 
         assert_eq!(left, r1);
         assert_eq!(left.checksum(), r1.checksum());
-        assert_eq!(left.weight(), 10);
+        assert_eq!(left.weight, 10);
     }
 
     #[test]
@@ -465,7 +435,7 @@ mod tests {
         let cap = acc.sum.capacity();
         acc.reset(32);
         assert_eq!(acc.sum.capacity(), cap, "reset must keep the allocation");
-        assert_eq!(acc.dim(), 32);
+        assert_eq!(acc.sum.len(), 32);
     }
 
     /// Inputs (each also negated) where an inline round is easiest to get

@@ -2,8 +2,9 @@
 //! controller, with the simulated device charging latency and energy.
 
 use crate::data::SyntheticDataset;
+use crate::engine::RoundDeadline;
 use crate::model::TrainableModel;
-use crate::network::{BandwidthEstimator, NetworkModel, ReportingDeadline};
+use crate::network::{BandwidthEstimator, NetworkModel};
 use bofl::task::PaceController;
 use bofl::{JobExecutor, Phase, RoundSpec};
 use bofl_device::{
@@ -47,7 +48,7 @@ impl std::fmt::Debug for TrainingExecutor<'_> {
 
 impl<'a> TrainingExecutor<'a> {
     /// Creates an executor for one round of local training.
-    pub fn new(
+    pub(crate) fn new(
         device: &'a Device,
         task: &'a FlTask,
         model: &'a mut dyn TrainableModel,
@@ -85,19 +86,19 @@ impl<'a> TrainingExecutor<'a> {
     /// # Panics
     ///
     /// Panics if `slowdown < 1`.
-    pub fn with_slowdown(mut self, slowdown: f64) -> Self {
+    pub(crate) fn with_slowdown(mut self, slowdown: f64) -> Self {
         assert!(slowdown >= 1.0, "slowdown must be at least 1");
         self.slowdown = slowdown;
         self
     }
 
     /// Energy consumed so far this round, joules.
-    pub fn round_energy_j(&self) -> f64 {
+    pub(crate) fn round_energy_j(&self) -> f64 {
         self.energy_j
     }
 
     /// Mean loss of the most recent minibatch (NaN before the first job).
-    pub fn last_loss(&self) -> f64 {
+    pub(crate) fn last_loss(&self) -> f64 {
         self.last_loss
     }
 
@@ -225,8 +226,8 @@ impl FlClient {
     }
 
     /// Attaches a simulated uplink, enabling
-    /// [`FlClient::train_round_reporting`] (the paper's footnote-3
-    /// reporting-deadline mode).
+    /// [`FlClient::train_round`] against a [`RoundDeadline::Reporting`]
+    /// deadline (the paper's footnote-3 reporting-deadline mode).
     pub fn with_uplink(mut self, network: NetworkModel) -> Self {
         self.uplink = Some(network);
         self
@@ -237,21 +238,6 @@ impl FlClient {
         self.id
     }
 
-    /// Number of local samples.
-    pub fn samples(&self) -> usize {
-        self.data.len()
-    }
-
-    /// The device this client trains on.
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
-
-    /// The controller name (for reports).
-    pub fn controller_name(&self) -> &str {
-        self.controller.name()
-    }
-
     /// `T_min` for this client: one full round at `x_max`.
     pub fn t_min_s(&self) -> f64 {
         self.device.round_latency_at_max(&self.task)
@@ -259,27 +245,74 @@ impl FlClient {
 
     /// Estimated energy of one full round at `x_max` (the quantity an
     /// AutoFL-style energy-aware server ranks clients by).
-    pub fn round_energy_at_max_j(&self) -> f64 {
+    pub(crate) fn round_energy_at_max_j(&self) -> f64 {
         let x_max = self.device.config_space().x_max();
         self.device.true_cost(&self.task, x_max).energy_j * self.task.jobs_per_round() as f64
     }
 
     /// Runs one local training round: download `global` parameters, run
-    /// `W` jobs under the pace controller, report the update.
+    /// `W` jobs under the pace controller against `deadline`, report the
+    /// update. `slowdown` (≥ 1, `1.0` = healthy) inflates every job's
+    /// latency inside the executor, so engine-level fault plans perturb
+    /// training *while the controller is watching* rather than after the
+    /// fact.
+    ///
+    /// Against a [`RoundDeadline::Reporting`] deadline (the paper's
+    /// footnote-3 mode, the time by which the server must have received
+    /// the update) the client infers its training deadline by subtracting
+    /// a conservative upload budget from its bandwidth estimator, trains,
+    /// then simulates the upload and feeds the observed rate back into
+    /// the estimator. The result's `duration_s` and `deadline_met` then
+    /// refer to the reporting deadline (training + upload).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a reporting deadline if no uplink was attached via
+    /// [`FlClient::with_uplink`].
     pub fn train_round(
         &mut self,
         round: usize,
         global: &[f64],
-        deadline_s: f64,
+        deadline: RoundDeadline,
+        slowdown: f64,
     ) -> ClientRoundResult {
-        self.train_round_paced(round, global, deadline_s, 1.0)
+        let reporting = match deadline {
+            RoundDeadline::Training(deadline_s) => {
+                return self.train(round, global, deadline_s, slowdown)
+            }
+            RoundDeadline::Reporting(reporting) => reporting,
+        };
+        let network = self
+            .uplink
+            .expect("a reporting deadline requires with_uplink");
+        let upload_bytes = self.task.model().parameter_bytes();
+        let mut rng =
+            StdRng::seed_from_u64(self.seed ^ (round as u64).wrapping_mul(0xA24B_AED4_963E_E407));
+
+        // The client just *downloaded* the global model during the
+        // configuration window — a free bandwidth measurement, so even the
+        // very first round budgets its upload from data rather than hope.
+        let (download_s, _) = network.transfer(upload_bytes, &mut rng);
+        self.bandwidth.observe(upload_bytes, download_s);
+
+        // The training window must at least admit the x_max schedule.
+        let min_training = self.t_min_s() * 1.02;
+        let training_deadline =
+            reporting.training_deadline_s(&self.bandwidth, upload_bytes, min_training);
+
+        let mut result = self.train(round, global, training_deadline, slowdown);
+
+        // Simulate the upload and learn from it.
+        let (upload_s, _) = network.transfer(upload_bytes, &mut rng);
+        self.bandwidth.observe(upload_bytes, upload_s);
+
+        result.duration_s += upload_s;
+        result.deadline_met = result.duration_s <= reporting.reporting_s + 1e-9;
+        result
     }
 
-    /// [`FlClient::train_round`] with a transient per-job latency
-    /// `slowdown` (≥ 1, `1.0` = healthy) injected into the executor, so
-    /// engine-level fault plans perturb training *while the controller is
-    /// watching* rather than after the fact.
-    pub fn train_round_paced(
+    /// One round of `W` paced jobs against a training deadline.
+    fn train(
         &mut self,
         round: usize,
         global: &[f64],
@@ -320,71 +353,6 @@ impl FlClient {
                 .map(|d| d.as_secs_f64() * 1e3)
                 .unwrap_or(0.0),
         }
-    }
-
-    /// Runs one local round against a *reporting* deadline (the time by
-    /// which the server must have received the update): the client infers
-    /// its training deadline by subtracting a conservative upload budget
-    /// from its bandwidth estimator, trains, then simulates the upload and
-    /// feeds the observed rate back into the estimator.
-    ///
-    /// The returned result's `duration_s` and `deadline_met` refer to the
-    /// *reporting* deadline (training + upload).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no uplink was attached via [`FlClient::with_uplink`].
-    pub fn train_round_reporting(
-        &mut self,
-        round: usize,
-        global: &[f64],
-        reporting: ReportingDeadline,
-    ) -> ClientRoundResult {
-        self.train_round_reporting_paced(round, global, reporting, 1.0)
-    }
-
-    /// [`FlClient::train_round_reporting`] with a transient per-job
-    /// latency `slowdown` (≥ 1), mirroring [`FlClient::train_round_paced`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no uplink was attached via [`FlClient::with_uplink`].
-    pub fn train_round_reporting_paced(
-        &mut self,
-        round: usize,
-        global: &[f64],
-        reporting: ReportingDeadline,
-        slowdown: f64,
-    ) -> ClientRoundResult {
-        let network = self
-            .uplink
-            .expect("train_round_reporting requires with_uplink");
-        let upload_bytes = self.task.model().parameter_bytes();
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(
-            self.seed ^ (round as u64).wrapping_mul(0xA24B_AED4_963E_E407),
-        );
-
-        // The client just *downloaded* the global model during the
-        // configuration window — a free bandwidth measurement, so even the
-        // very first round budgets its upload from data rather than hope.
-        let (download_s, _) = network.transfer(upload_bytes, &mut rng);
-        self.bandwidth.observe(upload_bytes, download_s);
-
-        // The training window must at least admit the x_max schedule.
-        let min_training = self.t_min_s() * 1.02;
-        let training_deadline =
-            reporting.training_deadline_s(&self.bandwidth, upload_bytes, min_training);
-
-        let mut result = self.train_round_paced(round, global, training_deadline, slowdown);
-
-        // Simulate the upload and learn from it.
-        let (upload_s, _) = network.transfer(upload_bytes, &mut rng);
-        self.bandwidth.observe(upload_bytes, upload_s);
-
-        result.duration_s += upload_s;
-        result.deadline_met = result.duration_s <= reporting.reporting_s + 1e-9;
-        result
     }
 
     /// The client's current conservative bandwidth estimate, if any
@@ -447,14 +415,13 @@ mod tests {
             7,
         );
         let deadline = client.t_min_s() * 2.0;
-        let res = client.train_round(0, &global, deadline);
+        let res = client.train_round(0, &global, RoundDeadline::Training(deadline), 1.0);
         assert!(res.deadline_met);
         assert_eq!(res.samples, samples);
         assert!(res.energy_j > 0.0);
         assert!(res.duration_s > 0.0);
         assert_eq!(res.parameters.len(), global.len());
         assert_ne!(res.parameters, global, "training must change the model");
-        assert_eq!(client.controller_name(), "Performant");
         assert_eq!(client.id(), 0);
     }
 }

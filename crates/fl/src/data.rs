@@ -76,11 +76,6 @@ impl SyntheticDataset {
         &self.labels
     }
 
-    /// Feature dimensionality (the length of one row).
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
     /// Number of classes.
     pub fn classes(&self) -> usize {
         self.classes
@@ -115,7 +110,7 @@ impl SyntheticDataset {
     }
 
     /// A borrowed view of every sample.
-    pub fn as_batch(&self) -> Minibatch<'_> {
+    pub(crate) fn as_batch(&self) -> Minibatch<'_> {
         self.batch(0..self.len())
     }
 
@@ -252,7 +247,7 @@ impl FederatedData {
     }
 
     /// The shards in client order, moved out without a copy.
-    pub fn into_shards(self) -> Vec<SyntheticDataset> {
+    pub(crate) fn into_shards(self) -> Vec<SyntheticDataset> {
         self.shards
     }
 }

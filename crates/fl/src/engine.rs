@@ -121,14 +121,7 @@ impl ClientOutcome {
 /// implementation of "run a client's round" — every engine, sequential or
 /// parallel, must call it so their traces are comparable bit-for-bit.
 pub fn run_client_job(client: &mut FlClient, global: &[f64], job: &ClientJob) -> ClientOutcome {
-    let result = match job.deadline {
-        RoundDeadline::Training(deadline_s) => {
-            client.train_round_paced(job.round, global, deadline_s, job.slowdown)
-        }
-        RoundDeadline::Reporting(reporting) => {
-            client.train_round_reporting_paced(job.round, global, reporting, job.slowdown)
-        }
-    };
+    let result = client.train_round(job.round, global, job.deadline, job.slowdown);
     ClientOutcome {
         client_id: job.client_id,
         result,

@@ -61,7 +61,7 @@ pub use client::{FlClient, TrainingExecutor};
 pub use data::{FederatedData, SyntheticDataset};
 pub use engine::{ClientJob, ClientOutcome, RoundDeadline, RoundEngine, SequentialEngine};
 pub use model::{fold_scores, Minibatch, SoftmaxModel, TrainableModel};
-pub use network::{BandwidthEstimator, NetworkModel, ReportingDeadline, RetryPolicy};
+pub use network::{NetworkModel, ReportingDeadline, RetryPolicy};
 pub use server::{
     AggregationPolicy, DeadlinePolicy, Federation, FederationBuilder, FederationConfig,
     RoundRecord, RunHistory, SelectionPolicy,
@@ -76,7 +76,7 @@ pub mod prelude {
         ClientJob, ClientOutcome, RoundDeadline, RoundEngine, SequentialEngine,
     };
     pub use crate::model::{SoftmaxModel, TrainableModel};
-    pub use crate::network::{BandwidthEstimator, NetworkModel, ReportingDeadline, RetryPolicy};
+    pub use crate::network::{NetworkModel, ReportingDeadline, RetryPolicy};
     pub use crate::server::{
         AggregationPolicy, DeadlinePolicy, Federation, FederationBuilder, FederationConfig,
         RoundRecord, RunHistory, SelectionPolicy,

@@ -12,7 +12,7 @@
 //! - [`NetworkModel`] — a simulated wireless uplink (lognormal-ish
 //!   bandwidth around a nominal rate, e.g. 4G LTE ≈ 5 Mbps in the
 //!   paper's §6.5 example);
-//! - [`BandwidthEstimator`] — an EWMA over observed transfer rates with a
+//! - `BandwidthEstimator` — an EWMA over observed transfer rates with a
 //!   conservative quantile, exactly what a client needs to subtract a safe
 //!   upload-time estimate from a reporting deadline;
 //! - [`ReportingDeadline`] — the conversion itself.
@@ -71,7 +71,7 @@ impl NetworkModel {
     }
 
     /// Expected upload duration at nominal bandwidth (no variation).
-    pub fn nominal_duration_s(&self, bytes: f64) -> f64 {
+    pub(crate) fn nominal_duration_s(&self, bytes: f64) -> f64 {
         self.setup_latency_s + bytes / self.nominal_bps
     }
 }
@@ -83,7 +83,7 @@ impl NetworkModel {
 /// to upload `n` bytes?" with a configurable safety factor, so the
 /// inferred training deadline errs toward finishing early.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BandwidthEstimator {
+pub(crate) struct BandwidthEstimator {
     alpha: f64,
     pessimism: f64,
     estimate_bps: Option<f64>,
@@ -100,7 +100,7 @@ impl BandwidthEstimator {
     /// # Panics
     ///
     /// Panics if `alpha` is outside `(0, 1]` or `pessimism < 0`.
-    pub fn new(alpha: f64, pessimism: f64) -> Self {
+    pub(crate) fn new(alpha: f64, pessimism: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
         assert!(pessimism >= 0.0, "pessimism must be non-negative");
         BandwidthEstimator {
@@ -116,7 +116,7 @@ impl BandwidthEstimator {
     /// # Panics
     ///
     /// Panics on non-positive bytes or duration.
-    pub fn observe(&mut self, bytes: f64, duration_s: f64) {
+    pub(crate) fn observe(&mut self, bytes: f64, duration_s: f64) {
         assert!(bytes > 0.0 && bytes.is_finite(), "bytes must be positive");
         assert!(
             duration_s > 0.0 && duration_s.is_finite(),
@@ -138,7 +138,7 @@ impl BandwidthEstimator {
     }
 
     /// The smoothed bandwidth estimate, if any transfer has been seen.
-    pub fn estimate_bps(&self) -> Option<f64> {
+    pub(crate) fn estimate_bps(&self) -> Option<f64> {
         self.estimate_bps
     }
 
@@ -149,7 +149,7 @@ impl BandwidthEstimator {
     /// early in a session the EWMA variance is still near zero (a single
     /// observation has no spread), and without the floor the very first
     /// upload would be budgeted with no headroom at all.
-    pub fn conservative_bps(&self) -> Option<f64> {
+    pub(crate) fn conservative_bps(&self) -> Option<f64> {
         self.estimate_bps.map(|est| {
             let std = self.variance.sqrt();
             (est - self.pessimism * std).min(est * 0.75).max(est * 0.1)
@@ -158,7 +158,7 @@ impl BandwidthEstimator {
 
     /// Time to budget for uploading `bytes`, or `None` before the first
     /// observation.
-    pub fn budget_upload_s(&self, bytes: f64) -> Option<f64> {
+    pub(crate) fn budget_upload_s(&self, bytes: f64) -> Option<f64> {
         self.conservative_bps().map(|bw| bytes / bw)
     }
 }
@@ -275,7 +275,7 @@ impl ReportingDeadline {
     /// `min_training_s` (so a pathological bandwidth estimate cannot
     /// produce an infeasible zero-length training window — the client
     /// would rather risk a late upload than certainly train nothing).
-    pub fn training_deadline_s(
+    pub(crate) fn training_deadline_s(
         &self,
         estimator: &BandwidthEstimator,
         upload_bytes: f64,

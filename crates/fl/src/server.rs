@@ -86,7 +86,7 @@ impl AggregationPolicy {
 
     /// Number of clients to select for a nominal cohort of
     /// `clients_per_round` (always at least the cohort itself).
-    pub fn selection_target(&self, clients_per_round: usize) -> usize {
+    pub(crate) fn selection_target(&self, clients_per_round: usize) -> usize {
         let extra = (clients_per_round as f64 * self.over_select_fraction).ceil() as usize;
         clients_per_round + extra
     }
@@ -294,7 +294,7 @@ impl Federation {
     }
 
     /// Runs one round: select → assign deadline → train → aggregate.
-    pub fn run_round(&mut self, round: usize) -> RoundRecord {
+    pub(crate) fn run_round(&mut self, round: usize) -> RoundRecord {
         self.run_round_detailed(round).0
     }
 
@@ -391,8 +391,8 @@ impl Federation {
         (jobs, deadline_s)
     }
 
-    /// Like [`Federation::run_round`], but also returns the per-client
-    /// [`ClientOutcome`]s the round engine produced — the raw material for
+    /// Runs one round (select → assign deadline → train → aggregate) and
+    /// also returns the per-client [`ClientOutcome`]s the round engine produced — the raw material for
     /// fleet-level metrics (energy/latency histograms, straggler rates).
     pub fn run_round_detailed(&mut self, round: usize) -> (RoundRecord, Vec<ClientOutcome>) {
         let (jobs, deadline_s) = self.plan_round(round);
@@ -475,11 +475,6 @@ impl Federation {
         (record, outcomes)
     }
 
-    /// The global model's accuracy on the held-out test set.
-    pub fn test_accuracy(&self) -> f64 {
-        self.global.accuracy(&self.test_set.as_batch())
-    }
-
     /// The global model's current flat parameter vector.
     pub fn global_parameters(&self) -> Vec<f64> {
         self.global.parameters()
@@ -493,11 +488,6 @@ impl Federation {
     /// The label of the round engine driving this federation.
     pub fn engine_label(&self) -> &str {
         self.engine.label()
-    }
-
-    /// Read-only view of the client pool.
-    pub fn clients(&self) -> &[FlClient] {
-        &self.clients
     }
 }
 
@@ -642,6 +632,11 @@ impl FederationBuilder {
 mod tests {
     use super::*;
 
+    /// The global model's accuracy on the held-out test set.
+    fn test_accuracy(sim: &Federation) -> f64 {
+        sim.global.accuracy(&sim.test_set.as_batch())
+    }
+
     fn quick_config() -> FederationConfig {
         FederationConfig {
             num_clients: 4,
@@ -657,7 +652,7 @@ mod tests {
     #[test]
     fn fedavg_improves_accuracy() {
         let mut sim = Federation::builder(quick_config()).build();
-        let initial = sim.test_accuracy();
+        let initial = test_accuracy(&sim);
         let history = sim.run();
         assert_eq!(history.rounds.len(), 5);
         let final_acc = history.final_accuracy();
@@ -689,10 +684,10 @@ mod tests {
             ..quick_config()
         };
         let mut sim = Federation::builder(cfg).build();
-        let initial = sim.test_accuracy();
+        let initial = test_accuracy(&sim);
         let history = sim.run();
         assert!(history.rounds.iter().all(|r| r.aggregated.is_empty()));
-        assert!((sim.test_accuracy() - initial).abs() < 1e-12);
+        assert!((test_accuracy(&sim) - initial).abs() < 1e-12);
     }
 
     #[test]

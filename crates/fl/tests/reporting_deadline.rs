@@ -42,7 +42,7 @@ fn reporting_rounds_meet_the_reporting_deadline() {
 
     let mut met = 0;
     for round in 0..10 {
-        let res = client.train_round_reporting(round, &global, reporting);
+        let res = client.train_round(round, &global, RoundDeadline::Reporting(reporting), 1.0);
         assert!(res.duration_s > 0.0);
         if res.deadline_met {
             met += 1;
@@ -68,14 +68,14 @@ fn first_round_uses_whole_window_then_adapts() {
 
     // Round 0 already budgets from the model *download*, so even the
     // first reporting deadline holds.
-    let r0 = client.train_round_reporting(0, &global, reporting);
+    let r0 = client.train_round(0, &global, RoundDeadline::Reporting(reporting), 1.0);
     assert!(
         r0.deadline_met,
         "first round must meet the reporting deadline"
     );
     // The estimator keeps adapting on subsequent rounds.
     let before = client.bandwidth_estimate_bps().unwrap();
-    let r1 = client.train_round_reporting(1, &global, reporting);
+    let r1 = client.train_round(1, &global, RoundDeadline::Reporting(reporting), 1.0);
     assert!(r1.deadline_met, "adapted round must meet the deadline");
     let after = client.bandwidth_estimate_bps().unwrap();
     assert!(before > 0.0 && after > 0.0);

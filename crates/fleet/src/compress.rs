@@ -58,11 +58,6 @@ impl CompressedUpdate {
         CompressedUpdate::default()
     }
 
-    /// Dimensionality of the (decoded) update.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Simulated bytes this encoding occupies on the wire:
     /// dense `8·dim`; int8 `4 + dim` (f32 scale + one byte per
     /// parameter); top-k `4 + 12·k` (u32 count + u32 index + f64 value
@@ -94,15 +89,6 @@ impl CompressedUpdate {
                     out[i as usize] = v;
                 }
             }
-        }
-    }
-
-    /// Number of nonzero entries actually carried (diagnostics).
-    pub fn carried(&self) -> usize {
-        match self.kind {
-            Kind::Dense => self.dim,
-            Kind::Int8 => self.dim,
-            Kind::TopK => self.values.len(),
         }
     }
 }
@@ -438,7 +424,7 @@ mod tests {
             }
             carried_in.clone_from(&residual);
         }
-        assert_eq!(out.carried(), 8, "25% of 32 entries kept");
+        assert_eq!(out.values.len(), 8, "25% of 32 entries kept");
         assert_eq!(out.wire_bytes(), 4 + 12 * 8);
     }
 

@@ -43,7 +43,7 @@ pub struct FaultDraw {
 
 impl FaultDraw {
     /// A draw with no faults.
-    pub fn healthy() -> Self {
+    pub(crate) fn healthy() -> Self {
         FaultDraw {
             dropped: false,
             straggler_factor: 1.0,
@@ -65,13 +65,6 @@ pub enum ChurnStatus {
     Absent,
     /// Rejoining the fleet this round after an absence.
     Arriving,
-}
-
-impl ChurnStatus {
-    /// Whether the client participates in this round at all.
-    pub fn is_present(&self) -> bool {
-        !matches!(self, ChurnStatus::Absent)
-    }
 }
 
 /// Probabilities and magnitudes of injected faults, plus the seed that
@@ -170,12 +163,12 @@ impl FaultPlan {
     }
 
     /// Whether this plan can ever churn a client in or out.
-    pub fn has_churn(&self) -> bool {
+    pub(crate) fn has_churn(&self) -> bool {
         self.churn_departure_probability > 0.0
     }
 
     /// Whether this plan can ever inject a fault.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         self.dropout_probability == 0.0
             && self.straggler_probability == 0.0
             && self.upload_failure_probability == 0.0
@@ -392,8 +385,6 @@ mod tests {
         assert_eq!(plan.churn_status(1, 7), ChurnStatus::Absent);
         assert_eq!(plan.churn_status(2, 7), ChurnStatus::Absent);
         assert_eq!(plan.churn_status(3, 7), ChurnStatus::Departing);
-        assert!(!ChurnStatus::Absent.is_present());
-        assert!(ChurnStatus::Departing.is_present());
     }
 
     #[test]

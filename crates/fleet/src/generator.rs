@@ -23,7 +23,7 @@ pub enum DeviceKind {
 
 impl DeviceKind {
     /// Instantiates the baseline testbed device for this kind.
-    pub fn baseline(&self) -> Device {
+    pub(crate) fn baseline(&self) -> Device {
         match self {
             DeviceKind::JetsonAgx => Device::jetson_agx(),
             DeviceKind::JetsonTx2 => Device::jetson_tx2(),
@@ -35,7 +35,7 @@ impl DeviceKind {
     /// simulator uses instead of instantiating a device model per client
     /// (the AGX finishes faster at higher power; the TX2 runs longer and
     /// spends more in total, matching the testbed profiles).
-    pub fn nominal_round_energy_j(&self) -> f64 {
+    pub(crate) fn nominal_round_energy_j(&self) -> f64 {
         match self {
             DeviceKind::JetsonAgx => 95.0,
             DeviceKind::JetsonTx2 => 140.0,
@@ -68,7 +68,7 @@ pub struct ClientProfile {
 
 impl ClientProfile {
     /// Builds the concrete [`Device`] for this profile.
-    pub fn device(&self) -> Device {
+    pub(crate) fn device(&self) -> Device {
         let base = self.kind.baseline();
         let transition = base.transition_latency_s() * self.transition_scale;
         base.with_latency_jitter(self.latency_jitter)
@@ -115,21 +115,6 @@ impl FleetSpec {
         }
     }
 
-    /// Overrides the AGX fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1]`.
-    #[must_use]
-    pub fn with_agx_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "fraction must be in [0, 1]"
-        );
-        self.agx_fraction = fraction;
-        self
-    }
-
     /// The deterministic profile of client `id`.
     ///
     /// # Panics
@@ -155,11 +140,6 @@ impl FleetSpec {
             latency_jitter,
             transition_scale,
         }
-    }
-
-    /// All profiles, in id order.
-    pub fn profiles(&self) -> Vec<ClientProfile> {
-        (0..self.num_clients).map(|id| self.profile(id)).collect()
     }
 
     /// Builds the concrete device for client `id` — drop-in for
@@ -189,18 +169,22 @@ impl FleetSpec {
 mod tests {
     use super::*;
 
+    /// All profiles, in id order.
+    fn profiles(spec: &FleetSpec) -> Vec<ClientProfile> {
+        (0..spec.num_clients).map(|id| spec.profile(id)).collect()
+    }
+
     #[test]
     fn profiles_are_deterministic() {
         let spec = FleetSpec::mixed(32, 99);
-        assert_eq!(spec.profiles(), FleetSpec::mixed(32, 99).profiles());
+        assert_eq!(profiles(&spec), profiles(&FleetSpec::mixed(32, 99)));
         // A different seed reshuffles the fleet.
-        assert_ne!(spec.profiles(), FleetSpec::mixed(32, 100).profiles());
+        assert_ne!(profiles(&spec), profiles(&FleetSpec::mixed(32, 100)));
     }
 
     #[test]
     fn mixed_fleet_contains_both_boards() {
-        let profiles = FleetSpec::mixed(64, 7).profiles();
-        let agx = profiles
+        let agx = profiles(&FleetSpec::mixed(64, 7))
             .iter()
             .filter(|p| p.kind == DeviceKind::JetsonAgx)
             .count();
@@ -209,8 +193,7 @@ mod tests {
 
     #[test]
     fn uniform_agx_is_all_agx() {
-        assert!(FleetSpec::uniform_agx(16, 3)
-            .profiles()
+        assert!(profiles(&FleetSpec::uniform_agx(16, 3))
             .iter()
             .all(|p| p.kind == DeviceKind::JetsonAgx));
     }
@@ -218,7 +201,7 @@ mod tests {
     #[test]
     fn perturbations_stay_in_spec_ranges() {
         let spec = FleetSpec::mixed(100, 5);
-        for p in spec.profiles() {
+        for p in profiles(&spec) {
             assert!((0.01..=0.06).contains(&p.latency_jitter));
             assert!((0.75..=1.25).contains(&p.transition_scale));
         }

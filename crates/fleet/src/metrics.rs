@@ -29,7 +29,7 @@ impl Distribution {
     /// Summarizes `samples` (need not be sorted). NaN samples indicate a
     /// bug upstream — debug builds assert; release builds still produce a
     /// total order (`f64::total_cmp`) instead of panicking mid-run.
-    pub fn of(samples: &[f64]) -> Self {
+    pub(crate) fn of(samples: &[f64]) -> Self {
         debug_assert!(
             samples.iter().all(|s| s.is_finite()),
             "distribution samples must be finite"
@@ -50,7 +50,7 @@ impl Distribution {
     }
 
     /// Mean of the samples (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -145,7 +145,7 @@ pub struct FleetRoundStats {
 
 impl FleetRoundStats {
     /// Distills a round's record and outcomes.
-    pub fn from_round(record: &RoundRecord, outcomes: &[ClientOutcome]) -> Self {
+    pub(crate) fn from_round(record: &RoundRecord, outcomes: &[ClientOutcome]) -> Self {
         let energies: Vec<f64> = outcomes.iter().map(|o| o.result.energy_j).collect();
         let latencies: Vec<f64> = outcomes.iter().map(|o| o.result.duration_s).collect();
         let misses = outcomes.iter().filter(|o| o.missed_deadline()).count();
@@ -231,11 +231,6 @@ impl FleetMetrics {
     /// The per-round statistics recorded so far.
     pub fn rounds(&self) -> &[FleetRoundStats] {
         &self.rounds
-    }
-
-    /// Total fleet energy across recorded rounds, joules.
-    pub fn total_energy_j(&self) -> f64 {
-        self.rounds.iter().map(|r| r.energy_j.sum).sum()
     }
 
     /// Mean deadline-miss rate across recorded rounds.
@@ -328,13 +323,8 @@ impl FleetMetrics {
         self.rounds.iter().map(|r| r.suspected).sum()
     }
 
-    /// Total suspected-then-healed clients across recorded rounds.
-    pub fn healed(&self) -> usize {
-        self.rounds.iter().map(|r| r.healed).sum()
-    }
-
     /// The CSV header this aggregator emits.
-    pub const CSV_HEADER: &'static str = "round,selected,aggregated,deadline_s,\
+    pub(crate) const CSV_HEADER: &'static str = "round,selected,aggregated,deadline_s,\
 energy_total_j,energy_mean_j,energy_p95_j,latency_mean_s,latency_p95_s,latency_max_s,\
 miss_rate,dropouts,upload_failures,stragglers,\
 quorum,quorum_shortfall,upload_retries,recovered_uploads,escalated_jobs,quarantined,\
@@ -627,7 +617,6 @@ mod tests {
         (s.suspected, s.expired, s.healed) = (6, 2, 4);
         assert_eq!(m.chaos_dropped(), 3);
         assert_eq!(m.suspected(), 6);
-        assert_eq!(m.healed(), 4);
         let csv = m.to_csv();
         let header = csv.lines().next().unwrap();
         assert!(header.contains("chaos_partition_held"));
@@ -692,7 +681,6 @@ mod tests {
         }
         // Identical inputs render identical bytes.
         assert_eq!(csv, m.clone().to_csv());
-        assert!(m.total_energy_j() > 0.0);
         assert_eq!(m.mean_miss_rate(), 0.0);
     }
 }

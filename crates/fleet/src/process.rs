@@ -194,7 +194,7 @@ impl ProcessClientHarness {
     }
 
     /// Kill every still-running client (best effort).
-    pub fn kill_all(&mut self) {
+    pub(crate) fn kill_all(&mut self) {
         for (_, child) in &mut self.children {
             let _ = child.kill();
             let _ = child.wait();

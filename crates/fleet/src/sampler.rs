@@ -84,7 +84,7 @@ pub struct ClientStat {
 impl ClientStat {
     /// Rounds since this client last participated, as of `round`
     /// (`round + 1` when it never has — maximally stale).
-    pub fn staleness(&self, round: usize) -> u32 {
+    pub(crate) fn staleness(&self, round: usize) -> u32 {
         if self.last_selected == u32::MAX {
             round as u32 + 1
         } else {

@@ -67,7 +67,7 @@ pub struct ShardRoundStats {
 impl ShardRoundStats {
     /// Adds this shard's integer counters into a fleet-level total
     /// (checksum and identity fields excluded — totals are grouping-free).
-    pub fn add_into(&self, total: &mut ShardRoundStats) {
+    pub(crate) fn add_into(&self, total: &mut ShardRoundStats) {
         total.members += self.members;
         total.aggregated += self.aggregated;
         total.weight += self.weight;

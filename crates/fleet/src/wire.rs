@@ -31,14 +31,14 @@ use std::fmt;
 use std::io;
 
 /// Every frame starts with this little-endian magic.
-pub const FRAME_MAGIC: u32 = 0xB0F1_50C7;
+pub(crate) const FRAME_MAGIC: u32 = 0xB0F1_50C7;
 
 /// Frames never carry more payload than this; a larger length prefix is
 /// corruption, not a big message.
-pub const MAX_PAYLOAD: usize = 64 * 1024;
+pub(crate) const MAX_PAYLOAD: usize = 64 * 1024;
 
 /// Fixed overhead around the payload: magic + kind + len + crc.
-pub const FRAME_OVERHEAD: usize = 4 + 1 + 4 + 4;
+pub(crate) const FRAME_OVERHEAD: usize = 4 + 1 + 4 + 4;
 
 /// One update (or its acknowledgement) on the wire, stamped with its
 /// virtual send time.
@@ -70,7 +70,7 @@ pub enum Frame {
 /// Why a byte sequence was rejected by the decoder.
 #[derive(Debug)]
 pub enum WireError {
-    /// The first four bytes are not [`FRAME_MAGIC`].
+    /// The first four bytes are not `FRAME_MAGIC`.
     BadMagic(u32),
     /// The checksum over kind + length + payload did not match.
     BadChecksum {
@@ -79,7 +79,7 @@ pub enum WireError {
         /// CRC the received bytes actually hash to.
         actual: u32,
     },
-    /// The length prefix exceeds [`MAX_PAYLOAD`].
+    /// The length prefix exceeds `MAX_PAYLOAD`.
     Oversize(usize),
     /// The kind byte is not in the frame vocabulary.
     UnknownKind(u8),
@@ -262,7 +262,7 @@ impl FrameReader {
 
     /// If the buffer already holds a complete frame, pop it without
     /// touching the socket.
-    pub fn pop(&mut self) -> Result<Option<Frame>, WireError> {
+    pub(crate) fn pop(&mut self) -> Result<Option<Frame>, WireError> {
         match decode_frame(&self.buf)? {
             Some((frame, consumed)) => {
                 self.buf.drain(..consumed);

@@ -116,7 +116,7 @@ pub struct GaussianProcess {
 }
 
 /// Per-candidate scan state a chunk of queries carries along a
-/// Kriging-believer fantasy chain ([`GaussianProcess::predict_batch_cached`]).
+/// Kriging-believer fantasy chain (`GaussianProcess::predict_batch_cached`).
 ///
 /// For each query `c` it keeps the kernel row `k*(c)`, the half-solve
 /// `v = L⁻¹k*` and the running `Σ vᵢ²`, one flat buffer of
@@ -376,18 +376,12 @@ impl GaussianProcess {
     }
 
     /// Number of observations the posterior is conditioned on.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.xs.len()
     }
 
-    /// `true` if there are no observations (cannot occur for a fitted GP;
-    /// provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
     /// Input dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
@@ -399,15 +393,6 @@ impl GaussianProcess {
     /// The fitted observation-noise variance (standardized units).
     pub fn noise_variance(&self) -> f64 {
         self.noise_variance
-    }
-
-    /// Log marginal likelihood of the training data under the fitted
-    /// hyperparameters.
-    pub fn log_marginal_likelihood(&self) -> f64 {
-        match Self::build_posterior(&self.xs, &self.ys_std, &self.kernel, self.noise_variance) {
-            Ok((chol, alpha)) => -Self::neg_log_likelihood(&chol, &alpha, &self.ys_std),
-            Err(_) => f64::NEG_INFINITY,
-        }
     }
 
     /// Posterior predictive distribution at `x`.
@@ -430,7 +415,7 @@ impl GaussianProcess {
     /// Equivalent to calling [`GaussianProcess::predict`] per query, but
     /// validates once and fills one flat scratch buffer for the whole
     /// batch, so scanning a large candidate set does not allocate per
-    /// point. It is [`GaussianProcess::predict_batch_cached`] with a
+    /// point. It is `GaussianProcess::predict_batch_cached` with a
     /// fresh cache.
     ///
     /// # Errors
@@ -462,7 +447,7 @@ impl GaussianProcess {
     ///
     /// Same conditions as [`GaussianProcess::predict_batch`]. A failed
     /// solve leaves the cache invalidated, so the next call rebuilds it.
-    pub fn predict_batch_cached(
+    pub(crate) fn predict_batch_cached(
         &self,
         queries: &[Vec<f64>],
         cache: &mut PredictCache,
@@ -580,6 +565,15 @@ impl GaussianProcess {
 mod tests {
     use super::*;
 
+    /// Log marginal likelihood of the training data under the fitted
+    /// hyperparameters.
+    fn log_marginal_likelihood(gp: &GaussianProcess) -> f64 {
+        match GaussianProcess::build_posterior(&gp.xs, &gp.ys_std, &gp.kernel, gp.noise_variance) {
+            Ok((chol, alpha)) => -GaussianProcess::neg_log_likelihood(&chol, &alpha, &gp.ys_std),
+            Err(_) => f64::NEG_INFINITY,
+        }
+    }
+
     fn grid_1d(n: usize) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect()
     }
@@ -695,7 +689,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(fitted.log_marginal_likelihood() >= fixed.log_marginal_likelihood() - 1e-6);
+        assert!(log_marginal_likelihood(&fitted) >= log_marginal_likelihood(&fixed) - 1e-6);
         assert!(fitted.kernel().lengthscales()[0] < 0.3);
     }
 
@@ -714,7 +708,6 @@ mod tests {
         assert!((p.mean - 1.4).abs() < 0.1, "{}", p.mean);
         assert_eq!(gp.dim(), 2);
         assert_eq!(gp.len(), 25);
-        assert!(!gp.is_empty());
     }
 
     #[test]
@@ -819,10 +812,10 @@ mod tests {
         .unwrap();
         let full2 = GaussianProcess::fit(&xs2, &ys2, GpConfig::default()).unwrap();
         assert!(
-            warm_fit.log_marginal_likelihood() >= full2.log_marginal_likelihood() - 0.5,
+            log_marginal_likelihood(&warm_fit) >= log_marginal_likelihood(&full2) - 0.5,
             "warm {} vs full {}",
-            warm_fit.log_marginal_likelihood(),
-            full2.log_marginal_likelihood()
+            log_marginal_likelihood(&warm_fit),
+            log_marginal_likelihood(&full2)
         );
     }
 

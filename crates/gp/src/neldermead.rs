@@ -53,7 +53,7 @@ impl NelderMead {
     }
 
     /// Sets the evaluation budget.
-    pub fn with_max_evaluations(mut self, n: usize) -> Self {
+    pub(crate) fn with_max_evaluations(mut self, n: usize) -> Self {
         self.max_evaluations = n;
         self
     }

@@ -38,7 +38,7 @@ pub trait SurrogateModel: std::fmt::Debug + Send + Sync {
     ///
     /// The default ignores the cache (a model with no per-query state to
     /// carry); the exact GP overrides it with the incremental scan of
-    /// [`crate::GaussianProcess::predict_batch_cached`].
+    /// `GaussianProcess::predict_batch_cached`.
     ///
     /// # Errors
     ///

@@ -94,7 +94,7 @@ impl Matrix {
     }
 
     /// `true` if the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -126,7 +126,7 @@ impl Matrix {
     }
 
     /// `true` if every entry is finite.
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
     }
 }

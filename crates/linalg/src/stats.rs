@@ -73,7 +73,7 @@ impl OnlineStats {
     }
 
     /// Sample standard deviation.
-    pub fn sample_std(&self) -> f64 {
+    pub(crate) fn sample_std(&self) -> f64 {
         self.sample_variance().sqrt()
     }
 
@@ -156,7 +156,7 @@ impl Standardizer {
     }
 
     /// An identity transform (`shift = 0`, `scale = 1`).
-    pub fn identity() -> Self {
+    pub(crate) fn identity() -> Self {
         Standardizer {
             shift: 0.0,
             scale: 1.0,
@@ -171,11 +171,6 @@ impl Standardizer {
     /// Applies the inverse transform.
     pub fn invert(&self, z: f64) -> f64 {
         z * self.scale + self.shift
-    }
-
-    /// The shift (the data mean).
-    pub fn shift(&self) -> f64 {
-        self.shift
     }
 
     /// The scale (the data std, or 1 for constant data); always positive.

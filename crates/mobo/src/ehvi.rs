@@ -57,7 +57,7 @@
 //!                                  + |Δμ₁|·s₀·ψ((r₀ − min μ₀)/s₀)
 //! ```
 //!
-//! **The computed value.** [`psi`] goes through [`normal_cdf`], which is
+//! **The computed value.** [`psi`] goes through `normal_cdf`, which is
 //! Numerical Recipes' `erfcc` with fractional error below `1.2e-7`
 //! everywhere. For `t < 0` that is `|Φ̃(t) − Φ(t)| ≤ 1.2e-7·Φ(t)` and for
 //! `t ≥ 0` it is `≤ 1.2e-7·(1 − Φ(t))`; with the Mills-ratio bounds
@@ -114,7 +114,7 @@ const ROUNDING: f64 = 1e-12;
 const STD_FLOOR: f64 = 1e-12;
 
 /// Standard normal probability density function.
-pub fn normal_pdf(t: f64) -> f64 {
+pub(crate) fn normal_pdf(t: f64) -> f64 {
     (-0.5 * t * t).exp() / (2.0 * std::f64::consts::PI).sqrt()
 }
 
@@ -122,7 +122,7 @@ pub fn normal_pdf(t: f64) -> f64 {
 /// `Φ(t) = ½·erfc(−t/√2)` through `erfc`, Numerical Recipes' `erfcc`
 /// (fractional error below `1.2e-7`). [`psi`] built on it is within
 /// `PSI_ERROR` of the exact `ψ`.
-pub fn normal_cdf(t: f64) -> f64 {
+pub(crate) fn normal_cdf(t: f64) -> f64 {
     0.5 * erfc(-t / std::f64::consts::SQRT_2)
 }
 

@@ -58,7 +58,7 @@ impl Observation {
     }
 
     /// `true` iff all coordinates and objectives are finite.
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         self.point.iter().all(|v| v.is_finite()) && self.objectives.iter().all(|v| v.is_finite())
     }
 }
@@ -196,11 +196,6 @@ impl MoboEngine {
         Ok(())
     }
 
-    /// All observations so far.
-    pub fn observations(&self) -> &[Observation] {
-        &self.observations
-    }
-
     /// Number of observations.
     pub fn len(&self) -> usize {
         self.observations.len()
@@ -221,7 +216,7 @@ impl MoboEngine {
     /// observed value per objective padded by 5%.
     ///
     /// Returns `None` when there are no observations and no pinned point.
-    pub fn reference(&self) -> Option<[f64; 2]> {
+    pub(crate) fn reference(&self) -> Option<[f64; 2]> {
         if let Some(r) = self.reference {
             return Some(r);
         }
@@ -238,19 +233,13 @@ impl MoboEngine {
     }
 
     /// The Pareto front of all observations (objective space).
-    pub fn pareto_front(&self) -> ParetoFront {
+    pub(crate) fn pareto_front(&self) -> ParetoFront {
         self.observations.iter().map(|o| o.objectives).collect()
-    }
-
-    /// Indices of the observations that lie on the Pareto front.
-    pub fn pareto_indices(&self) -> Vec<usize> {
-        let objs: Vec<[f64; 2]> = self.observations.iter().map(|o| o.objectives).collect();
-        crate::pareto_front_indices(&objs)
     }
 
     /// The dominated hypervolume of the current front under the current
     /// reference point (zero when unmeasurable).
-    pub fn hypervolume(&self) -> f64 {
+    pub(crate) fn hypervolume(&self) -> f64 {
         match self.reference() {
             Some(r) => hypervolume(&self.pareto_front(), r),
             None => 0.0,
@@ -262,11 +251,6 @@ impl MoboEngine {
     pub fn record_round(&mut self) {
         let hv = self.hypervolume();
         self.hv_history.push(hv);
-    }
-
-    /// The recorded hypervolume trajectory.
-    pub fn hypervolume_history(&self) -> &[f64] {
-        &self.hv_history
     }
 
     /// The paper's stopping condition (§4.3): enough configurations
@@ -877,7 +861,6 @@ mod tests {
         e.observe(Observation::new(vec![0.2], [2.0, 2.0])).unwrap();
         e.observe(Observation::new(vec![0.3], [3.0, 3.0])).unwrap(); // dominated
         e.observe(Observation::new(vec![0.4], [5.0, 1.0])).unwrap();
-        assert_eq!(e.pareto_indices(), vec![0, 1, 3]);
         assert_eq!(e.pareto_front().len(), 3);
     }
 
@@ -904,7 +887,7 @@ mod tests {
             });
             toy_observe(&mut e, &xs);
             let fit = |obj: usize| -> Box<dyn SurrogateModel> {
-                let ys: Vec<f64> = e.observations().iter().map(|o| o.objectives[obj]).collect();
+                let ys: Vec<f64> = e.observations.iter().map(|o| o.objectives[obj]).collect();
                 Box::new(GaussianProcess::fit(&points, &ys, gp.clone()).unwrap())
             };
             let want = greedy_batch(

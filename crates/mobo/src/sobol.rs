@@ -39,7 +39,6 @@ const BITS: u32 = 32;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SobolSequence {
-    dim: usize,
     // direction[d][j]: direction number j for dimension d, scaled by 2^32.
     direction: Vec<[u32; BITS as usize]>,
     state: Vec<u32>,
@@ -89,21 +88,10 @@ impl SobolSequence {
         }
 
         SobolSequence {
-            dim,
             direction,
             state: vec![0; dim],
             index: 0,
         }
-    }
-
-    /// Point dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Index of the next point to be generated.
-    pub fn index(&self) -> u64 {
-        self.index
     }
 
     /// Generates the next point of the sequence (Gray-code order).
@@ -123,11 +111,6 @@ impl SobolSequence {
         self.index += 1;
         point
     }
-
-    /// Generates the next `n` points.
-    pub fn take_points(&mut self, n: usize) -> Vec<Vec<f64>> {
-        (0..n).map(|_| self.next_point()).collect()
-    }
 }
 
 impl Iterator for SobolSequence {
@@ -145,8 +128,7 @@ mod tests {
     #[test]
     fn first_points_match_reference() {
         // The canonical start of the 2-D Sobol sequence.
-        let mut s = SobolSequence::new(2);
-        let pts = s.take_points(8);
+        let pts: Vec<Vec<f64>> = SobolSequence::new(2).take(8).collect();
         let expect: [[f64; 2]; 8] = [
             [0.0, 0.0],
             [0.5, 0.5],
@@ -197,8 +179,7 @@ mod tests {
 
     #[test]
     fn no_duplicate_points_in_prefix() {
-        let mut s = SobolSequence::new(3);
-        let mut pts = s.take_points(256);
+        let mut pts: Vec<Vec<f64>> = SobolSequence::new(3).take(256).collect();
         pts.sort_by(|a, b| a.partial_cmp(b).unwrap());
         pts.dedup();
         assert_eq!(pts.len(), 256);

@@ -44,19 +44,14 @@ impl Dataset {
     }
 
     /// ImageNet: images cropped to 224×224 RGB for training, 1000 classes.
-    pub fn imagenet() -> Self {
+    pub(crate) fn imagenet() -> Self {
         Dataset::new("ImageNet", 224 * 224 * 3, 1000)
     }
 
     /// IMDB movie reviews: ~1 KiB of text per review on average, binary
     /// sentiment labels.
-    pub fn imdb() -> Self {
+    pub(crate) fn imdb() -> Self {
         Dataset::new("IMDB", 1024, 2)
-    }
-
-    /// Dataset name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Raw bytes per sample before preprocessing.

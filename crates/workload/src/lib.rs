@@ -13,7 +13,7 @@
 //! This crate provides:
 //!
 //! - [`NnModel`] — a workload descriptor with presets [`NnModel::vit`],
-//!   [`NnModel::resnet50`], and [`NnModel::lstm`], each calibrated so that
+//!   `NnModel::resnet50`, and `NnModel::lstm`, each calibrated so that
 //!   the simulated latencies in `bofl-device` match Table 2 of the paper.
 //! - [`Dataset`] — dataset descriptors (CIFAR10, ImageNet, IMDB).
 //! - [`FlTask`] — the task tuple `(B, E, N)` of the paper's §3.1, with

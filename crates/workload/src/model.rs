@@ -68,7 +68,7 @@ impl ArchEfficiency {
     }
 
     /// `true` iff both efficiencies are in `(0, 1]`.
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         (0.0..=1.0).contains(&self.volta)
             && self.volta > 0.0
             && (0.0..=1.0).contains(&self.pascal)
@@ -181,7 +181,7 @@ impl NnModel {
     /// Strongly GPU/memory-bound with heavy host-side JPEG decode; latency
     /// is nearly flat in CPU frequency (paper Fig. 4a). Calibrated for
     /// `T(x_max) ≈ 0.26 s` per 8-sample minibatch on the AGX.
-    pub fn resnet50() -> Self {
+    pub(crate) fn resnet50() -> Self {
         NnModel::new(
             "ResNet50",
             ModelClass::Cnn,
@@ -203,7 +203,7 @@ impl NnModel {
     /// latency scales strongly with CPU frequency (paper Fig. 4a) and the
     /// energy curve *decreases* with CPU frequency (Fig. 4b). Calibrated for
     /// `T(x_max) ≈ 0.29 s` per 8-sample minibatch on the AGX.
-    pub fn lstm() -> Self {
+    pub(crate) fn lstm() -> Self {
         NnModel::new(
             "LSTM",
             ModelClass::Rnn,
@@ -224,25 +224,9 @@ impl NnModel {
         &self.name
     }
 
-    /// Broad model class.
-    pub fn class(&self) -> ModelClass {
-        self.class
-    }
-
     /// GPU FLOPs (forward + backward) per training sample.
     pub fn flops_per_sample(&self) -> f64 {
         self.flops_per_sample
-    }
-
-    /// Effective DRAM bytes moved per training sample.
-    pub fn bytes_per_sample(&self) -> f64 {
-        self.bytes_per_sample
-    }
-
-    /// Host (CPU) cycles per sample for the data pipeline, overlappable
-    /// with GPU execution.
-    pub fn host_cycles_per_sample(&self) -> f64 {
-        self.host_cycles_per_sample
     }
 
     /// CPU cycles per minibatch that serialize with GPU execution (kernel
@@ -292,8 +276,8 @@ mod tests {
     fn presets_are_valid() {
         for m in [NnModel::vit(), NnModel::resnet50(), NnModel::lstm()] {
             assert!(m.flops_per_sample() > 0.0);
-            assert!(m.bytes_per_sample() > 0.0);
-            assert!(m.host_cycles_per_sample() > 0.0);
+            assert!(m.bytes_per_sample > 0.0);
+            assert!(m.host_cycles_per_sample > 0.0);
             assert!(m.serial_cycles_per_batch() > 0.0);
             assert!(m.efficiency().is_valid());
         }
@@ -308,22 +292,22 @@ mod tests {
         assert!(
             lstm.serial_cycles_per_batch() > 5.0 * NnModel::resnet50().serial_cycles_per_batch()
         );
-        assert_eq!(lstm.class(), ModelClass::Rnn);
+        assert_eq!(lstm.class, ModelClass::Rnn);
     }
 
     #[test]
     fn resnet_is_compute_heavy() {
         let r = NnModel::resnet50();
         assert!(r.flops_per_sample() > 3.0 * NnModel::vit().flops_per_sample());
-        assert_eq!(r.class(), ModelClass::Cnn);
+        assert_eq!(r.class, ModelClass::Cnn);
     }
 
     #[test]
     fn batch_scaling_is_linear() {
         let m = NnModel::vit();
         assert_eq!(m.flops_per_batch(32), 32.0 * m.flops_per_sample());
-        assert_eq!(m.bytes_per_batch(8), 8.0 * m.bytes_per_sample());
-        assert_eq!(m.host_cycles_per_batch(4), 4.0 * m.host_cycles_per_sample());
+        assert_eq!(m.bytes_per_batch(8), 8.0 * m.bytes_per_sample);
+        assert_eq!(m.host_cycles_per_batch(4), 4.0 * m.host_cycles_per_sample);
     }
 
     #[test]

@@ -23,3 +23,9 @@ pub use bofl_ilp;
 pub use bofl_linalg;
 pub use bofl_mobo;
 pub use bofl_workload;
+
+/// The README's Rust snippets, compiled as doctests so the docs cannot
+/// drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
