@@ -144,6 +144,19 @@ impl std::fmt::Display for EventCause {
     }
 }
 
+/// One round's journalled entries counted by [`EventCause`]; index it
+/// with a cause. Built by [`EventJournal::cause_counts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CauseCounts([usize; EventCause::ALL.len()]);
+
+impl std::ops::Index<EventCause> for CauseCounts {
+    type Output = usize;
+
+    fn index(&self, cause: EventCause) -> &usize {
+        &self.0[cause as usize]
+    }
+}
+
 /// One journalled transition.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventEntry {
@@ -344,44 +357,14 @@ impl EventJournal {
         self.evicted
     }
 
-    /// Count `(arrivals, departures)` churn events recorded for `round`.
-    pub fn churn_counts(&self, round: u32) -> (usize, usize) {
-        let mut arrivals = 0;
-        let mut departures = 0;
+    /// Tally the entries held for `round` by cause, in one pass over the
+    /// ring.
+    pub fn cause_counts(&self, round: u32) -> CauseCounts {
+        let mut counts = CauseCounts::default();
         for e in self.entries.iter().filter(|e| e.round == round) {
-            match e.cause {
-                EventCause::ChurnArrival => arrivals += 1,
-                EventCause::ChurnDeparture => departures += 1,
-                _ => {}
-            }
+            counts.0[e.cause as usize] += 1;
         }
-        (arrivals, departures)
-    }
-
-    /// Count resets that carried the shard-quorum-shortfall cause in
-    /// `round` — members of shards that closed starved.
-    pub fn shard_shortfall_resets(&self, round: u32) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.round == round && e.cause == EventCause::ShardQuorumShortfall)
-            .count()
-    }
-
-    /// Count `(suspected, expired, healed)` liveness events recorded for
-    /// `round`.
-    pub fn liveness_counts(&self, round: u32) -> (usize, usize, usize) {
-        let mut suspected = 0;
-        let mut expired = 0;
-        let mut healed = 0;
-        for e in self.entries.iter().filter(|e| e.round == round) {
-            match e.cause {
-                EventCause::LivenessSuspect => suspected += 1,
-                EventCause::LivenessExpired => expired += 1,
-                EventCause::LivenessHeal => healed += 1,
-                _ => {}
-            }
-        }
-        (suspected, expired, healed)
+        counts
     }
 
     /// The whole journal as CSV (header + one row per entry).
@@ -481,8 +464,16 @@ mod tests {
         j.append(1, 1, S::Departed, S::Idle, EventCause::ChurnArrival, 1.0);
         j.append(1, 2, S::Idle, S::Departed, EventCause::ChurnDeparture, 1.0);
         j.append(1, 3, S::Idle, S::Selected, EventCause::Selection, 1.0);
-        assert_eq!(j.churn_counts(0), (0, 1));
-        assert_eq!(j.churn_counts(1), (1, 1));
-        assert_eq!(j.churn_counts(2), (0, 0));
+        let churn = |round| {
+            let counts = j.cause_counts(round);
+            (
+                counts[EventCause::ChurnArrival],
+                counts[EventCause::ChurnDeparture],
+            )
+        };
+        assert_eq!(churn(0), (0, 1));
+        assert_eq!(churn(1), (1, 1));
+        assert_eq!(churn(2), (0, 0));
+        assert_eq!(j.cause_counts(1)[EventCause::Selection], 1);
     }
 }

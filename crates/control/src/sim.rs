@@ -11,7 +11,7 @@
 
 use crate::chaos::ChaosPlan;
 use crate::engine::{EventDrivenEngine, PlaneHandle};
-use crate::journal::{EventJournal, RoundClose, DEFAULT_JOURNAL_CAPACITY};
+use crate::journal::{EventCause, EventJournal, RoundClose, DEFAULT_JOURNAL_CAPACITY};
 use crate::liveness::LivenessPolicy;
 use crate::plane::{ControlPlane, ResumeReport};
 use crate::transport::Transport;
@@ -85,11 +85,14 @@ impl ControlSimulation {
         let mut rounds = Vec::with_capacity(end.saturating_sub(self.next_round));
         for round in self.next_round..end {
             let (record, outcomes) = self.federation.run_round_detailed(round);
-            metrics.record(&record, &outcomes);
-            let stats = metrics.round_mut(round).expect("round just recorded");
+            let stats = metrics.record(&record, &outcomes);
             let plane = self.plane.lock().expect("control plane poisoned");
-            (stats.churn_arrivals, stats.churn_departures) =
-                plane.journal().churn_counts(round as u32);
+            let causes = plane.journal().cause_counts(round as u32);
+            stats.churn_arrivals = causes[EventCause::ChurnArrival];
+            stats.churn_departures = causes[EventCause::ChurnDeparture];
+            stats.suspected = causes[EventCause::LivenessSuspect];
+            stats.expired = causes[EventCause::LivenessExpired];
+            stats.healed = causes[EventCause::LivenessHeal];
             if let Some(wire) = plane.wire_stats(round) {
                 stats.chaos_dropped = wire.dropped;
                 stats.chaos_delayed = wire.delayed;
@@ -99,8 +102,6 @@ impl ControlSimulation {
                 stats.wire_bytes = wire.bytes_on_wire;
                 stats.wire_raw_bytes = wire.bytes_raw;
             }
-            (stats.suspected, stats.expired, stats.healed) =
-                plane.journal().liveness_counts(round as u32);
             if let Some(close) = plane.closes().iter().find(|c| c.round == round as u32) {
                 stats.shards = close.shards;
                 stats.shard_shortfalls = close.shard_shortfalls;

@@ -333,8 +333,9 @@ fn churn_scenario_completes_with_quorum_closed_rounds() {
 
     // Churn actually happened, in both directions, and the journal and
     // the metrics CSV agree on the counts.
-    let departures: usize = (0..12).map(|r| report.journal.churn_counts(r).1).sum();
-    let arrivals: usize = (0..12).map(|r| report.journal.churn_counts(r).0).sum();
+    let churn = |cause| -> usize { (0..12).map(|r| report.journal.cause_counts(r)[cause]).sum() };
+    let departures = churn(EventCause::ChurnDeparture);
+    let arrivals = churn(EventCause::ChurnArrival);
     assert!(departures > 0, "churn plan must produce departures");
     assert!(arrivals > 0, "absent clients must come back");
     assert_eq!(report.metrics.churn_departures(), departures);

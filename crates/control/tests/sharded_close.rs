@@ -51,7 +51,7 @@ fn shard_accounting_surfaces_in_closes_journal_and_metrics() {
     // Starved shards label their members' reset edges with the dedicated
     // cause — the journal carries the distress signal.
     let labelled: usize = (0..4)
-        .map(|r| report.journal.shard_shortfall_resets(r))
+        .map(|r| report.journal.cause_counts(r)[EventCause::ShardQuorumShortfall])
         .sum();
     assert!(
         labelled > 0,

@@ -142,28 +142,35 @@ pub struct BoflController {
     mbo_invocations: u32,
 }
 
+/// The MBO engine `config` asks for, whose stopping rule waits for at
+/// least `min_evaluations` observations.
+fn mobo_engine(config: &BoflConfig, min_evaluations: usize) -> MoboEngine {
+    MoboEngine::new(MoboConfig {
+        gp: bofl_gp::GpConfig {
+            restarts: config.gp_restarts,
+            max_evaluations: config.gp_max_evaluations,
+            ..bofl_gp::GpConfig::default()
+        },
+        stopping: StoppingRule {
+            min_evaluations,
+            hvi_threshold: config.hvi_threshold,
+        },
+        ..MoboConfig::default()
+    })
+}
+
 impl BoflController {
     /// Creates a controller with the given configuration.
     pub fn new(config: BoflConfig) -> Self {
-        let mobo_cfg = MoboConfig {
-            gp: bofl_gp::GpConfig {
-                restarts: config.gp_restarts,
-                max_evaluations: config.gp_max_evaluations,
-                ..bofl_gp::GpConfig::default()
-            },
-            stopping: StoppingRule {
-                min_evaluations: usize::MAX, // replaced on initialization
-                hvi_threshold: config.hvi_threshold,
-            },
-            ..MoboConfig::default()
-        };
         BoflController {
             store: ObservationStore::with_quarantine(config.quarantine),
+            // Replaced on initialization, once the space fixes the
+            // stopping rule's minimum.
+            engine: mobo_engine(&config, usize::MAX),
             config,
             phase: Phase::RandomExploration,
             pending_start_points: Vec::new(),
             pending_suggestions: Vec::new(),
-            engine: MoboEngine::new(mobo_cfg),
             observed_count: 0,
             round_durations: Vec::new(),
             initialized: false,
@@ -217,18 +224,7 @@ impl BoflController {
 
         // Stopping rule: the paper's ~3% coverage requirement.
         let min_evals = ((space.len() as f64 * self.config.min_coverage).ceil() as usize).max(8);
-        self.engine = MoboEngine::new(MoboConfig {
-            gp: bofl_gp::GpConfig {
-                restarts: self.config.gp_restarts,
-                max_evaluations: self.config.gp_max_evaluations,
-                ..bofl_gp::GpConfig::default()
-            },
-            stopping: StoppingRule {
-                min_evaluations: min_evals,
-                hvi_threshold: self.config.hvi_threshold,
-            },
-            ..MoboConfig::default()
-        });
+        self.engine = mobo_engine(&self.config, min_evals);
     }
 
     /// Feeds all not-yet-fed observations into the MBO engine.

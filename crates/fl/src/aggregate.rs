@@ -207,8 +207,10 @@ impl UpdateAccumulator {
     }
 
     /// A stable FNV-1a checksum over the exact accumulator state (weight
-    /// plus every fixed-point word) — handy for shard-invariance traces.
-    pub fn checksum(&self) -> u64 {
+    /// plus every fixed-point word), which the shard-invariance tests
+    /// compare.
+    #[cfg(test)]
+    fn checksum(&self) -> u64 {
         let mut h = fnv1a(0xcbf2_9ce4_8422_2325, self.weight);
         for &s in &self.sum {
             h = fnv1a(h, s as u64);
@@ -245,7 +247,7 @@ fn round_to_i64(x: f64) -> i64 {
 /// 2^52: from here up every `f64` is an integer.
 const TWO_POW_52: f64 = (1u64 << 52) as f64;
 
-#[inline]
+#[cfg(test)]
 fn fnv1a(mut h: u64, word: u64) -> u64 {
     for byte in word.to_le_bytes() {
         h ^= byte as u64;

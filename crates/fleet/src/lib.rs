@@ -17,8 +17,9 @@
 //! - [`scale`] — [`ScaleSimulation`], the million-client registry run
 //!   over 20-byte [`ClientStat`] records instead of live models;
 //! - [`shard`] — hierarchical-aggregation accounting
-//!   ([`ShardRoundStats`]) and [`shard::drain_tasks`], the deterministic
-//!   worker pool: tasks write into their own result slots, so the output
+//!   ([`ShardRoundStats`], an in-memory per-shard breakdown the scale
+//!   trace never includes) and [`shard::drain_tasks`], a deterministic
+//!   work queue: tasks write into their own result slots, so the output
 //!   is identical at any worker count.
 //!
 //! Fleets of real clients run through `bofl_control::ControlSimulation`,

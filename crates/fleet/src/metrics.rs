@@ -5,6 +5,7 @@
 use bofl::Phase;
 use bofl_fl::engine::ClientOutcome;
 use bofl_fl::server::RoundRecord;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
 use std::io::Write;
@@ -209,6 +210,60 @@ impl FleetRoundStats {
     }
 }
 
+/// One CSV column: its header name, and how a round's cell is written.
+type Column = (
+    &'static str,
+    fn(&FleetRoundStats, &mut String) -> fmt::Result,
+);
+
+/// The metrics CSV schema, in column order: the one place each column's
+/// name and format are declared.
+#[rustfmt::skip] // one column per line
+const COLUMNS: [Column; 40] = [
+    ("round", |r, o| write!(o, "{}", r.round)),
+    ("selected", |r, o| write!(o, "{}", r.selected)),
+    ("aggregated", |r, o| write!(o, "{}", r.aggregated)),
+    ("deadline_s", |r, o| write!(o, "{:.6}", r.deadline_s)),
+    ("energy_total_j", |r, o| write!(o, "{:.4}", r.energy_j.sum)),
+    ("energy_mean_j", |r, o| write!(o, "{:.4}", r.energy_j.mean())),
+    ("energy_p95_j", |r, o| write!(o, "{:.4}", r.energy_j.p95)),
+    ("latency_mean_s", |r, o| write!(o, "{:.6}", r.latency_s.mean())),
+    ("latency_p95_s", |r, o| write!(o, "{:.6}", r.latency_s.p95)),
+    ("latency_max_s", |r, o| write!(o, "{:.6}", r.latency_s.max)),
+    ("miss_rate", |r, o| write!(o, "{:.4}", r.deadline_miss_rate)),
+    ("dropouts", |r, o| write!(o, "{}", r.dropouts)),
+    ("upload_failures", |r, o| write!(o, "{}", r.upload_failures)),
+    ("stragglers", |r, o| write!(o, "{}", r.stragglers)),
+    ("quorum", |r, o| write!(o, "{}", r.quorum)),
+    ("quorum_shortfall", |r, o| write!(o, "{}", r.quorum_shortfall)),
+    ("upload_retries", |r, o| write!(o, "{}", r.upload_retries)),
+    ("recovered_uploads", |r, o| write!(o, "{}", r.recovered_uploads)),
+    ("escalated_jobs", |r, o| write!(o, "{}", r.escalated_jobs)),
+    ("quarantined", |r, o| write!(o, "{}", r.quarantined)),
+    ("churn_arrivals", |r, o| write!(o, "{}", r.churn_arrivals)),
+    ("churn_departures", |r, o| write!(o, "{}", r.churn_departures)),
+    ("chaos_dropped", |r, o| write!(o, "{}", r.chaos_dropped)),
+    ("chaos_delayed", |r, o| write!(o, "{}", r.chaos_delayed)),
+    ("chaos_duplicated", |r, o| write!(o, "{}", r.chaos_duplicated)),
+    ("chaos_reordered", |r, o| write!(o, "{}", r.chaos_reordered)),
+    ("chaos_partition_held", |r, o| write!(o, "{}", r.chaos_partition_held)),
+    ("suspected", |r, o| write!(o, "{}", r.suspected)),
+    ("expired", |r, o| write!(o, "{}", r.expired)),
+    ("healed", |r, o| write!(o, "{}", r.healed)),
+    ("shards", |r, o| write!(o, "{}", r.shards)),
+    ("shard_shortfalls", |r, o| write!(o, "{}", r.shard_shortfalls)),
+    ("wire_bytes", |r, o| write!(o, "{}", r.wire_bytes)),
+    ("wire_raw_bytes", |r, o| write!(o, "{}", r.wire_raw_bytes)),
+    ("phase_none", |r, o| write!(o, "{}", r.phase_counts[0])),
+    ("phase_random", |r, o| write!(o, "{}", r.phase_counts[1])),
+    ("phase_pareto", |r, o| write!(o, "{}", r.phase_counts[2])),
+    ("phase_exploit", |r, o| write!(o, "{}", r.phase_counts[3])),
+    // The round's worst per-client suggest time: the MBO overhead on the
+    // critical path (Fig. 13's quantity).
+    ("suggest_ms", |r, o| write!(o, "{:.3}", r.suggest_ms.max)),
+    ("test_accuracy", |r, o| write!(o, "{:.4}", r.test_accuracy)),
+];
+
 /// Accumulates per-round fleet statistics over a run and renders them as
 /// CSV (one row per round, same conventions as `results/*.csv`).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -222,10 +277,17 @@ impl FleetMetrics {
         FleetMetrics::default()
     }
 
-    /// Records one round.
-    pub fn record(&mut self, record: &RoundRecord, outcomes: &[ClientOutcome]) {
+    /// Records one round and returns its stats, for the columns outcomes
+    /// cannot fill (churn, chaos, liveness, shards and wire bytes come
+    /// from the control plane).
+    pub fn record(
+        &mut self,
+        record: &RoundRecord,
+        outcomes: &[ClientOutcome],
+    ) -> &mut FleetRoundStats {
         self.rounds
             .push(FleetRoundStats::from_round(record, outcomes));
+        self.rounds.last_mut().expect("a round was just pushed")
     }
 
     /// The per-round statistics recorded so far.
@@ -278,13 +340,6 @@ impl FleetMetrics {
         self.rounds.iter().map(|r| r.escalated_jobs).sum()
     }
 
-    /// The recorded stats of `round`, for the columns outcomes cannot fill
-    /// (churn, chaos, liveness, shards and wire bytes come from the
-    /// control plane). `None` if the round was never recorded.
-    pub fn round_mut(&mut self, round: usize) -> Option<&mut FleetRoundStats> {
-        self.rounds.iter_mut().find(|r| r.round == round)
-    }
-
     /// Total churn arrivals across recorded rounds.
     pub fn churn_arrivals(&self) -> usize {
         self.rounds.iter().map(|r| r.churn_arrivals).sum()
@@ -323,69 +378,22 @@ impl FleetMetrics {
         self.rounds.iter().map(|r| r.suspected).sum()
     }
 
-    /// The CSV header this aggregator emits.
-    pub(crate) const CSV_HEADER: &'static str = "round,selected,aggregated,deadline_s,\
-energy_total_j,energy_mean_j,energy_p95_j,latency_mean_s,latency_p95_s,latency_max_s,\
-miss_rate,dropouts,upload_failures,stragglers,\
-quorum,quorum_shortfall,upload_retries,recovered_uploads,escalated_jobs,quarantined,\
-churn_arrivals,churn_departures,\
-chaos_dropped,chaos_delayed,chaos_duplicated,chaos_reordered,chaos_partition_held,\
-suspected,expired,healed,\
-shards,shard_shortfalls,wire_bytes,wire_raw_bytes,\
-phase_none,phase_random,phase_pareto,phase_exploit,suggest_ms,test_accuracy";
-
-    /// Renders all recorded rounds as CSV. Formatting is fixed-precision,
-    /// so two runs with identical traces produce byte-identical files —
-    /// the artifact the determinism acceptance check diffs.
+    /// Renders all recorded rounds as CSV: the header row, then one row
+    /// per round, both from one column table. Formatting is
+    /// fixed-precision, so two runs with identical traces produce
+    /// byte-identical files — the artifact the determinism acceptance
+    /// check diffs.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(Self::CSV_HEADER);
+        let mut out = COLUMNS.map(|(name, _)| name).join(",");
         out.push('\n');
         for r in &self.rounds {
-            out.push_str(&format!(
-                "{},{},{},{:.6},{:.4},{:.4},{:.4},{:.6},{:.6},{:.6},{:.4},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3},{:.4}\n",
-                r.round,
-                r.selected,
-                r.aggregated,
-                r.deadline_s,
-                r.energy_j.sum,
-                r.energy_j.mean(),
-                r.energy_j.p95,
-                r.latency_s.mean(),
-                r.latency_s.p95,
-                r.latency_s.max,
-                r.deadline_miss_rate,
-                r.dropouts,
-                r.upload_failures,
-                r.stragglers,
-                r.quorum,
-                r.quorum_shortfall,
-                r.upload_retries,
-                r.recovered_uploads,
-                r.escalated_jobs,
-                r.quarantined,
-                r.churn_arrivals,
-                r.churn_departures,
-                r.chaos_dropped,
-                r.chaos_delayed,
-                r.chaos_duplicated,
-                r.chaos_reordered,
-                r.chaos_partition_held,
-                r.suspected,
-                r.expired,
-                r.healed,
-                r.shards,
-                r.shard_shortfalls,
-                r.wire_bytes,
-                r.wire_raw_bytes,
-                r.phase_counts[0],
-                r.phase_counts[1],
-                r.phase_counts[2],
-                r.phase_counts[3],
-                // The round's worst per-client suggest time: the MBO
-                // overhead on the critical path (Fig. 13's quantity).
-                r.suggest_ms.max,
-                r.test_accuracy,
-            ));
+            for (i, (_, cell)) in COLUMNS.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                cell(r, &mut out).expect("formatting into a String cannot fail");
+            }
+            out.push('\n');
         }
         out
     }
@@ -581,8 +589,10 @@ mod tests {
         assert_eq!(m.wasted_rounds(), 0);
         assert!((m.mean_aggregated_per_round() - 2.0).abs() < 1e-12);
         let csv = m.to_csv();
-        let header_cols = FleetMetrics::CSV_HEADER.split(',').count();
-        assert_eq!(csv.lines().nth(1).unwrap().split(',').count(), header_cols);
+        assert_eq!(
+            csv.lines().nth(1).unwrap().split(',').count(),
+            COLUMNS.len()
+        );
         assert!(csv.lines().next().unwrap().contains("recovered_uploads"));
         assert!(csv.lines().next().unwrap().contains("suggest_ms"));
         assert!(csv.lines().nth(1).unwrap().contains("7.250"));
@@ -592,10 +602,8 @@ mod tests {
     fn churn_annotation_surfaces_in_stats_and_csv() {
         let mut m = FleetMetrics::new();
         m.record(&record(0), &[outcome(0, 10.0, 5.0, true)]);
-        m.record(&record(1), &[outcome(1, 12.0, 5.5, true)]);
-        let s = m.round_mut(1).unwrap();
+        let s = m.record(&record(1), &[outcome(1, 12.0, 5.5, true)]);
         (s.churn_arrivals, s.churn_departures) = (2, 3);
-        assert!(m.round_mut(9).is_none()); // unknown round
         assert_eq!(m.rounds()[0].churn_arrivals, 0); // round 1 was the one annotated
         assert_eq!(m.churn_arrivals(), 2);
         assert_eq!(m.churn_departures(), 3);
@@ -610,8 +618,7 @@ mod tests {
     #[test]
     fn chaos_and_liveness_annotations_surface_in_csv() {
         let mut m = FleetMetrics::new();
-        m.record(&record(0), &[outcome(0, 10.0, 5.0, true)]);
-        let s = m.round_mut(0).unwrap();
+        let s = m.record(&record(0), &[outcome(0, 10.0, 5.0, true)]);
         (s.chaos_dropped, s.chaos_delayed, s.chaos_duplicated) = (3, 5, 1);
         (s.chaos_reordered, s.chaos_partition_held) = (2, 4);
         (s.suspected, s.expired, s.healed) = (6, 2, 4);
@@ -628,8 +635,7 @@ mod tests {
     #[test]
     fn shard_and_wire_annotations_surface_in_csv() {
         let mut m = FleetMetrics::new();
-        m.record(&record(0), &[outcome(0, 10.0, 5.0, true)]);
-        let s = m.round_mut(0).unwrap();
+        let s = m.record(&record(0), &[outcome(0, 10.0, 5.0, true)]);
         (s.shards, s.shard_shortfalls) = (16, 2);
         (s.wire_bytes, s.wire_raw_bytes) = (1_024, 8_192);
         assert_eq!(m.shard_shortfall_rounds(), 1);
@@ -675,10 +681,12 @@ mod tests {
         let csv = m.to_csv();
         let lines: Vec<&str> = csv.trim_end().lines().collect();
         assert_eq!(lines.len(), 3);
-        let cols = FleetMetrics::CSV_HEADER.split(',').count();
         for line in &lines {
-            assert_eq!(line.split(',').count(), cols, "ragged row: {line}");
+            assert_eq!(line.split(',').count(), COLUMNS.len(), "ragged row: {line}");
         }
+        let mut names = COLUMNS.map(|(name, _)| name);
+        names.sort_unstable();
+        assert!(names.windows(2).all(|w| w[0] != w[1]), "duplicate column");
         // Identical inputs render identical bytes.
         assert_eq!(csv, m.clone().to_csv());
         assert_eq!(m.mean_miss_rate(), 0.0);

@@ -20,16 +20,15 @@
 //! merged canonically) and not on shard count (fixed-point folds are
 //! order-free; every trace field is an integer sum over *clients*, or the
 //! hash of the model those sums produce). The per-shard breakdown
-//! (`shard_stats`) naturally differs between plans and is exported as a
-//! separate diagnostic artifact.
+//! ([`ScaleReport::shard_stats`]) naturally differs between plans; it
+//! stays in memory for callers to inspect and is never written out or
+//! hashed.
 
 use std::collections::HashMap;
-use std::path::Path;
 
 use crate::compress::{CompressedUpdate, Compressor, Int8Quantizer, COMPRESS_SALT};
 use crate::fault::{stream_seed, ChurnStatus, FaultPlan};
 use crate::generator::DeviceKind;
-use crate::metrics::write_atomic;
 use crate::sampler::{ClientSampler, ClientStat, UniformSampler};
 use crate::shard::{drain_tasks, ShardPlan, ShardRoundStats, UpdateAccumulator};
 
@@ -197,58 +196,6 @@ pub struct ScaleRoundTrace {
     pub model_hash: u64,
 }
 
-impl ScaleRoundTrace {
-    /// CSV header for the trace artifact.
-    pub const CSV_HEADER: &'static str = "round,selected,aggregated,weight,dropped,straggled,\
-missed_deadline,upload_failed,retries,recovered,departed,energy_mj,wire_bytes,raw_bytes,model_hash";
-
-    /// One CSV row matching [`ScaleRoundTrace::CSV_HEADER`].
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:016x}",
-            self.round,
-            self.selected,
-            self.aggregated,
-            self.weight,
-            self.dropped,
-            self.straggled,
-            self.missed_deadline,
-            self.upload_failed,
-            self.retries,
-            self.recovered,
-            self.departed,
-            self.energy_mj,
-            self.wire_bytes,
-            self.raw_bytes,
-            self.model_hash,
-        )
-    }
-
-    /// One JSONL object matching the CSV row.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"round\":{},\"selected\":{},\"aggregated\":{},\"weight\":{},\"dropped\":{},\
-\"straggled\":{},\"missed_deadline\":{},\"upload_failed\":{},\"retries\":{},\"recovered\":{},\
-\"departed\":{},\"energy_mj\":{},\"wire_bytes\":{},\"raw_bytes\":{},\"model_hash\":\"{:016x}\"}}",
-            self.round,
-            self.selected,
-            self.aggregated,
-            self.weight,
-            self.dropped,
-            self.straggled,
-            self.missed_deadline,
-            self.upload_failed,
-            self.retries,
-            self.recovered,
-            self.departed,
-            self.energy_mj,
-            self.wire_bytes,
-            self.raw_bytes,
-            self.model_hash,
-        )
-    }
-}
-
 /// The outcome of a scale run: the identity-checked trace, the per-shard
 /// diagnostic breakdown, and the final global model.
 #[derive(Debug, Clone, PartialEq)]
@@ -271,11 +218,30 @@ impl ScaleReport {
         hash_model(&self.final_model)
     }
 
-    /// FNV-1a hash over the whole trace (every row's CSV form).
+    /// FNV-1a hash over the whole trace: each row's 15 fields in round
+    /// order, comma-separated, the model hash as 16 hex digits.
     pub fn trace_hash(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for row in &self.trace {
-            for b in row.to_csv_row().bytes() {
+        for r in &self.trace {
+            let row = format!(
+                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:016x}",
+                r.round,
+                r.selected,
+                r.aggregated,
+                r.weight,
+                r.dropped,
+                r.straggled,
+                r.missed_deadline,
+                r.upload_failed,
+                r.retries,
+                r.recovered,
+                r.departed,
+                r.energy_mj,
+                r.wire_bytes,
+                r.raw_bytes,
+                r.model_hash,
+            );
+            for b in row.bytes() {
                 h ^= b as u64;
                 h = h.wrapping_mul(0x1000_0000_01b3);
             }
@@ -317,49 +283,6 @@ impl ScaleReport {
             .collect();
         rounds.dedup();
         rounds.len()
-    }
-
-    /// The trace as CSV.
-    pub fn trace_csv(&self) -> String {
-        let mut out = String::from(ScaleRoundTrace::CSV_HEADER);
-        out.push('\n');
-        for row in &self.trace {
-            out.push_str(&row.to_csv_row());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// The trace as JSONL.
-    pub fn trace_jsonl(&self) -> String {
-        let mut out = String::new();
-        for row in &self.trace {
-            out.push_str(&row.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// The per-shard breakdown as CSV.
-    pub fn shards_csv(&self) -> String {
-        let mut out = String::from(ShardRoundStats::CSV_HEADER);
-        out.push('\n');
-        for row in &self.shard_stats {
-            out.push_str(&row.to_csv_row());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Writes `trace.csv`, `trace.jsonl` and `shards.csv` under `dir`
-    /// (atomically, in the `results/` conventions).
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn write_artifacts(&self, dir: &Path) -> std::io::Result<()> {
-        write_atomic(&dir.join("trace.csv"), &self.trace_csv())?;
-        write_atomic(&dir.join("trace.jsonl"), &self.trace_jsonl())?;
-        write_atomic(&dir.join("shards.csv"), &self.shards_csv())
     }
 }
 
@@ -602,7 +525,6 @@ impl ScaleSimulation {
                         slot.stats.quorum = quorum;
                         slot.stats.shortfall = quorum.saturating_sub(slot.stats.aggregated);
                     }
-                    slot.stats.checksum = slot.acc.checksum();
                 },
             );
         }
@@ -902,26 +824,6 @@ mod tests {
                 .sum();
             assert_eq!(shard_sum, row.aggregated);
         }
-    }
-
-    #[test]
-    fn csv_and_jsonl_artifacts_are_consistent() {
-        let mut sim = ScaleSimulation::builder(ScaleConfig {
-            rounds: 2,
-            ..small_config()
-        })
-        .build();
-        let report = sim.run();
-        let csv = report.trace_csv();
-        assert!(csv.starts_with(ScaleRoundTrace::CSV_HEADER));
-        assert_eq!(csv.lines().count(), 3);
-        let header_cols = ScaleRoundTrace::CSV_HEADER.split(',').count();
-        for line in csv.lines().skip(1) {
-            assert_eq!(line.split(',').count(), header_cols);
-        }
-        assert_eq!(report.trace_jsonl().lines().count(), 2);
-        let shards_csv = report.shards_csv();
-        assert!(shards_csv.starts_with(ShardRoundStats::CSV_HEADER));
     }
 
     #[test]

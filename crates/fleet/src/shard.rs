@@ -13,9 +13,9 @@
 //! It also defines [`ShardRoundStats`], the per-shard accounting record:
 //! every count is an integer, so *fleet-level* totals (summed in shard
 //! order) are identical no matter how the cohort was partitioned — only
-//! the per-shard breakdown itself depends on the plan, and that is
-//! exported as a separate diagnostic artifact, never mixed into the
-//! identity-checked trace.
+//! the per-shard breakdown itself depends on the plan, so it stays an
+//! in-memory record on the report, never mixed into the identity-checked
+//! trace.
 
 use std::sync::Mutex;
 
@@ -60,13 +60,11 @@ pub struct ShardRoundStats {
     pub wire_bytes: u64,
     /// Bytes the same updates would have cost uncompressed.
     pub raw_bytes: u64,
-    /// Fixed-point checksum of the shard's partial sum (diagnostics).
-    pub checksum: u64,
 }
 
 impl ShardRoundStats {
     /// Adds this shard's integer counters into a fleet-level total
-    /// (checksum and identity fields excluded — totals are grouping-free).
+    /// (identity fields excluded — totals are grouping-free).
     pub(crate) fn add_into(&self, total: &mut ShardRoundStats) {
         total.members += self.members;
         total.aggregated += self.aggregated;
@@ -82,36 +80,6 @@ impl ShardRoundStats {
         total.energy_mj += self.energy_mj;
         total.wire_bytes += self.wire_bytes;
         total.raw_bytes += self.raw_bytes;
-    }
-
-    /// CSV header for the per-shard diagnostic artifact.
-    pub const CSV_HEADER: &'static str = "round,shard,members,aggregated,weight,quorum,shortfall,\
-dropped,straggled,missed_deadline,upload_failed,retries,recovered,departed,\
-energy_mj,wire_bytes,raw_bytes,checksum";
-
-    /// One CSV row matching [`ShardRoundStats::CSV_HEADER`].
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:016x}",
-            self.round,
-            self.shard,
-            self.members,
-            self.aggregated,
-            self.weight,
-            self.quorum,
-            self.shortfall,
-            self.dropped,
-            self.straggled,
-            self.missed_deadline,
-            self.upload_failed,
-            self.retries,
-            self.recovered,
-            self.departed,
-            self.energy_mj,
-            self.wire_bytes,
-            self.raw_bytes,
-            self.checksum,
-        )
     }
 }
 
@@ -224,12 +192,5 @@ mod tests {
         }
         assert_eq!(forward, backward);
         assert_eq!(forward.members, (0..16).map(|s| 10 + s).sum::<u32>());
-    }
-
-    #[test]
-    fn csv_row_matches_header_width() {
-        let cols = ShardRoundStats::CSV_HEADER.split(',').count();
-        let row = ShardRoundStats::default().to_csv_row();
-        assert_eq!(row.split(',').count(), cols);
     }
 }

@@ -48,11 +48,6 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
     /// Sample mean (zero when empty).
     pub fn mean(&self) -> f64 {
         if self.n == 0 {
@@ -85,26 +80,6 @@ impl OnlineStats {
     /// Largest observation (`−inf` when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -203,39 +178,6 @@ mod tests {
         assert!((s.sample_variance() - var).abs() < 1e-12);
         assert_eq!(s.min(), -4.0);
         assert_eq!(s.max(), 10.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..2] {
-            a.push(x);
-        }
-        for &x in &xs[2..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.sample_variance() - all.sample_variance()).abs() < 1e-12);
-        assert_eq!(a.count(), all.count());
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-        let mut e = OnlineStats::new();
-        e.merge(&a);
-        assert_eq!(e, a);
     }
 
     #[test]
