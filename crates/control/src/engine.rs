@@ -14,8 +14,8 @@
 //!    away) cannot be admitted: the engine refuses the `Select` and
 //!    synthesizes a dropped, zero-energy outcome instead.
 //! 3. **Execution** — each runnable job is paired with its own
-//!    `&mut FlClient` and drained on `bofl_fleet::shard::drain_tasks`'
-//!    worker pool. A job applies its seeded fault draw (dropout,
+//!    `&mut FlClient` and drained on the workspace's one fan-out,
+//!    `bofl::drain_tasks`. A job applies its seeded fault draw (dropout,
 //!    straggler slowdown, upload failure), runs the bounded upload-retry
 //!    loop, and writes its outcome into its own slot, so outcomes come
 //!    back in client-id order whatever thread ran them.
@@ -56,6 +56,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use bofl::drain_tasks;
 use bofl_fl::client::FlClient;
 use bofl_fl::engine::{run_client_job, ClientJob, ClientOutcome, RoundEngine};
 use bofl_fl::model::{Minibatch, TrainableModel};
@@ -63,7 +64,7 @@ use bofl_fl::network::RetryPolicy;
 use bofl_fl::server::AggregationPolicy;
 use bofl_fleet::compress::{CompressedUpdate, Compressor, COMPRESS_SALT};
 use bofl_fleet::fault::{stream_seed, ChurnStatus, FaultPlan};
-use bofl_fleet::shard::{drain_tasks, ShardPlan};
+use bofl_fleet::shard::ShardPlan;
 
 use crate::chaos::{ChaosPlan, ChaosTransport};
 use crate::journal::EventCause;

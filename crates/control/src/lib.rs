@@ -17,7 +17,7 @@
 //!   [`ControlPlane::replay`] a journal to reconstruct final states.
 //! - [`engine`] — [`EventDrivenEngine`] implements `bofl_fl`'s
 //!   `RoundEngine` seam and runs every fleet: client jobs execute on
-//!   `bofl_fleet::shard::drain_tasks`' deterministic worker pool with
+//!   the workspace's deterministic fan-out (`bofl::drain_tasks`) with
 //!   seeded fault injection and bounded upload retry, rounds *close on
 //!   quorum events* (the first `close_target` accepted reports, in
 //!   virtual arrival order) instead of waiting for every straggler, and

@@ -171,14 +171,6 @@ impl ControlRunReport {
         self.closes.iter().filter(|c| c.closed_early).count()
     }
 
-    /// Rounds in which at least one shard closed below its local quorum.
-    pub fn shard_shortfall_rounds(&self) -> usize {
-        self.closes
-            .iter()
-            .filter(|c| c.shard_shortfalls > 0)
-            .count()
-    }
-
     /// Writes the run's artifacts into `dir`: `metrics.csv` (fleet
     /// metrics with churn columns), `journal.csv` and `journal.jsonl`
     /// (the event journal).

@@ -47,7 +47,6 @@ fn shard_accounting_surfaces_in_closes_journal_and_metrics() {
         shortfalls > 0,
         "hostile faults must starve at least one shard"
     );
-    assert!(report.shard_shortfall_rounds() > 0);
     // Starved shards label their members' reset edges with the dedicated
     // cause — the journal carries the distress signal.
     let labelled: usize = (0..4)
@@ -59,6 +58,14 @@ fn shard_accounting_surfaces_in_closes_journal_and_metrics() {
     );
     // And the metrics CSV surfaces the same bookkeeping.
     assert!(report.metrics.shard_shortfall_rounds() > 0);
+    assert_eq!(
+        report.metrics.shard_shortfall_rounds(),
+        report
+            .closes
+            .iter()
+            .filter(|c| c.shard_shortfalls > 0)
+            .count()
+    );
     let csv = report.metrics.to_csv();
     let header = csv.lines().next().unwrap();
     assert!(header.contains(",shards,shard_shortfalls,"));

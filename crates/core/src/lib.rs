@@ -68,6 +68,9 @@ pub use exploit::ExploitParams;
 pub use observation::{AggregatedObservation, ObservationStore, QuarantinePolicy};
 pub use runner::{ClientRunner, DeadlineSchedule, RoundReport, RunSummary};
 pub use task::{Phase, RoundSpec};
+// The workspace's one compute fan-out, for the crates above `bofl` that
+// do not depend on `bofl-linalg`.
+pub use bofl_linalg::drain_tasks;
 
 // Compile-time Send audit: fleet-scale simulation moves clients (and the
 // controllers they own) across worker threads, so every controller and the

@@ -123,7 +123,8 @@ impl RunSummary {
 
 /// [`JobExecutor`] implementation over a simulated device: applies DVFS
 /// through a [`SimulatedActuator`], runs jobs with measurement noise, and
-/// accounts time on a [`VirtualClock`].
+/// accounts time on a [`VirtualClock`]. `bofl-fl`'s training executor
+/// wraps one and adds only the SGD step.
 #[derive(Debug)]
 pub struct SimExecutor<'a> {
     device: &'a Device,
@@ -133,6 +134,7 @@ pub struct SimExecutor<'a> {
     rng: StdRng,
     round_start_s: f64,
     energy_j: f64,
+    slowdown: f64,
 }
 
 impl<'a> SimExecutor<'a> {
@@ -149,7 +151,25 @@ impl<'a> SimExecutor<'a> {
             rng: StdRng::seed_from_u64(seed),
             round_start_s: 0.0,
             energy_j: 0.0,
+            slowdown: 1.0,
         }
+    }
+
+    /// Inflates every job's latency by `slowdown` (≥ 1; `1.0`, the
+    /// default, is healthy), modeling a transient fault such as thermal
+    /// throttling or a contended accelerator. The pace controller sees
+    /// the inflated latencies in its observations — which is the point:
+    /// mid-round recovery (guardian escalation, observation quarantine)
+    /// must trigger off what the controller can actually measure. Energy
+    /// is left unscaled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slowdown < 1`.
+    pub fn with_slowdown(mut self, slowdown: f64) -> Self {
+        assert!(slowdown >= 1.0, "slowdown must be at least 1");
+        self.slowdown = slowdown;
+        self
     }
 
     /// Marks the beginning of a new round; resets the round-relative
@@ -162,7 +182,7 @@ impl<'a> SimExecutor<'a> {
     }
 
     /// Energy consumed so far in the current round, joules.
-    pub(crate) fn round_energy_j(&self) -> f64 {
+    pub fn round_energy_j(&self) -> f64 {
         self.energy_j
     }
 }
@@ -178,7 +198,8 @@ impl JobExecutor for SimExecutor<'_> {
             .apply(x)
             .expect("controllers must request grid configurations");
         self.clock.advance(transition);
-        let cost = self.device.run_job(self.task, x, &mut self.rng);
+        let mut cost = self.device.run_job(self.task, x, &mut self.rng);
+        cost.latency_s *= self.slowdown;
         self.clock.advance(cost.latency_s);
         self.energy_j += cost.energy_j;
         cost

@@ -5,45 +5,29 @@ use crate::data::SyntheticDataset;
 use crate::engine::RoundDeadline;
 use crate::model::TrainableModel;
 use crate::network::{BandwidthEstimator, NetworkModel};
+use bofl::runner::SimExecutor;
 use bofl::task::PaceController;
 use bofl::{JobExecutor, Phase, RoundSpec};
-use bofl_device::{
-    ConfigSpace, Device, DvfsActuator, DvfsConfig, JobCost, SimulatedActuator, VirtualClock,
-};
+use bofl_device::{ConfigSpace, Device, DvfsConfig, JobCost};
 use bofl_workload::FlTask;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A [`JobExecutor`] that performs one *real* SGD minibatch step per job
-/// while the simulated device accounts the job's latency and energy.
+/// while a [`SimExecutor`] charges the job's latency and energy on the
+/// simulated device.
 ///
 /// This is the piece that makes the FL examples genuine: the pace
 /// controller's decisions gate actual learning progress — a dropped round
 /// is an update the global model never sees.
-pub struct TrainingExecutor<'a> {
-    device: &'a Device,
-    task: &'a FlTask,
+pub(crate) struct TrainingExecutor<'a> {
+    sim: SimExecutor<'a>,
     model: &'a mut dyn TrainableModel,
     data: &'a SyntheticDataset,
+    batch: usize,
     batch_cursor: usize,
     learning_rate: f64,
-    actuator: SimulatedActuator,
-    clock: VirtualClock,
-    rng: StdRng,
-    round_start_s: f64,
-    energy_j: f64,
     last_loss: f64,
-    slowdown: f64,
-}
-
-impl std::fmt::Debug for TrainingExecutor<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrainingExecutor")
-            .field("device", &self.device.name())
-            .field("samples", &self.data.len())
-            .field("elapsed_s", &self.elapsed_s())
-            .finish()
-    }
 }
 
 impl<'a> TrainingExecutor<'a> {
@@ -57,44 +41,25 @@ impl<'a> TrainingExecutor<'a> {
         seed: u64,
     ) -> Self {
         TrainingExecutor {
-            device,
-            task,
+            sim: SimExecutor::new(device, task, seed),
             model,
             data,
+            batch: task.minibatch_size().min(data.len()).max(1),
             batch_cursor: 0,
             learning_rate,
-            actuator: SimulatedActuator::new(
-                device.config_space().clone(),
-                device.transition_latency_s(),
-            ),
-            clock: VirtualClock::new(),
-            rng: StdRng::seed_from_u64(seed),
-            round_start_s: 0.0,
-            energy_j: 0.0,
             last_loss: f64::NAN,
-            slowdown: 1.0,
         }
     }
 
-    /// Inflates every job's latency by `slowdown` (≥ 1), modeling a
-    /// transient fault such as thermal throttling or a contended
-    /// accelerator. The pace controller sees the inflated latencies in its
-    /// observations — which is the point: mid-round recovery (guardian
-    /// escalation, observation quarantine) must trigger off what the
-    /// controller can actually measure. Energy is left unscaled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slowdown < 1`.
+    /// See [`SimExecutor::with_slowdown`].
     pub(crate) fn with_slowdown(mut self, slowdown: f64) -> Self {
-        assert!(slowdown >= 1.0, "slowdown must be at least 1");
-        self.slowdown = slowdown;
+        self.sim = self.sim.with_slowdown(slowdown);
         self
     }
 
     /// Energy consumed so far this round, joules.
     pub(crate) fn round_energy_j(&self) -> f64 {
-        self.energy_j
+        self.sim.round_energy_j()
     }
 
     /// Mean loss of the most recent minibatch (NaN before the first job).
@@ -103,7 +68,7 @@ impl<'a> TrainingExecutor<'a> {
     }
 
     fn next_batch(&mut self) -> (usize, usize) {
-        let b = self.task.minibatch_size().min(self.data.len()).max(1);
+        let b = self.batch;
         let n_batches = (self.data.len() / b).max(1);
         let start = (self.batch_cursor % n_batches) * b;
         self.batch_cursor += 1;
@@ -113,7 +78,7 @@ impl<'a> TrainingExecutor<'a> {
 
 impl JobExecutor for TrainingExecutor<'_> {
     fn config_space(&self) -> &ConfigSpace {
-        self.device.config_space()
+        self.sim.config_space()
     }
 
     fn run_job(&mut self, x: DvfsConfig) -> JobCost {
@@ -123,22 +88,12 @@ impl JobExecutor for TrainingExecutor<'_> {
         if !batch.is_empty() {
             self.last_loss = self.model.sgd_step(&batch, self.learning_rate);
         }
-
         // 2. Simulated cost: what the job did to the battery and clock.
-        let transition = self
-            .actuator
-            .apply(x)
-            .expect("controllers must request grid configurations");
-        self.clock.advance(transition);
-        let mut cost = self.device.run_job(self.task, x, &mut self.rng);
-        cost.latency_s *= self.slowdown;
-        self.clock.advance(cost.latency_s);
-        self.energy_j += cost.energy_j;
-        cost
+        self.sim.run_job(x)
     }
 
     fn elapsed_s(&self) -> f64 {
-        self.clock.now_s() - self.round_start_s
+        self.sim.elapsed_s()
     }
 }
 

@@ -11,10 +11,10 @@
 //! - [`data`] — synthetic federated datasets with Dirichlet label skew
 //!   (the standard non-IID benchmark partition), each stored as one
 //!   row-major feature buffer;
-//! - [`client`] — an FL client whose [`TrainingExecutor`] performs one
-//!   true SGD minibatch step per *job* while the simulated device charges
-//!   the corresponding latency and energy; the pace controller (BoFL or a
-//!   baseline) decides each job's DVFS configuration;
+//! - [`client`] — an FL client whose training executor performs one
+//!   true SGD minibatch step per *job* while `bofl`'s `SimExecutor`
+//!   charges the corresponding latency and energy; the pace controller
+//!   (BoFL or a baseline) decides each job's DVFS configuration;
 //! - [`server`] — a FedAvg server with client selection, per-round
 //!   deadline assignment, straggler dropping and weighted aggregation;
 //! - [`engine`] — the round-execution seam: the server hands each round's
@@ -56,8 +56,7 @@ pub mod model;
 pub mod network;
 pub mod server;
 
-pub use aggregate::{aggregate_sharded, ShardPlan, UpdateAccumulator};
-pub use client::{FlClient, TrainingExecutor};
+pub use client::FlClient;
 pub use data::{FederatedData, SyntheticDataset};
 pub use engine::{ClientJob, ClientOutcome, RoundDeadline, RoundEngine, SequentialEngine};
 pub use model::{fold_scores, Minibatch, SoftmaxModel, TrainableModel};
@@ -69,7 +68,6 @@ pub use server::{
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::aggregate::{aggregate_sharded, ShardPlan, UpdateAccumulator};
     pub use crate::client::FlClient;
     pub use crate::data::{FederatedData, SyntheticDataset};
     pub use crate::engine::{

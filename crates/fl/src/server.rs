@@ -248,7 +248,6 @@ pub struct Federation {
     model_bytes: f64,
     rng: StdRng,
     engine: Box<dyn RoundEngine>,
-    shard_plan: ShardPlan,
     // Persistent aggregation buffers: the hot path folds every arrived
     // update into fixed-point accumulators and never clones a parameter
     // vector, so steady-state rounds allocate nothing here.
@@ -280,7 +279,6 @@ impl Federation {
             ),
             task: None,
             engine: Box::new(SequentialEngine::new()),
-            shard_plan: ShardPlan::flat(),
         }
     }
 
@@ -419,12 +417,11 @@ impl Federation {
             .map(|o| o.client_id)
             .collect();
 
-        // 5. Hierarchical FedAvg, weighted by sample counts: the cohort's
-        //    arrived updates (canonical id order) are folded shard-by-shard
-        //    into fixed-point partial sums and merged at the root, so the
-        //    result is byte-identical at any shard count — `ShardPlan::flat`
-        //    *is* the vanilla single-pass server. Updates are borrowed, not
-        //    cloned, and the accumulators/mean buffer persist across rounds.
+        // 5. FedAvg, weighted by sample counts: the cohort's arrived
+        //    updates (canonical id order) are folded into fixed-point sums
+        //    in one flat pass, the same bits any shard grouping of the
+        //    fold would give. Updates are borrowed, not cloned, and the
+        //    accumulators/mean buffer persist across rounds.
         let updates: Vec<(&[f64], u64)> = outcomes
             .iter()
             .filter(|o| o.aggregatable())
@@ -432,7 +429,7 @@ impl Federation {
             .collect();
         if let Some(dim) = updates.first().map(|(p, _)| p.len()) {
             if aggregate_sharded(
-                self.shard_plan,
+                ShardPlan::flat(),
                 dim,
                 &updates,
                 &mut self.agg_root,
@@ -498,7 +495,6 @@ pub struct FederationBuilder {
     controller_factory: Box<dyn Fn(usize) -> Box<dyn PaceController>>,
     task: Option<FlTask>,
     engine: Box<dyn RoundEngine>,
-    shard_plan: ShardPlan,
 }
 
 impl std::fmt::Debug for FederationBuilder {
@@ -541,15 +537,6 @@ impl FederationBuilder {
     /// yields a trace identical to the sequential one.
     pub fn engine(mut self, engine: impl RoundEngine + 'static) -> Self {
         self.engine = Box::new(engine);
-        self
-    }
-
-    /// Sets the aggregation [`ShardPlan`] (defaults to [`ShardPlan::flat`],
-    /// the single-pass server). Any plan produces a byte-identical global
-    /// model — sharding changes *how* the reduction is grouped, never what
-    /// it computes — so this is safe to tune purely for throughput.
-    pub fn shard_plan(mut self, plan: ShardPlan) -> Self {
-        self.shard_plan = plan;
         self
     }
 
@@ -619,7 +606,6 @@ impl FederationBuilder {
             model_bytes,
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x5E_1EC7),
             engine: self.engine,
-            shard_plan: self.shard_plan,
             agg_root: UpdateAccumulator::new(),
             agg_shard: UpdateAccumulator::new(),
             avg_buf: Vec::new(),
@@ -710,20 +696,6 @@ mod tests {
     impl Federation {
         fn run_first_deadline(&mut self) -> f64 {
             self.run_round(0).deadline_s
-        }
-    }
-
-    #[test]
-    fn shard_plan_never_changes_the_run() {
-        let run = |shards: usize| {
-            let mut sim = Federation::builder(quick_config())
-                .shard_plan(ShardPlan::with_shards(shards))
-                .build();
-            sim.run()
-        };
-        let flat = run(1);
-        for shards in [2usize, 4, 16] {
-            assert_eq!(flat, run(shards), "{shards} shards must match flat");
         }
     }
 }

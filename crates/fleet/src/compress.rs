@@ -20,6 +20,8 @@
 //! the repo-wide byte-identical-trace contract intact at any shard or
 //! worker count.
 
+use crate::fault::splitmix64;
+
 /// Salt for the per-`(round, client)` compression streams
 /// (`fault::stream_seed(seed, round, client, COMPRESS_SALT)`). Every engine
 /// that compresses uplinks draws from this one stream family, so an engine
@@ -347,11 +349,7 @@ impl Compressor for TopKSparsifier {
 /// A uniform draw in `[0, 1)`, pure in `(seed, lane)` — the stochastic
 /// rounding coin.
 fn unit(seed: u64, lane: u64) -> f64 {
-    let mut h = seed ^ lane.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^= h >> 31;
+    let h = splitmix64(seed ^ lane.wrapping_mul(0x2545_F491_4F6C_DD1D));
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 

@@ -30,6 +30,16 @@ pub(crate) fn client_term(client_id: usize) -> u64 {
     (client_id as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
 }
 
+/// The splitmix64 finalizer: turns an XOR mix such as [`stream_seed`]'s
+/// into well-distributed bits. The sampler, the stochastic quantizer and
+/// the scale simulation's synthetic draws all finish with it.
+pub(crate) fn splitmix64(mut h: u64) -> u64 {
+    h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
+}
+
 /// The faults injected into one client's round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultDraw {

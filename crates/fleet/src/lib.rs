@@ -18,13 +18,11 @@
 //!   over 20-byte [`ClientStat`] records instead of live models;
 //! - [`shard`] — hierarchical-aggregation accounting
 //!   ([`ShardRoundStats`], an in-memory per-shard breakdown the scale
-//!   trace never includes) and [`shard::drain_tasks`], a deterministic
-//!   work queue: tasks write into their own result slots, so the output
-//!   is identical at any worker count.
+//!   trace never includes).
 //!
 //! Fleets of real clients run through `bofl_control::ControlSimulation`,
-//! the journalled builder over this crate's generator, faults, metrics
-//! and worker pool. A barrier round needs no builder:
+//! the journalled builder over this crate's generator, faults and
+//! metrics. A barrier round needs no builder:
 //! `bofl_fl::Federation::builder` runs one on its default engine.
 //!
 //! # Example

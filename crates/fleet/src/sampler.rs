@@ -55,8 +55,9 @@
 
 use std::ops::Range;
 
-use crate::fault::{client_term, stream_seed};
+use crate::fault::{client_term, splitmix64, stream_seed};
 use crate::generator::DeviceKind;
+use bofl::drain_tasks;
 
 /// Salt distinguishing the sampler's draw stream from fault/chaos draws.
 const SAMPLER_SALT: u64 = 0x005A_3917_C040_57A7;
@@ -202,13 +203,7 @@ impl RoundDraws {
 
     /// The 53 uniform bits behind [`RoundDraws::unit`].
     fn bits(self, id: u32) -> u64 {
-        let mut h = self.base ^ client_term(id as usize);
-        // splitmix64 finalizer: turns the XOR mix into well-distributed bits.
-        h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^= h >> 31;
-        h >> 11
+        splitmix64(self.base ^ client_term(id as usize)) >> 11
     }
 
     /// A uniform draw in `(0, 1]`. The open lower bound keeps `ln` finite
@@ -263,8 +258,9 @@ fn smallest_k(
 }
 
 /// [`smallest_k`] over `chunks >= 1` contiguous id ranges of equal size
-/// (fewer when the fleet is smaller), each scanned on its own thread, the
-/// first on the calling thread. The result depends on neither `chunks`
+/// (fewer when the fleet is smaller), one [`drain_tasks`] task each on
+/// `chunks` workers, the calling thread among them; their winners are
+/// concatenated in range order. The result depends on neither `chunks`
 /// nor `cut`.
 fn smallest_k_chunked(
     len: usize,
@@ -279,26 +275,19 @@ fn smallest_k_chunked(
     if k == 0 {
         return;
     }
+    // One task per id range, each with its own winners slot.
     let size = len.div_ceil(chunks);
-    let mut parts = (0..len).step_by(size).map(|lo| lo..len.min(lo + size));
-    let head = parts.next().expect("fleet is non-empty");
-    let mut winners = Vec::with_capacity(2 * k);
-    std::thread::scope(|scope| {
-        let key = &key;
-        let tails: Vec<_> = parts
-            .map(|part| {
-                scope.spawn(move || {
-                    let mut found = Vec::new();
-                    scan_chunk(part, k, cut, key, &mut found);
-                    found
-                })
-            })
-            .collect();
-        scan_chunk(head, k, cut, key, &mut winners);
-        for tail in tails {
-            winners.extend(tail.join().expect("sampler scan thread panicked"));
-        }
-    });
+    let mut found = vec![Vec::new(); len.div_ceil(size)];
+    let tasks: Vec<_> = (0..len).step_by(size).zip(found.iter_mut()).collect();
+    drain_tasks(
+        chunks,
+        tasks,
+        || (),
+        |(), (lo, found)| {
+            scan_chunk(lo..len.min(lo + size), k, cut, &key, found);
+        },
+    );
+    let mut winners = found.concat();
     if winners.len() < k && cut.is_some() {
         // The seeded cut was too tight to leave `k`: scan again without it.
         return smallest_k_chunked(len, cohort, chunks, None, out, key);

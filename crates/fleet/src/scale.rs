@@ -27,10 +27,11 @@
 use std::collections::HashMap;
 
 use crate::compress::{CompressedUpdate, Compressor, Int8Quantizer, COMPRESS_SALT};
-use crate::fault::{stream_seed, ChurnStatus, FaultPlan};
+use crate::fault::{splitmix64, stream_seed, ChurnStatus, FaultPlan};
 use crate::generator::DeviceKind;
 use crate::sampler::{ClientSampler, ClientStat, UniformSampler};
-use crate::shard::{drain_tasks, ShardPlan, ShardRoundStats, UpdateAccumulator};
+use crate::shard::{ShardPlan, ShardRoundStats, UpdateAccumulator};
+use bofl::drain_tasks;
 
 /// Salt for the synthetic-update stream.
 const UPDATE_SALT: u64 = 0x0B5E_55ED_0DA7_A5A1;
@@ -94,21 +95,21 @@ impl Default for ScaleConfig {
 fn registry(config: &ScaleConfig) -> Vec<ClientStat> {
     (0..config.fleet_size)
         .map(|id| {
-            let h = mix(config.seed ^ (id as u64).wrapping_mul(0xA076_1D64_78BD_642F));
+            let h = splitmix64(config.seed ^ (id as u64).wrapping_mul(0xA076_1D64_78BD_642F));
             let kind = if unit_from(h) < config.agx_fraction {
                 DeviceKind::JetsonAgx
             } else {
                 DeviceKind::JetsonTx2
             };
-            let h2 = mix(h ^ 0x9E37_79B9_7F4A_7C15);
-            let h3 = mix(h2 ^ 0x2545_F491_4F6C_DD1D);
+            let h2 = splitmix64(h ^ 0x9E37_79B9_7F4A_7C15);
+            let h3 = splitmix64(h2 ^ 0x2545_F491_4F6C_DD1D);
             ClientStat {
                 // Local dataset sizes spread 32..=256 (FedAvg weights).
                 samples: 32 + (h2 % 225) as u32,
                 // Unit-level spread of ±15% around the class baseline.
                 energy_j_est: (kind.nominal_round_energy_j() * (0.85 + 0.30 * unit_from(h3)))
                     as f32,
-                last_loss: (1.0 + 0.5 * unit_from(mix(h3 ^ 0xDEAD))) as f32,
+                last_loss: (1.0 + 0.5 * unit_from(splitmix64(h3 ^ 0xDEAD))) as f32,
                 last_selected: u32::MAX,
                 kind,
             }
@@ -622,7 +623,7 @@ fn member_outcome(
         out.aggregated = !failed;
     }
     // Loss decays slowly on successful participation (pure draw).
-    let u = unit_from(mix(stream_seed(cfg.seed, round, id, LOSS_SALT)));
+    let u = unit_from(splitmix64(stream_seed(cfg.seed, round, id, LOSS_SALT)));
     out.next_loss = (stat.last_loss * (0.96 + 0.03 * u) as f32).max(0.01);
     out
 }
@@ -647,7 +648,7 @@ fn synth_update(seed: u64, round: usize, id: u32, loss: f32, dim: usize, out: &m
     let base = stream_seed(seed, round, id as usize, UPDATE_SALT);
     let amp = loss as f64 * 0.05;
     for d in 0..dim {
-        let h = mix(base ^ (d as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let h = splitmix64(base ^ (d as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         out.push(amp * (unit_from(h) * 2.0 - 1.0));
     }
 }
@@ -656,7 +657,8 @@ fn synth_update(seed: u64, round: usize, id: u32, loss: f32, dim: usize, out: &m
 fn initial_model(cfg: &ScaleConfig) -> Vec<f64> {
     (0..cfg.dim)
         .map(|d| {
-            let h = mix(cfg.seed ^ 0x0061_0BA1 ^ (d as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+            let h =
+                splitmix64(cfg.seed ^ 0x0061_0BA1 ^ (d as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
             unit_from(h) * 0.1 - 0.05
         })
         .collect()
@@ -672,14 +674,6 @@ fn hash_model(model: &[f64]) -> u64 {
         }
     }
     h
-}
-
-/// splitmix64 finalizer.
-fn mix(mut h: u64) -> u64 {
-    h = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
 }
 
 /// A uniform draw in `[0, 1)` from already-mixed bits.

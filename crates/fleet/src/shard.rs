@@ -2,22 +2,18 @@
 //!
 //! `bofl-fl` owns the *math* ([`ShardPlan`], [`UpdateAccumulator`] —
 //! re-exported here): contiguous cohort ranges folded into fixed-point
-//! partial sums whose merge is order-free. This module owns the
-//! *execution*: [`drain_tasks`], the one deterministic work queue in the
-//! workspace. It hands each shard (its member range plus its private
-//! accumulator slot) to the worker pool, and `bofl-control`'s
-//! event-driven engine drains each round's client jobs through it the
-//! same way: results land in per-task slots and are read back in
-//! canonical order, so worker count is invisible in the output.
+//! partial sums whose merge is order-free. The scale simulation folds
+//! each shard (its member range plus its private accumulator slot) on the
+//! workspace's one fan-out, [`bofl::drain_tasks`]: results land in
+//! per-task slots and are read back in canonical order, so worker count
+//! is invisible in the output.
 //!
-//! It also defines [`ShardRoundStats`], the per-shard accounting record:
+//! This module defines [`ShardRoundStats`], the per-shard accounting record:
 //! every count is an integer, so *fleet-level* totals (summed in shard
 //! order) are identical no matter how the cohort was partitioned — only
 //! the per-shard breakdown itself depends on the plan, so it stays an
 //! in-memory record on the report, never mixed into the identity-checked
 //! trace.
-
-use std::sync::Mutex;
 
 pub use bofl_fl::aggregate::{aggregate_sharded, ShardPlan, UpdateAccumulator};
 
@@ -83,89 +79,9 @@ impl ShardRoundStats {
     }
 }
 
-/// Drains `tasks` across at most `workers` OS threads (never more
-/// threads than tasks), giving each worker one private scratch value
-/// built by `init`. Task results must land inside the task itself (each
-/// task owns `&mut` access to its output slot), so scheduling order
-/// cannot influence the outcome.
-///
-/// With `workers <= 1` (or a single task) everything runs inline on the
-/// caller's thread: the parallel path is an optimization, never a
-/// semantic fork.
-pub fn drain_tasks<T, S>(
-    workers: usize,
-    tasks: Vec<T>,
-    init: impl Fn() -> S + Sync,
-    work: impl Fn(&mut S, T) + Sync,
-) where
-    T: Send,
-{
-    if workers <= 1 || tasks.len() <= 1 {
-        let mut scratch = init();
-        for task in tasks {
-            work(&mut scratch, task);
-        }
-        return;
-    }
-    let threads = workers.min(tasks.len());
-    let queue = Mutex::new(tasks.into_iter());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = init();
-                loop {
-                    // Hold the lock only to pop; shard folding runs
-                    // unlocked.
-                    let task = { queue.lock().expect("queue poisoned").next() };
-                    match task {
-                        Some(task) => work(&mut scratch, task),
-                        None => break,
-                    }
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn drain_tasks_runs_every_task_exactly_once() {
-        for workers in [1usize, 2, 8] {
-            let mut hits = vec![0u32; 100];
-            let tasks: Vec<(usize, &mut u32)> = hits.iter_mut().enumerate().collect();
-            drain_tasks(
-                workers,
-                tasks,
-                || (),
-                |(), (i, slot)| {
-                    *slot += 1 + i as u32;
-                },
-            );
-            assert!(
-                hits.iter().enumerate().all(|(i, &h)| h == 1 + i as u32),
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn drain_tasks_starts_no_more_workers_than_tasks() {
-        for (workers, tasks) in [(8usize, 3usize), (8, 4), (2, 5), (3, 3)] {
-            // `init` runs once on every started worker, idle or not.
-            let started = Mutex::new(std::collections::HashSet::new());
-            let init = || started.lock().unwrap().insert(std::thread::current().id());
-            drain_tasks(workers, vec![(); tasks], init, |_, ()| {});
-            let started = started.into_inner().unwrap().len();
-            assert_eq!(
-                started,
-                workers.min(tasks),
-                "{workers} workers, {tasks} tasks"
-            );
-        }
-    }
 
     #[test]
     fn shard_totals_are_grouping_free() {

@@ -7,7 +7,6 @@
 //! contract: encodings are pure functions of `(update, stream seed,
 //! residual)`, and error feedback conserves the signal exactly.
 
-use bofl_fl::server::{Federation, FederationConfig};
 use bofl_fleet::compress::CompressedUpdate;
 use bofl_fleet::prelude::*;
 use bofl_fleet::scale::ScaleConfig;
@@ -64,44 +63,6 @@ proptest! {
                     reference.final_model.iter().map(|p| p.to_bits()).collect::<Vec<u64>>()
                 );
             }
-        }
-    }
-
-    /// The federation-level seam: a `Federation` with any shard plan
-    /// reproduces the flat engine's history bit for bit.
-    #[test]
-    fn federation_history_is_shard_plan_invariant(seed in 0u64..1_000_000) {
-        let run = |shards: Option<usize>| {
-            let spec = FleetSpec::mixed(10, seed);
-            let config = FederationConfig {
-                num_clients: spec.num_clients,
-                clients_per_round: 4,
-                rounds: 2,
-                classes: 3,
-                feature_dims: 6,
-                seed,
-                ..FederationConfig::default()
-            };
-            let mut builder = Federation::builder(config)
-                .device_factory(move |id| spec.device(id));
-            if let Some(n) = shards {
-                builder = builder.shard_plan(ShardPlan::with_shards(n));
-            }
-            let mut federation = builder.build();
-            let mut metrics = FleetMetrics::new();
-            let mut history = Vec::new();
-            for round in 0..config.rounds {
-                let (record, outcomes) = federation.run_round_detailed(round);
-                metrics.record(&record, &outcomes);
-                history.push(record);
-            }
-            (history, metrics.to_csv())
-        };
-        let flat = run(None);
-        for shards in [1usize, 4, 16] {
-            let sharded = run(Some(shards));
-            prop_assert_eq!(&sharded.0, &flat.0);
-            prop_assert_eq!(&sharded.1, &flat.1);
         }
     }
 

@@ -7,7 +7,10 @@
 //! grid, a few dozen observations (64 at most in any shipped workload). This crate provides
 //! exactly those kernels — row-major [`Matrix`], [`Cholesky`]
 //! factorization with jitter escalation, triangular solves, and streaming
-//! statistics — and nothing else.
+//! statistics — plus one thing that is not linear algebra:
+//! [`drain_tasks`], the deterministic fan-out every compute thread in the
+//! workspace runs on (the MBO scan and surrogate fits, the sampler scan,
+//! shard folds and client jobs; `bofl` re-exports it). Nothing else.
 //!
 //! Every dense operation reduces each output element to one call of a
 //! shared fixed-order dot micro-kernel (see `kernels`), so results are
@@ -39,6 +42,7 @@ mod cholesky;
 mod error;
 mod kernels;
 mod matrix;
+mod par;
 mod stats;
 mod triangular;
 mod vecops;
@@ -46,6 +50,7 @@ mod vecops;
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use matrix::Matrix;
+pub use par::drain_tasks;
 pub use stats::{OnlineStats, Standardizer};
 pub use triangular::solve_lower;
 pub use vecops::dot;

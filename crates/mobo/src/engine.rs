@@ -2,6 +2,7 @@ use crate::ehvi::{BiGaussian, EhviCells, EhviCertificate};
 use crate::hypervolume::hypervolume;
 use crate::{MoboError, ParetoFront};
 use bofl_gp::{GaussianProcess, GpConfig, PredictCache, SurrogateModel, WarmStart};
+use bofl_linalg::drain_tasks;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -99,16 +100,17 @@ pub struct MoboConfig {
     /// `0` behaves like `1` (every fit is a full refit).
     pub refit_every: usize,
     /// Worker threads for the per-slot candidate scan in
-    /// [`MoboEngine::suggest`]. `0` picks
+    /// [`MoboEngine::suggest`], the calling thread included (both the
+    /// scan and the fit run on [`bofl_linalg::drain_tasks`]). `0` picks
     /// `min(available_parallelism, 8)`. The suggestion batch is
     /// byte-identical at any worker count.
     ///
     /// The same count decides the surrogate fit: when it resolves to at
-    /// least 2, objective 1 fits on a scoped thread while objective 0
-    /// fits on the caller, so a fit uses at most 2 threads. The scan
-    /// threads are idle during the fit, so the thread budget is
-    /// unchanged. Each objective keeps its own warm cache and refit
-    /// schedule, so the fitted models are the same either way.
+    /// least 2, the two objectives fit side by side on the caller and one
+    /// scoped thread, so a fit uses at most 2 threads. The scan is idle
+    /// during the fit, so the thread budget is unchanged. Each objective
+    /// keeps its own warm cache and refit schedule, so the fitted models
+    /// are the same either way.
     pub scan_workers: usize,
 }
 
@@ -402,26 +404,26 @@ impl MoboEngine {
     /// Nelder–Mead from the previous optimum with a single restart.
     ///
     /// The two fits are independent — each reads only its own warm
-    /// cache — so when [`MoboConfig::scan_workers`] resolves to at least
-    /// 2, objective 1 fits on a scoped thread beside objective 0. Caches
-    /// are stored as the serial order would leave them: an error in
-    /// objective 0 is returned first and stores neither.
+    /// cache — so they are two [`drain_tasks`] tasks on
+    /// [`MoboConfig::scan_workers`] workers (in parallel when it resolves
+    /// to at least 2). Caches are stored as the serial order would leave
+    /// them: an error in objective 0 is returned first and stores
+    /// neither.
     fn fit_surrogates(&mut self) -> Result<SurrogatePair, MoboError> {
         let xs: Vec<Vec<f64>> = self.observations.iter().map(|o| o.point.clone()).collect();
         let y0: Vec<f64> = self.observations.iter().map(|o| o.objectives[0]).collect();
         let y1: Vec<f64> = self.observations.iter().map(|o| o.objectives[1]).collect();
         let fit =
             |obj: usize, ys: &[f64]| fit_objective(&self.config, self.warm[obj].as_ref(), &xs, ys);
-        let (fit0, fit1) = if self.resolved_workers() >= 2 {
-            std::thread::scope(|scope| {
-                let fit1 = scope.spawn(|| fit(1, &y1));
-                let fit0 = fit(0, &y0);
-                (fit0, fit1.join().expect("surrogate fit must not panic"))
-            })
-        } else {
-            let fit0 = fit(0, &y0)?;
-            (Ok(fit0), fit(1, &y1))
-        };
+        let mut fits = [None, None];
+        let tasks = fits.iter_mut().zip([&y0, &y1]).enumerate().collect();
+        drain_tasks(
+            self.resolved_workers(),
+            tasks,
+            || (),
+            |(), (obj, (slot, ys))| *slot = Some(fit(obj, ys)),
+        );
+        let [fit0, fit1] = fits.map(|fit| fit.expect("drain_tasks runs every task"));
         let (gp0, cache0) = fit0?;
         self.warm[0] = Some(cache0);
         let (gp1, cache1) = fit1?;
@@ -485,8 +487,9 @@ fn fit_objective(
 ///
 /// Every slot updates each candidate's posterior through
 /// [`SurrogateModel::predict_batch_cached`], split into one contiguous
-/// chunk per worker (`workers` threads, clamped to `1..=` the candidate
-/// count; scans under 64 candidates stay on the caller). The chunking is
+/// chunk per worker (`workers` threads counting the caller, clamped to
+/// `1..=` the candidate count; scans under 64 candidates stay on the
+/// caller), one [`drain_tasks`] task per chunk. The chunking is
 /// the same in every slot, so each chunk's [`PredictCache`] pair follows
 /// its model's fantasy chain: on the exact GP, slot 1 pays the full `O(n²)`
 /// prediction per candidate and every later slot one kernel evaluation,
@@ -605,7 +608,8 @@ fn offer(best: &mut ScanBest, i: usize, v: f64) {
 }
 
 /// One slot of [`greedy_batch`]: updates every posterior and bound in
-/// parallel chunks (evaluating the candidates whose bound is `+∞`), then
+/// parallel chunks, one per cache pair (evaluating the candidates whose
+/// bound is `+∞`; results merge in chunk order), then
 /// finishes the lazy argmax on the caller. Returns `None` when no
 /// candidate is open.
 fn scan_slot(
@@ -650,26 +654,22 @@ fn scan_slot(
         Ok((best, top))
     };
 
+    // One task per chunk: its entries, its cache pair and its result slot.
     let chunk = scan.len().div_ceil(caches.len().max(1)).max(1);
-    let chunk_results: Vec<Result<(ScanBest, ScanBest), MoboError>> = if let [pair] = caches {
-        vec![scan_chunk(0, scan, pair)]
-    } else {
-        let scan_chunk = &scan_chunk;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = scan
-                .chunks_mut(chunk)
-                .zip(caches.iter_mut())
-                .enumerate()
-                .map(|(w, (entries, pair))| {
-                    scope.spawn(move || scan_chunk(w * chunk, entries, pair))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker must not panic"))
-                .collect()
-        })
-    };
+    let mut chunk_results: Vec<Result<(ScanBest, ScanBest), MoboError>> =
+        caches.iter().map(|_| Ok((None, None))).collect();
+    let tasks: Vec<_> = scan
+        .chunks_mut(chunk)
+        .zip(caches.iter_mut())
+        .zip(chunk_results.iter_mut())
+        .enumerate()
+        .collect();
+    drain_tasks(
+        tasks.len(),
+        tasks,
+        || (),
+        |(), (w, ((entries, pair), slot))| *slot = scan_chunk(w * chunk, entries, pair),
+    );
 
     let mut best = None;
     let mut top = None;
