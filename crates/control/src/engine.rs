@@ -59,14 +59,13 @@ use std::sync::{Arc, Mutex};
 use bofl::drain_tasks;
 use bofl_fl::client::FlClient;
 use bofl_fl::engine::{run_client_job, ClientJob, ClientOutcome, RoundEngine};
-use bofl_fl::model::{Minibatch, TrainableModel};
+use bofl_fl::model::{Minibatch, SoftmaxModel};
 use bofl_fl::network::RetryPolicy;
 use bofl_fl::server::AggregationPolicy;
 use bofl_fleet::compress::{CompressedUpdate, Compressor, COMPRESS_SALT};
 use bofl_fleet::fault::{stream_seed, ChurnStatus, FaultPlan};
 use bofl_fleet::shard::ShardPlan;
 
-use crate::chaos::{ChaosPlan, ChaosTransport};
 use crate::journal::EventCause;
 use crate::liveness::LivenessPolicy;
 use crate::plane::ControlPlane;
@@ -82,36 +81,46 @@ pub(crate) type PlaneHandle = Arc<Mutex<ControlPlane>>;
 /// seeded fault injection and upload retry), a pluggable [`Transport`]
 /// for delivery, a [`ControlPlane`] for lifecycle bookkeeping, and
 /// quorum-based round closes instead of a barrier join.
+///
+/// `ControlSimulationBuilder` sets every field; the public setters below
+/// serve engines driven by hand over scripted transports.
 #[derive(Debug, Clone)]
 pub struct EventDrivenEngine {
-    workers: usize,
-    faults: FaultPlan,
-    retry: RetryPolicy,
+    /// Threads in the execution pool, the caller included (≥ 1).
+    pub(crate) workers: usize,
+    /// Seeded fault injection, churn included (only this engine acts on
+    /// churn; the barrier engine has no fault plan).
+    pub(crate) faults: FaultPlan,
+    pub(crate) retry: RetryPolicy,
     /// Nominal cohort size for the close target; `0` disables early
     /// closes entirely (the engine then behaves as a journalling barrier).
-    cohort: usize,
-    policy: AggregationPolicy,
-    plane: PlaneHandle,
-    transport: Box<dyn Transport>,
-    liveness: LivenessPolicy,
+    pub(crate) cohort: usize,
+    pub(crate) policy: AggregationPolicy,
+    pub(crate) plane: PlaneHandle,
+    pub(crate) transport: Box<dyn Transport>,
+    pub(crate) liveness: LivenessPolicy,
     /// Over-selection escalation armed by a degraded close: the next
     /// round's close target widens to the full admitted cohort.
-    escalated: bool,
-    /// Hierarchical aggregation accounting: the runnable cohort (id
-    /// order) is partitioned into contiguous shards, each with a local
-    /// quorum of `ceil(members × shard_quorum_fraction)`.
-    shard_plan: Option<ShardPlan>,
-    shard_quorum_fraction: f64,
-    /// Uplink encoder: updates are compressed (and decoded back, so the
-    /// server aggregates exactly the lossy bytes) at send time.
-    compressor: Option<Box<dyn Compressor>>,
-    compress_seed: u64,
+    pub(crate) escalated: bool,
+    /// Shard accounting (see `ControlSimulationBuilder::shard_plan`).
+    pub(crate) shard_plan: Option<ShardPlan>,
+    pub(crate) shard_quorum_fraction: f64,
+    /// The uplink encoder (see `ControlSimulationBuilder::compressor`),
+    /// its stream seeds derived from `compress_seed`.
+    pub(crate) compressor: Option<Box<dyn Compressor>>,
+    pub(crate) compress_seed: u64,
     /// Per-client error-feedback residuals carried across rounds.
     residuals: HashMap<usize, Vec<f64>>,
     /// Virtual clock: simulated seconds since the run began. Advances to
     /// each round's close time.
-    now_s: f64,
-    label: String,
+    pub(crate) now_s: f64,
+    /// [`worker_label`] of `workers`.
+    pub(crate) label: String,
+}
+
+/// The engine's report label, which names its worker count.
+pub(crate) fn worker_label(workers: usize) -> String {
+    format!("event-driven({workers} workers)")
 }
 
 impl EventDrivenEngine {
@@ -121,8 +130,9 @@ impl EventDrivenEngine {
     ///
     /// Panics if `workers == 0`.
     pub fn new(workers: usize) -> Self {
+        assert!(workers > 0, "an engine needs at least one worker");
         EventDrivenEngine {
-            workers: 1,
+            workers,
             faults: FaultPlan::none(),
             retry: RetryPolicy::none(),
             cohort: 0,
@@ -137,37 +147,8 @@ impl EventDrivenEngine {
             compress_seed: 0,
             residuals: HashMap::new(),
             now_s: 0.0,
-            label: String::new(),
+            label: worker_label(workers),
         }
-        .with_workers(workers)
-    }
-
-    /// Sets the worker-thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    #[must_use]
-    pub(crate) fn with_workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "an engine needs at least one worker");
-        self.workers = workers;
-        self.label = format!("event-driven({workers} workers)");
-        self
-    }
-
-    /// Attaches a fault-injection plan (including churn, which only this
-    /// engine acts on — the barrier engine has no fault plan).
-    #[must_use]
-    pub(crate) fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Attaches an upload retry policy.
-    #[must_use]
-    pub(crate) fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Enables quorum-based round closes: once
@@ -193,15 +174,6 @@ impl EventDrivenEngine {
         self
     }
 
-    /// Wraps the current transport in a [`ChaosTransport`] injecting the
-    /// given plan.
-    #[must_use]
-    pub(crate) fn with_chaos(mut self, plan: ChaosPlan) -> Self {
-        let inner = std::mem::replace(&mut self.transport, Box::new(VirtualTransport));
-        self.transport = Box::new(ChaosTransport::new(inner, plan));
-        self
-    }
-
     /// Arms server-side liveness tracking (off by default). Required for
     /// degraded closes and over-selection escalation.
     #[must_use]
@@ -210,96 +182,10 @@ impl EventDrivenEngine {
         self
     }
 
-    /// Arms hierarchical shard accounting: each round's runnable cohort
-    /// is partitioned by `plan` into contiguous id-ordered shards, each
-    /// closing against a local quorum of
-    /// `ceil(members × quorum_fraction)`. A shard that falls short is a
-    /// *shortfall*: the round close records it, and every member of the
-    /// starved shard resets with
-    /// [`EventCause::ShardQuorumShortfall`] instead of `RoundReset`.
-    /// Accounting only — no accepted update is ever discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quorum_fraction` is outside `[0, 1]`.
-    #[must_use]
-    pub(crate) fn with_shard_plan(mut self, plan: ShardPlan, quorum_fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&quorum_fraction),
-            "shard quorum fraction must be in [0, 1]"
-        );
-        self.shard_plan = Some(plan);
-        self.shard_quorum_fraction = quorum_fraction;
-        self
-    }
-
-    /// Arms an uplink compressor: every finished update is encoded at
-    /// send time with a per-`(round, client)` stream seed derived from
-    /// [`EventDrivenEngine::with_compress_seed`]'s seed, decoded back in
-    /// place (so aggregation sees exactly the lossy bytes the wire
-    /// carried), and its compressed/raw byte counts flow into the round's
-    /// [`crate::transport::WireStats`]. Error feedback is always on: a
-    /// per-client residual carries what each encoding could not express
-    /// into the next round.
-    #[must_use]
-    pub(crate) fn with_compressor(mut self, compressor: impl Compressor + 'static) -> Self {
-        self.compressor = Some(Box::new(compressor));
-        self
-    }
-
-    /// Sets the seed the compressor's stream seeds derive from.
-    #[must_use]
-    pub(crate) fn with_compress_seed(mut self, seed: u64) -> Self {
-        self.compress_seed = seed;
-        self
-    }
-
-    /// Bounds the event journal ring (default
-    /// [`crate::journal::DEFAULT_JOURNAL_CAPACITY`]).
-    #[must_use]
-    pub(crate) fn with_journal_capacity(mut self, capacity: usize) -> Self {
-        self.plane = Arc::new(Mutex::new(ControlPlane::with_journal_capacity(0, capacity)));
-        self
-    }
-
-    /// Arm the crash-safety write-ahead log: every journalled transition
-    /// and round close is written to `wal` before the engine proceeds,
-    /// and each round is durable once its close is (the group-commit
-    /// contract in [`crate::wal`]). Apply this *after*
-    /// [`EventDrivenEngine::with_journal_capacity`], which replaces the
-    /// plane.
-    #[must_use]
-    pub(crate) fn with_wal(self, wal: Arc<Mutex<crate::wal::JournalWal>>) -> Self {
-        self.plane
-            .lock()
-            .expect("control plane poisoned")
-            .attach_wal(wal);
-        self
-    }
-
-    /// Adopt a plane reconstructed by `ControlPlane::resume` and restart
-    /// the virtual clock at `now_s` (the resume report's commit-point
-    /// clock). The resumed run continues from the round after the last
-    /// committed close. Over-selection escalation is re-armed from that
-    /// close: a live run sets it to the close's `degraded` flag, and the
-    /// flag is only consulted with liveness armed.
-    #[must_use]
-    pub(crate) fn with_resumed(mut self, plane: ControlPlane, now_s: f64) -> Self {
-        self.escalated = plane.closes().last().is_some_and(|c| c.degraded);
-        self.plane = Arc::new(Mutex::new(plane));
-        self.now_s = now_s;
-        self
-    }
-
     /// A handle onto the control plane, for reading the journal and round
     /// closes after the federation has taken ownership of the engine.
     pub fn plane(&self) -> PlaneHandle {
         Arc::clone(&self.plane)
-    }
-
-    /// Worker threads in the execution pool.
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Runs `jobs` (sorted by unique client id) on the worker pool and
@@ -339,13 +225,6 @@ impl EventDrivenEngine {
     }
 }
 
-/// The seed the upload-retry backoff stream for `(round, client)` is
-/// drawn from.
-fn upload_backoff_seed(round: usize, client_id: usize) -> u64 {
-    (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (client_id as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-}
-
 /// Runs one job, applies its fault draw, and retries a failed upload
 /// while the reporting budget admits the backoff. Returns the outcome
 /// and the total backoff the client waited before its final attempt.
@@ -376,19 +255,11 @@ fn run_faulted(
     // Every quantity here is pure in (round, client, attempt), so the
     // trace stays byte-identical at any worker count.
     let mut waited_s = 0.0;
-    if out.upload_failed && !retry.is_none() && !out.dropped && out.result.deadline_met {
+    if out.upload_failed && !out.dropped && out.result.deadline_met {
         let budget = (job.deadline.limit_s() - out.result.duration_s).max(0.0);
-        let backoff_seed = upload_backoff_seed(job.round, job.client_id);
-        while out.upload_failed && out.upload_attempts < retry.max_attempts {
-            let wait = retry.backoff_s(out.upload_attempts, backoff_seed);
-            if waited_s + wait > budget {
-                break;
-            }
-            waited_s += wait;
-            out.upload_attempts += 1;
-            out.upload_failed =
-                faults.upload_attempt_failed(job.round, job.client_id, out.upload_attempts);
-        }
+        let window = Some((retry, budget));
+        (out.upload_attempts, out.upload_failed, waited_s) =
+            faults.retry_upload(job.round, job.client_id, true, retry.max_attempts, window);
     }
     (out, waited_s)
 }
@@ -936,12 +807,7 @@ impl RoundEngine for EventDrivenEngine {
     /// Scores the model in one contiguous stripe of samples per worker,
     /// on the same pool the jobs run on; each stripe writes its own
     /// slice of `losses` and its own hit count.
-    fn score(
-        &mut self,
-        model: &dyn TrainableModel,
-        data: &Minibatch<'_>,
-        losses: &mut [f64],
-    ) -> usize {
+    fn score(&mut self, model: &SoftmaxModel, data: &Minibatch<'_>, losses: &mut [f64]) -> usize {
         assert_eq!(losses.len(), data.len(), "one loss slot per sample");
         let rows = data.len().div_ceil(self.workers).max(1);
         let mut hits = vec![0; self.workers];
@@ -963,30 +829,42 @@ impl RoundEngine for EventDrivenEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{ChaosPlan, ChaosTransport};
     use crate::socket::SocketTransport;
     use bofl::baselines::PerformantController;
     use bofl::prelude::{Device, FlTask, TaskKind, Testbed};
     use bofl_fl::data::SyntheticDataset;
     use bofl_fl::engine::{RoundDeadline, SequentialEngine};
-    use bofl_fl::model::{SoftmaxModel, TrainableModel};
+
+    /// An engine on `workers` workers with `faults` and `retry` set.
+    fn faulted(workers: usize, faults: FaultPlan, retry: RetryPolicy) -> EventDrivenEngine {
+        let mut engine = EventDrivenEngine::new(workers);
+        engine.faults = faults;
+        engine.retry = retry;
+        engine
+    }
 
     #[test]
     fn builders_wire_the_inner_engine() {
-        let engine = EventDrivenEngine::new(4)
-            .with_faults(FaultPlan::new(3).with_dropout(0.2))
-            .with_retry(RetryPolicy::recovery())
-            .with_close_policy(AggregationPolicy::recovery(), 4)
-            .with_journal_capacity(128);
-        assert_eq!(engine.workers(), 4);
+        let engine = faulted(
+            4,
+            FaultPlan::new(3).with_dropout(0.2),
+            RetryPolicy::recovery(),
+        )
+        .with_close_policy(AggregationPolicy::recovery(), 4);
+        assert_eq!(engine.workers, 4);
         assert_eq!(engine.label(), "event-driven(4 workers)");
         assert_eq!(engine.transport.label(), "virtual");
     }
 
     #[test]
     fn transport_builders_stack() {
+        let socket = Box::new(SocketTransport::in_process(2));
         let engine = EventDrivenEngine::new(1)
-            .with_transport(SocketTransport::in_process(2))
-            .with_chaos(ChaosPlan::new(1).with_drops(0.5))
+            .with_transport(ChaosTransport::new(
+                socket,
+                ChaosPlan::new(1).with_drops(0.5),
+            ))
             .with_liveness(LivenessPolicy::recovery(1));
         assert_eq!(engine.transport.label(), "chaos(socket(2 lanes))");
         // Cloning an engine clones its boxed transport.
@@ -1006,7 +884,7 @@ mod tests {
                     Device::jetson_agx(),
                     task,
                     data,
-                    Box::new(SoftmaxModel::new(6, 3, id as u64)),
+                    SoftmaxModel::new(6, 3, id as u64),
                     Box::new(PerformantController::new()),
                     0.2,
                     1000 + id as u64,
@@ -1050,7 +928,7 @@ mod tests {
             .with_dropout(0.3)
             .with_stragglers(0.5, (2.0, 5.0))
             .with_upload_failures(0.2);
-        let run_on = |workers| run(EventDrivenEngine::new(workers).with_faults(faults), 8, 0..8);
+        let run_on = |workers| run(faulted(workers, faults, RetryPolicy::none()), 8, 0..8);
         let one = run_on(1);
         assert_eq!(one, run_on(8));
         // The plan's parameters are aggressive enough that something fired.
@@ -1063,7 +941,7 @@ mod tests {
     fn stragglers_can_miss_deadlines() {
         // Deadline 2× T_min, slowdown ≥ 3×: every straggler must miss.
         let faults = FaultPlan::new(9).with_stragglers(1.0, (3.0, 4.0));
-        let outcomes = run(EventDrivenEngine::new(2).with_faults(faults), 4, 0..4);
+        let outcomes = run(faulted(2, faults, RetryPolicy::none()), 4, 0..4);
         assert!(outcomes.iter().all(|o| o.straggler_factor >= 3.0));
         assert!(outcomes.iter().all(|o| o.missed_deadline()));
         assert!(outcomes.iter().all(|o| !o.aggregatable()));
@@ -1072,11 +950,7 @@ mod tests {
     #[test]
     fn retries_recover_some_uploads_and_stay_deterministic() {
         let faults = FaultPlan::new(13).with_upload_failures(0.6);
-        let engine = |workers, retry| {
-            EventDrivenEngine::new(workers)
-                .with_faults(faults)
-                .with_retry(retry)
-        };
+        let engine = |workers, retry| faulted(workers, faults, retry);
         let no_retry = run(engine(1, RetryPolicy::none()), 12, 0..12);
         let armed = engine(1, RetryPolicy::recovery());
         let plane = armed.plane();
@@ -1111,9 +985,7 @@ mod tests {
     #[test]
     fn dropped_or_late_clients_never_retry() {
         let faults = FaultPlan::new(13).with_dropout(1.0);
-        let engine = EventDrivenEngine::new(2)
-            .with_faults(faults.with_upload_failures(1.0))
-            .with_retry(RetryPolicy::recovery());
+        let engine = faulted(2, faults.with_upload_failures(1.0), RetryPolicy::recovery());
         let outcomes = run(engine, 4, 0..4);
         // A vanished client has nobody left to retry the upload.
         assert!(outcomes.iter().all(|o| o.upload_attempts == 1));

@@ -20,8 +20,8 @@ use std::path::Path;
 
 use crate::state::ClientState;
 
-/// Default journal capacity: comfortably holds several hundred rounds of
-/// a mid-size cohort before eviction begins.
+/// The journal ring's capacity: comfortably holds several hundred rounds
+/// of a mid-size cohort before eviction begins (the WAL keeps the rest).
 pub(crate) const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
 
 /// Why a transition happened — the semantic tag alongside the raw
@@ -259,6 +259,16 @@ impl RoundClose {
     }
 }
 
+/// A WAL entry whose sequence number does not continue the journal's
+/// own counter: [`EventJournal::adopt`] refuses it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SeqGap {
+    /// The sequence number the journal expected next.
+    pub(crate) expected: u64,
+    /// The sequence number the entry carried.
+    pub(crate) found: u64,
+}
+
 /// A bounded ring of [`EventEntry`] with a never-resetting sequence
 /// counter.
 #[derive(Debug, Clone)]
@@ -293,12 +303,7 @@ impl EventJournal {
         t_s: f64,
     ) -> u64 {
         let seq = self.next_seq;
-        self.next_seq += 1;
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-            self.evicted += 1;
-        }
-        self.entries.push_back(EventEntry {
+        self.push(EventEntry {
             seq,
             round,
             client,
@@ -312,18 +317,22 @@ impl EventJournal {
 
     /// Re-adopt an entry replayed from a write-ahead log, preserving its
     /// original sequence number. The entry must continue this journal's
-    /// own counter exactly — resume treats a gap as corruption.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e.seq != self.total_appended()` (callers validate the
-    /// sequence before adopting; see `ControlPlane::resume`).
-    pub(crate) fn adopt(&mut self, e: EventEntry) {
-        assert_eq!(
-            e.seq, self.next_seq,
-            "WAL entry out of sequence: expected {}, found {}",
-            self.next_seq, e.seq
-        );
+    /// own counter exactly; anything else is refused as a [`SeqGap`] and
+    /// leaves the journal unchanged.
+    pub(crate) fn adopt(&mut self, e: EventEntry) -> Result<(), SeqGap> {
+        if e.seq != self.next_seq {
+            return Err(SeqGap {
+                expected: self.next_seq,
+                found: e.seq,
+            });
+        }
+        self.push(e);
+        Ok(())
+    }
+
+    /// Push `e`, whose sequence number is the next one, evicting the
+    /// oldest entry if the ring is full.
+    fn push(&mut self, e: EventEntry) {
         self.next_seq += 1;
         if self.entries.len() == self.capacity {
             self.entries.pop_front();
@@ -357,11 +366,21 @@ impl EventJournal {
         self.evicted
     }
 
-    /// Tally the entries held for `round` by cause, in one pass over the
-    /// ring.
+    /// Tally the entries held for `round` by cause. The engine journals
+    /// rounds in non-decreasing order (`tests/journal_rounds.rs` pins it,
+    /// resumed runs included), so the scan runs back from the newest
+    /// entry, past any later round's, and stops at the first entry of an
+    /// earlier round. Entries applied by hand out of round order are
+    /// counted only from the newest run of `round`.
     pub fn cause_counts(&self, round: u32) -> CauseCounts {
         let mut counts = CauseCounts::default();
-        for e in self.entries.iter().filter(|e| e.round == round) {
+        for e in self
+            .entries
+            .iter()
+            .rev()
+            .skip_while(|e| e.round > round)
+            .take_while(|e| e.round == round)
+        {
             counts.0[e.cause as usize] += 1;
         }
         counts
@@ -475,5 +494,26 @@ mod tests {
         assert_eq!(churn(1), (1, 1));
         assert_eq!(churn(2), (0, 0));
         assert_eq!(j.cause_counts(1)[EventCause::Selection], 1);
+    }
+
+    #[test]
+    fn out_of_sequence_adopts_are_refused_and_change_nothing() {
+        let mut j = EventJournal::with_capacity(2);
+        for i in 0..3 {
+            entry(&mut j, i);
+        }
+        let held: Vec<EventEntry> = j.iter().copied().collect();
+        for seq in [0, 2, 4, u64::MAX] {
+            let gap = SeqGap {
+                expected: 3,
+                found: seq,
+            };
+            assert_eq!(j.adopt(EventEntry { seq, ..held[1] }), Err(gap));
+            assert!(j.iter().eq(&held));
+            assert_eq!((j.total_appended(), j.evicted()), (3, 1));
+        }
+        assert_eq!(j.adopt(EventEntry { seq: 3, ..held[1] }), Ok(()));
+        assert!(j.iter().map(|e| e.seq).eq([2, 3]));
+        assert_eq!((j.total_appended(), j.evicted()), (4, 2));
     }
 }

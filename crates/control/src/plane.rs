@@ -10,7 +10,7 @@
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::journal::{EventCause, EventEntry, EventJournal, RoundClose, DEFAULT_JOURNAL_CAPACITY};
+use crate::journal::{EventCause, EventEntry, EventJournal, RoundClose, SeqGap};
 use crate::state::{ClientEvent, ClientState, TransitionError};
 use crate::transport::WireStats;
 use crate::wal::{JournalWal, WalError, WalRecord};
@@ -33,23 +33,11 @@ pub struct ControlPlane {
 }
 
 impl ControlPlane {
-    /// A plane over `clients` clients, all starting [`ClientState::Idle`],
-    /// with the default journal capacity.
+    /// A plane over `clients` clients, all starting [`ClientState::Idle`].
     pub fn new(clients: usize) -> Self {
         ControlPlane {
             states: vec![ClientState::Idle; clients],
             journal: EventJournal::default(),
-            closes: Vec::new(),
-            wire: Vec::new(),
-            wal: None,
-        }
-    }
-
-    /// Same, with an explicit journal ring capacity.
-    pub(crate) fn with_journal_capacity(clients: usize, capacity: usize) -> Self {
-        ControlPlane {
-            states: vec![ClientState::Idle; clients],
-            journal: EventJournal::with_capacity(capacity),
             closes: Vec::new(),
             wire: Vec::new(),
             wal: None,
@@ -201,8 +189,7 @@ impl ControlPlane {
     /// Replay a journal slice over a fresh fleet of `clients` Idle
     /// clients and return the reconstructed state vector. Each entry's
     /// `from` must match the reconstructed current state and its
-    /// `(from, event)` edge must be legal — the entry's `to` is derived
-    /// from the contract, not trusted. Used by tests to prove the
+    /// `(from, to)` edge must be legal. Used by tests to prove the
     /// journal alone determines final states.
     pub fn replay<'a>(
         entries: impl IntoIterator<Item = &'a EventEntry>,
@@ -211,39 +198,17 @@ impl ControlPlane {
         let mut states = vec![ClientState::Idle; clients];
         for e in entries {
             let id = e.client as usize;
-            if id >= clients {
-                return Err(ReplayError::UnknownClient {
-                    seq: e.seq,
-                    client: id,
-                });
-            }
-            let current = states[id];
-            if current != e.from {
-                return Err(ReplayError::StateMismatch {
-                    seq: e.seq,
-                    client: id,
-                    expected: e.from,
-                    actual: current,
-                });
-            }
-            // Recover the event from the edge: the contract is sparse
-            // enough that each (from, to) pair maps to one event.
-            let event = ClientEvent::ALL
-                .into_iter()
-                .find(|ev| current.next(*ev) == Some(e.to))
-                .ok_or(ReplayError::IllegalEdge {
-                    seq: e.seq,
-                    client: id,
-                    from: e.from,
-                    to: e.to,
-                })?;
-            states[id] = current.next(event).expect("edge just validated");
+            let state = states.get_mut(id).ok_or(ReplayError::UnknownClient {
+                seq: e.seq,
+                client: id,
+            })?;
+            *state = replay_entry(*state, e)?;
         }
         Ok(states)
     }
 
     /// Rebuild a plane from the write-ahead log at `path` after a
-    /// coordinator crash, with the default journal capacity.
+    /// coordinator crash.
     ///
     /// Recovery is two truncations deep. [`JournalWal::open`] first cuts
     /// away the torn tail (a record the crash interrupted mid-write).
@@ -269,15 +234,6 @@ impl ControlPlane {
         path: &Path,
         clients: usize,
     ) -> Result<(ControlPlane, ResumeReport), ResumeError> {
-        ControlPlane::resume_with_capacity(path, clients, DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// [`ControlPlane::resume`] with a journal ring of `capacity` entries.
-    pub(crate) fn resume_with_capacity(
-        path: &Path,
-        clients: usize,
-        capacity: usize,
-    ) -> Result<(ControlPlane, ResumeReport), ResumeError> {
         let (mut wal, records, torn_bytes) = JournalWal::open(path)?;
         let last_close = records
             .iter()
@@ -295,46 +251,21 @@ impl ControlPlane {
         let in_flight_discarded = records.len() - committed;
         wal.truncate_to(commit_end)?;
 
-        let mut plane = ControlPlane::with_journal_capacity(clients, capacity);
+        let mut plane = ControlPlane::new(clients);
         let mut now_s = 0.0_f64;
         let mut events_replayed = 0usize;
         for (_, record) in &records[..committed] {
             now_s = now_s.max(record.t_s());
             match record {
                 WalRecord::Event(e) => {
-                    let expected = plane.journal.total_appended();
-                    if e.seq != expected {
-                        return Err(ResumeError::SeqGap {
-                            expected,
-                            found: e.seq,
-                        });
-                    }
+                    // The sequence is checked before the edge, so a record
+                    // that breaks both reports the gap.
+                    plane.journal.adopt(*e)?;
                     let id = e.client as usize;
                     // The live run grows the fleet before applying churn
                     // events, so resume mirrors that instead of erroring.
                     plane.ensure_clients(id + 1);
-                    let current = plane.states[id];
-                    if current != e.from {
-                        return Err(ResumeError::Replay(ReplayError::StateMismatch {
-                            seq: e.seq,
-                            client: id,
-                            expected: e.from,
-                            actual: current,
-                        }));
-                    }
-                    let legal = ClientEvent::ALL
-                        .into_iter()
-                        .any(|ev| current.next(ev) == Some(e.to));
-                    if !legal {
-                        return Err(ResumeError::Replay(ReplayError::IllegalEdge {
-                            seq: e.seq,
-                            client: id,
-                            from: e.from,
-                            to: e.to,
-                        }));
-                    }
-                    plane.states[id] = e.to;
-                    plane.journal.adopt(*e);
+                    plane.states[id] = replay_entry(plane.states[id], e)?;
                     events_replayed += 1;
                 }
                 WalRecord::Close(c) => plane.closes.push(*c),
@@ -356,6 +287,34 @@ impl ControlPlane {
             },
         ))
     }
+}
+
+/// Checks one journalled transition against the reconstruction, which
+/// holds the client in `current`: the entry's `from` must be `current`
+/// and its `(from, to)` edge must be in the contract. Returns the state
+/// the client moves to.
+fn replay_entry(current: ClientState, e: &EventEntry) -> Result<ClientState, ReplayError> {
+    let client = e.client as usize;
+    if current != e.from {
+        return Err(ReplayError::StateMismatch {
+            seq: e.seq,
+            client,
+            expected: e.from,
+            actual: current,
+        });
+    }
+    if !ClientEvent::ALL
+        .into_iter()
+        .any(|event| current.next(event) == Some(e.to))
+    {
+        return Err(ReplayError::IllegalEdge {
+            seq: e.seq,
+            client,
+            from: e.from,
+            to: e.to,
+        });
+    }
+    Ok(e.to)
 }
 
 /// What [`ControlPlane::resume`] reconstructed and discarded.
@@ -414,6 +373,15 @@ impl From<WalError> for ResumeError {
 impl From<std::io::Error> for ResumeError {
     fn from(e: std::io::Error) -> Self {
         ResumeError::Wal(WalError::Io(e))
+    }
+}
+
+impl From<SeqGap> for ResumeError {
+    fn from(gap: SeqGap) -> Self {
+        ResumeError::SeqGap {
+            expected: gap.expected,
+            found: gap.found,
+        }
     }
 }
 
@@ -630,6 +598,26 @@ mod tests {
         assert_eq!(resumed.journal().total_appended(), 20);
         assert_eq!(resumed.closes().len(), 2);
         assert!(resumed.states().iter().all(|s| *s == S::Idle));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_wal_keeps_what_a_small_ring_evicts() {
+        let path = wal_path("small-ring");
+        let mut plane = ControlPlane {
+            journal: EventJournal::with_capacity(4),
+            ..ControlPlane::new(2)
+        };
+        plane.attach_wal(Arc::new(Mutex::new(JournalWal::create(&path).unwrap())));
+        drive_round(&mut plane, 0, 0.0);
+        drive_round(&mut plane, 1, 10.0);
+        drop(plane.wal.take());
+        // The ring is bounded, and the WAL holds every transition it
+        // evicted: a default-size ring resumed from it holds all 20.
+        assert_eq!((plane.journal().len(), plane.journal().evicted()), (4, 16));
+        let (resumed, _) = ControlPlane::resume(&path, 2).unwrap();
+        assert_eq!(resumed.journal().len(), 20);
+        assert!(resumed.journal().iter().skip(16).eq(plane.journal().iter()));
         std::fs::remove_file(&path).ok();
     }
 

@@ -9,12 +9,12 @@
 //! default sequential engine. The federation configuration's aggregation
 //! policy turns on over-selection and quorum closes.
 
-use crate::chaos::ChaosPlan;
-use crate::engine::{EventDrivenEngine, PlaneHandle};
-use crate::journal::{EventCause, EventJournal, RoundClose, DEFAULT_JOURNAL_CAPACITY};
+use crate::chaos::{ChaosPlan, ChaosTransport};
+use crate::engine::{worker_label, EventDrivenEngine, PlaneHandle};
+use crate::journal::{EventCause, EventJournal, RoundClose};
 use crate::liveness::LivenessPolicy;
 use crate::plane::{ControlPlane, ResumeReport};
-use crate::transport::Transport;
+use crate::transport::{Transport, VirtualTransport};
 use crate::wal::JournalWal;
 use bofl::task::PaceController;
 use bofl_fl::network::RetryPolicy;
@@ -61,7 +61,6 @@ impl ControlSimulation {
             controller_factory: None,
             engine: EventDrivenEngine::new(1),
             chaos: ChaosPlan::none(),
-            journal_capacity: None,
             wal_path: None,
             resume_path: None,
         }
@@ -190,14 +189,12 @@ pub struct ControlSimulationBuilder {
     spec: FleetSpec,
     config: FederationConfig,
     controller_factory: Option<ControllerFactory>,
-    /// Every engine setting but the four below takes effect as it is set.
+    /// Every engine setting but the three below takes effect when set.
     engine: EventDrivenEngine,
     /// `build` applies these in a fixed order, whatever order they were
-    /// set in: the chaos plan wraps the final transport, the journal
-    /// capacity replaces the plane, and the WAL attaches to (or the
-    /// resume replaces) that plane.
+    /// set in: the chaos plan wraps the final transport, and the WAL
+    /// attaches to (or the resume replaces) the plane.
     chaos: ChaosPlan,
-    journal_capacity: Option<usize>,
     wal_path: Option<PathBuf>,
     resume_path: Option<PathBuf>,
 }
@@ -206,7 +203,7 @@ impl std::fmt::Debug for ControlSimulationBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ControlSimulationBuilder")
             .field("spec", &self.spec)
-            .field("workers", &self.engine.workers())
+            .field("workers", &self.engine.workers)
             .finish()
     }
 }
@@ -228,14 +225,16 @@ impl ControlSimulationBuilder {
     /// Sets the worker-thread count (default 1 = sequential).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.engine = self.engine.with_workers(workers.max(1));
+        let workers = workers.max(1);
+        self.engine.workers = workers;
+        self.engine.label = worker_label(workers);
         self
     }
 
     /// Attaches a fault-injection plan (churn included).
     #[must_use]
     pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.engine = self.engine.with_faults(faults);
+        self.engine.faults = faults;
         self
     }
 
@@ -243,7 +242,7 @@ impl ControlSimulationBuilder {
     /// [`RetryPolicy::none`]).
     #[must_use]
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.engine = self.engine.with_retry(retry);
+        self.engine.retry = retry;
         self
     }
 
@@ -258,18 +257,11 @@ impl ControlSimulationBuilder {
         self
     }
 
-    /// Bounds the event journal ring.
-    #[must_use]
-    pub fn journal_capacity(mut self, capacity: usize) -> Self {
-        self.journal_capacity = Some(capacity);
-        self
-    }
-
     /// Replaces the delivery transport (default
     /// [`crate::transport::VirtualTransport`]).
     #[must_use]
     pub fn transport(mut self, transport: impl Transport + 'static) -> Self {
-        self.engine = self.engine.with_transport(transport);
+        self.engine.transport = Box::new(transport);
         self
     }
 
@@ -284,13 +276,16 @@ impl ControlSimulationBuilder {
     /// Arms server-side liveness tracking (off by default).
     #[must_use]
     pub fn liveness(mut self, liveness: LivenessPolicy) -> Self {
-        self.engine = self.engine.with_liveness(liveness);
+        self.engine.liveness = liveness;
         self
     }
 
     /// Arms hierarchical shard accounting: the round's runnable cohort is
-    /// partitioned by `plan`, each shard closing against a local quorum
-    /// of `ceil(members × quorum_fraction)`. Shard counts and shortfalls
+    /// partitioned by `plan` into contiguous id-ordered shards, each
+    /// closing against a local quorum of `ceil(members ×
+    /// quorum_fraction)`. Every member of a shard that falls short resets
+    /// with [`EventCause::ShardQuorumShortfall`] instead of `RoundReset`;
+    /// no accepted update is discarded. Shard counts and shortfalls
     /// surface in the round-close records and the metrics CSV.
     ///
     /// # Panics
@@ -298,16 +293,25 @@ impl ControlSimulationBuilder {
     /// Panics if `quorum_fraction` is outside `[0, 1]`.
     #[must_use]
     pub fn shard_plan(mut self, plan: ShardPlan, quorum_fraction: f64) -> Self {
-        self.engine = self.engine.with_shard_plan(plan, quorum_fraction);
+        assert!(
+            (0.0..=1.0).contains(&quorum_fraction),
+            "shard quorum fraction must be in [0, 1]"
+        );
+        self.engine.shard_plan = Some(plan);
+        self.engine.shard_quorum_fraction = quorum_fraction;
         self
     }
 
-    /// Arms an uplink compressor (stream seeds derive from the federation
-    /// seed). Compressed/raw byte counts surface in the wire statistics
-    /// and the metrics CSV.
+    /// Arms an uplink compressor: every finished update is encoded with
+    /// a per-`(round, client)` stream seed derived from the federation
+    /// seed and decoded back in place, so aggregation sees exactly the
+    /// lossy bytes the wire carried; a per-client residual carries what
+    /// each encoding could not express into the next round.
+    /// Compressed/raw byte counts surface in the wire statistics and the
+    /// metrics CSV.
     #[must_use]
     pub fn compressor(mut self, compressor: impl Compressor + 'static) -> Self {
-        self.engine = self.engine.with_compressor(compressor);
+        self.engine.compressor = Some(Box::new(compressor));
         self
     }
 
@@ -353,32 +357,37 @@ impl ControlSimulationBuilder {
         let spec = self.spec;
         let mut engine = self
             .engine
-            .with_close_policy(self.config.aggregation, self.config.clients_per_round)
-            .with_compress_seed(self.config.seed);
+            .with_close_policy(self.config.aggregation, self.config.clients_per_round);
+        engine.compress_seed = self.config.seed;
         if !self.chaos.is_none() {
-            engine = engine.with_chaos(self.chaos);
+            let inner = std::mem::replace(&mut engine.transport, Box::new(VirtualTransport));
+            engine.transport = Box::new(ChaosTransport::new(inner, self.chaos));
         }
-        if let Some(capacity) = self.journal_capacity {
-            engine = engine.with_journal_capacity(capacity);
-        }
-        // WAL/resume wiring comes last: both replace or mutate the plane
-        // the earlier builders installed.
+        // WAL/resume wiring comes last: the WAL attaches to the engine's
+        // plane, or the resumed plane replaces it.
         let mut next_round = 0usize;
         let mut resume_report = None;
         if let Some(path) = &self.resume_path {
-            let (plane, report) = ControlPlane::resume_with_capacity(
-                path,
-                spec.num_clients,
-                self.journal_capacity.unwrap_or(DEFAULT_JOURNAL_CAPACITY),
-            )
-            .unwrap_or_else(|e| panic!("cannot resume from WAL {}: {e}", path.display()));
+            let (plane, report) = ControlPlane::resume(path, spec.num_clients)
+                .unwrap_or_else(|e| panic!("cannot resume from WAL {}: {e}", path.display()));
+            // The resumed run continues from the round after the last
+            // committed close, on the virtual clock of that commit point.
+            // Over-selection escalation is re-armed from that close: a
+            // live run sets it to the close's `degraded` flag, and the
+            // flag is only consulted with liveness armed.
             next_round = report.next_round;
-            engine = engine.with_resumed(plane, report.now_s);
+            engine.escalated = plane.closes().last().is_some_and(|c| c.degraded);
+            engine.plane = Arc::new(Mutex::new(plane));
+            engine.now_s = report.now_s;
             resume_report = Some(report);
         } else if let Some(path) = &self.wal_path {
             let wal = JournalWal::create(path)
                 .unwrap_or_else(|e| panic!("cannot create WAL {}: {e}", path.display()));
-            engine = engine.with_wal(Arc::new(Mutex::new(wal)));
+            engine
+                .plane
+                .lock()
+                .expect("control plane poisoned")
+                .attach_wal(Arc::new(Mutex::new(wal)));
         }
         let plane = engine.plane();
         let rounds = self.config.rounds;

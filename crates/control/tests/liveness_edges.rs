@@ -22,7 +22,7 @@ use bofl_control::transport::sort_deliveries;
 use bofl_fl::client::FlClient;
 use bofl_fl::data::SyntheticDataset;
 use bofl_fl::engine::{ClientJob, RoundDeadline, RoundEngine};
-use bofl_fl::model::{SoftmaxModel, TrainableModel};
+use bofl_fl::model::SoftmaxModel;
 use bofl_workload::{FlTask, TaskKind, Testbed};
 
 /// Factors chosen so the zero-jitter deadlines are exact products:
@@ -55,7 +55,7 @@ fn pool(n: usize) -> Vec<FlClient> {
                 spec.device(id),
                 task,
                 data,
-                Box::new(SoftmaxModel::new(6, 3, id as u64)),
+                SoftmaxModel::new(6, 3, id as u64),
                 Box::new(PerformantController::new()),
                 0.2,
                 1000 + id as u64,

@@ -3,7 +3,7 @@
 
 use crate::data::SyntheticDataset;
 use crate::engine::RoundDeadline;
-use crate::model::TrainableModel;
+use crate::model::SoftmaxModel;
 use crate::network::{BandwidthEstimator, NetworkModel};
 use bofl::runner::SimExecutor;
 use bofl::task::PaceController;
@@ -22,7 +22,7 @@ use rand::SeedableRng;
 /// is an update the global model never sees.
 pub(crate) struct TrainingExecutor<'a> {
     sim: SimExecutor<'a>,
-    model: &'a mut dyn TrainableModel,
+    model: &'a mut SoftmaxModel,
     data: &'a SyntheticDataset,
     batch: usize,
     batch_cursor: usize,
@@ -31,17 +31,19 @@ pub(crate) struct TrainingExecutor<'a> {
 }
 
 impl<'a> TrainingExecutor<'a> {
-    /// Creates an executor for one round of local training.
+    /// Creates an executor for one round of local training, every job's
+    /// latency inflated by `slowdown` (see [`SimExecutor::with_slowdown`]).
     pub(crate) fn new(
         device: &'a Device,
         task: &'a FlTask,
-        model: &'a mut dyn TrainableModel,
+        model: &'a mut SoftmaxModel,
         data: &'a SyntheticDataset,
         learning_rate: f64,
         seed: u64,
+        slowdown: f64,
     ) -> Self {
         TrainingExecutor {
-            sim: SimExecutor::new(device, task, seed),
+            sim: SimExecutor::new(device, task, seed).with_slowdown(slowdown),
             model,
             data,
             batch: task.minibatch_size().min(data.len()).max(1),
@@ -49,12 +51,6 @@ impl<'a> TrainingExecutor<'a> {
             learning_rate,
             last_loss: f64::NAN,
         }
-    }
-
-    /// See [`SimExecutor::with_slowdown`].
-    pub(crate) fn with_slowdown(mut self, slowdown: f64) -> Self {
-        self.sim = self.sim.with_slowdown(slowdown);
-        self
     }
 
     /// Energy consumed so far this round, joules.
@@ -134,7 +130,7 @@ pub struct FlClient {
     device: Device,
     task: FlTask,
     data: SyntheticDataset,
-    model: Box<dyn TrainableModel>,
+    model: SoftmaxModel,
     controller: Box<dyn PaceController>,
     learning_rate: f64,
     seed: u64,
@@ -161,7 +157,7 @@ impl FlClient {
         device: Device,
         task: FlTask,
         data: SyntheticDataset,
-        model: Box<dyn TrainableModel>,
+        model: SoftmaxModel,
         controller: Box<dyn PaceController>,
         learning_rate: f64,
         seed: u64,
@@ -281,12 +277,12 @@ impl FlClient {
         let mut exec = TrainingExecutor::new(
             &self.device,
             &self.task,
-            self.model.as_mut(),
+            &mut self.model,
             &self.data,
             self.learning_rate,
             seed,
-        )
-        .with_slowdown(slowdown);
+            slowdown,
+        );
         let stats = self.controller.run_round(&spec, &mut exec);
         let duration_s = exec.elapsed_s();
         let energy_j = exec.round_energy_j();
@@ -320,7 +316,6 @@ impl FlClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SoftmaxModel;
     use bofl::baselines::PerformantController;
     use bofl_workload::{TaskKind, Testbed};
 
@@ -336,7 +331,7 @@ mod tests {
         let (device, task, data) = setup();
         let mut model = SoftmaxModel::new(8, 4, 1);
         let before_loss = model.loss(&data.as_batch());
-        let mut exec = TrainingExecutor::new(&device, &task, &mut model, &data, 0.2, 5);
+        let mut exec = TrainingExecutor::new(&device, &task, &mut model, &data, 0.2, 5, 1.0);
         let x = device.config_space().x_max();
         for _ in 0..50 {
             let cost = exec.run_job(x);
@@ -357,7 +352,7 @@ mod tests {
     fn client_round_reports_consistent_result() {
         let (device, task, data) = setup();
         let samples = data.len();
-        let model = Box::new(SoftmaxModel::new(8, 4, 2));
+        let model = SoftmaxModel::new(8, 4, 2);
         let global = model.parameters();
         let mut client = FlClient::new(
             0,

@@ -20,7 +20,7 @@
 //! reproduces the sequential trace bit-for-bit.
 
 use crate::client::{ClientRoundResult, FlClient};
-use crate::model::{Minibatch, TrainableModel};
+use crate::model::{Minibatch, SoftmaxModel};
 use crate::network::ReportingDeadline;
 
 /// The deadline a job is executed against.
@@ -152,18 +152,13 @@ pub trait RoundEngine: Send {
     ) -> Vec<ClientOutcome>;
 
     /// Scores the aggregated `model` on `data` as
-    /// [`TrainableModel::score_rows`] does: one loss per sample into
+    /// [`SoftmaxModel::score_rows`] does: one loss per sample into
     /// `losses`, the hit count returned. The default scores inline; an
     /// engine with a worker pool may score contiguous stripes of samples
     /// on it. Each sample's loss does not depend on who computes it, and
     /// the server folds them in order, so the round's score carries the
     /// same bits at any stripe count.
-    fn score(
-        &mut self,
-        model: &dyn TrainableModel,
-        data: &Minibatch<'_>,
-        losses: &mut [f64],
-    ) -> usize {
+    fn score(&mut self, model: &SoftmaxModel, data: &Minibatch<'_>, losses: &mut [f64]) -> usize {
         model.score_rows(data, losses)
     }
 }
@@ -212,7 +207,7 @@ const _: fn() = || {
 mod tests {
     use super::*;
     use crate::data::SyntheticDataset;
-    use crate::model::{SoftmaxModel, TrainableModel};
+
     use bofl::baselines::PerformantController;
     use bofl_device::Device;
     use bofl_workload::{FlTask, TaskKind, Testbed};
@@ -225,7 +220,7 @@ mod tests {
             Device::jetson_agx(),
             task,
             data,
-            Box::new(SoftmaxModel::new(6, 3, 11)),
+            SoftmaxModel::new(6, 3, 11),
             Box::new(PerformantController::new()),
             0.2,
             17 + id as u64,

@@ -59,7 +59,7 @@ pub mod server;
 pub use client::FlClient;
 pub use data::{FederatedData, SyntheticDataset};
 pub use engine::{ClientJob, ClientOutcome, RoundDeadline, RoundEngine, SequentialEngine};
-pub use model::{fold_scores, Minibatch, SoftmaxModel, TrainableModel};
+pub use model::{fold_scores, Minibatch, SoftmaxModel};
 pub use network::{NetworkModel, ReportingDeadline, RetryPolicy};
 pub use server::{
     AggregationPolicy, DeadlinePolicy, Federation, FederationBuilder, FederationConfig,
@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::engine::{
         ClientJob, ClientOutcome, RoundDeadline, RoundEngine, SequentialEngine,
     };
-    pub use crate::model::{SoftmaxModel, TrainableModel};
+    pub use crate::model::SoftmaxModel;
     pub use crate::network::{NetworkModel, ReportingDeadline, RetryPolicy};
     pub use crate::server::{
         AggregationPolicy, DeadlinePolicy, Federation, FederationBuilder, FederationConfig,

@@ -24,7 +24,7 @@ use std::cell::RefCell;
 /// Rows the probability kernel scores at once.
 pub const BLOCK: usize = 8;
 
-/// Rows [`TrainableModel::evaluate`] scores per [`TrainableModel::score_rows`]
+/// Rows [`SoftmaxModel::evaluate`] scores per [`SoftmaxModel::score_rows`]
 /// call, their losses on the stack.
 const EVAL_ROWS: usize = 32 * BLOCK;
 
@@ -94,77 +94,8 @@ impl<'a> Minibatch<'a> {
     }
 }
 
-/// A model trainable by minibatch SGD and aggregable by FedAvg.
-///
-/// `Sync` so an engine can score one model on several threads at once.
-pub trait TrainableModel: Send + Sync {
-    /// Flat parameter vector (read).
-    fn parameters(&self) -> Vec<f64>;
-
-    /// Overwrites parameters from a flat vector.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if the length differs from
-    /// `parameters().len()`.
-    fn set_parameters(&mut self, params: &[f64]);
-
-    /// Performs one SGD step on a minibatch; returns the pre-step
-    /// mean cross-entropy loss.
-    fn sgd_step(&mut self, batch: &Minibatch<'_>, learning_rate: f64) -> f64;
-
-    /// Scores every sample without updating: writes each one's
-    /// cross-entropy loss into `losses` (one slot per sample, in order)
-    /// and returns how many samples the model classifies correctly.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `losses.len() != data.len()`.
-    fn score_rows(&self, data: &Minibatch<'_>, losses: &mut [f64]) -> usize;
-
-    /// `(accuracy, mean cross-entropy loss)` on a dataset (no update):
-    /// [`TrainableModel::score_rows`] a few hundred rows at a time, the
-    /// losses folded in row order as [`fold_scores`] folds them: the same
-    /// bits, with no loss buffer as long as the dataset.
-    fn evaluate(&self, data: &Minibatch<'_>) -> (f64, f64) {
-        if data.is_empty() {
-            return (0.0, 0.0);
-        }
-        let mut hits = 0;
-        let loss_sum: f64 = data
-            .chunks(EVAL_ROWS)
-            .flat_map(|rows| {
-                let mut losses = [0.0; EVAL_ROWS];
-                hits += self.score_rows(&rows, &mut losses[..rows.len()]);
-                losses.into_iter().take(rows.len())
-            })
-            .sum();
-        let n = data.len() as f64;
-        (hits as f64 / n, loss_sum / n)
-    }
-
-    /// Mean cross-entropy loss on a dataset (no update).
-    fn loss(&self, data: &Minibatch<'_>) -> f64 {
-        self.evaluate(data).1
-    }
-
-    /// Classification accuracy on a dataset.
-    fn accuracy(&self, data: &Minibatch<'_>) -> f64 {
-        self.evaluate(data).0
-    }
-
-    /// Clones the model behind a box (object-safe clone).
-    fn clone_box(&self) -> Box<dyn TrainableModel>;
-}
-
-impl Clone for Box<dyn TrainableModel> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
 /// `(accuracy, mean loss)` from a hit count and the per-sample losses
-/// ([`TrainableModel::score_rows`]'s outputs); `(0.0, 0.0)` for no
+/// ([`SoftmaxModel::score_rows`]'s outputs); `(0.0, 0.0)` for no
 /// samples. The losses fold in order, so the result does not depend on
 /// how the samples were split up for scoring.
 pub fn fold_scores(hits: usize, losses: &[f64]) -> (f64, f64) {
@@ -243,7 +174,7 @@ thread_local! {
 /// # Examples
 ///
 /// ```
-/// use bofl_fl::{Minibatch, SoftmaxModel, TrainableModel};
+/// use bofl_fl::{Minibatch, SoftmaxModel};
 ///
 /// let mut m = SoftmaxModel::new(2, 2, 42);
 /// let xs = [2.0, 0.0, -2.0, 0.0]; // two rows of two features
@@ -292,20 +223,17 @@ impl SoftmaxModel {
         self.classes
     }
 
-    fn check_dims(&self, data: &Minibatch<'_>) {
-        assert!(
-            data.is_empty() || data.dims == self.features,
-            "feature dimension mismatch"
-        );
-    }
-}
-
-impl TrainableModel for SoftmaxModel {
-    fn parameters(&self) -> Vec<f64> {
+    /// Flat parameter vector (read).
+    pub fn parameters(&self) -> Vec<f64> {
         self.weights.clone()
     }
 
-    fn set_parameters(&mut self, params: &[f64]) {
+    /// Overwrites parameters from a flat vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the length differs from `parameters().len()`.
+    pub fn set_parameters(&mut self, params: &[f64]) {
         assert_eq!(
             params.len(),
             self.weights.len(),
@@ -314,7 +242,9 @@ impl TrainableModel for SoftmaxModel {
         self.weights.copy_from_slice(params);
     }
 
-    fn sgd_step(&mut self, batch: &Minibatch<'_>, learning_rate: f64) -> f64 {
+    /// Performs one SGD step on a minibatch; returns the pre-step
+    /// mean cross-entropy loss.
+    pub fn sgd_step(&mut self, batch: &Minibatch<'_>, learning_rate: f64) -> f64 {
         assert!(!batch.is_empty(), "minibatch must not be empty");
         self.check_dims(batch);
         let (features, classes) = (self.features, self.classes);
@@ -347,7 +277,14 @@ impl TrainableModel for SoftmaxModel {
         })
     }
 
-    fn score_rows(&self, data: &Minibatch<'_>, losses: &mut [f64]) -> usize {
+    /// Scores every sample without updating: writes each one's
+    /// cross-entropy loss into `losses` (one slot per sample, in order)
+    /// and returns how many samples the model classifies correctly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `losses.len() != data.len()`.
+    pub fn score_rows(&self, data: &Minibatch<'_>, losses: &mut [f64]) -> usize {
         assert_eq!(losses.len(), data.len(), "one loss slot per sample");
         self.check_dims(data);
         let classes = self.classes;
@@ -364,8 +301,42 @@ impl TrainableModel for SoftmaxModel {
         hits
     }
 
-    fn clone_box(&self) -> Box<dyn TrainableModel> {
-        Box::new(self.clone())
+    /// `(accuracy, mean cross-entropy loss)` on a dataset (no update):
+    /// [`SoftmaxModel::score_rows`] a few hundred rows at a time, the
+    /// losses folded in row order as [`fold_scores`] folds them: the same
+    /// bits, with no loss buffer as long as the dataset.
+    pub fn evaluate(&self, data: &Minibatch<'_>) -> (f64, f64) {
+        if data.is_empty() {
+            return (0.0, 0.0);
+        }
+        let mut hits = 0;
+        let loss_sum: f64 = data
+            .chunks(EVAL_ROWS)
+            .flat_map(|rows| {
+                let mut losses = [0.0; EVAL_ROWS];
+                hits += self.score_rows(&rows, &mut losses[..rows.len()]);
+                losses.into_iter().take(rows.len())
+            })
+            .sum();
+        let n = data.len() as f64;
+        (hits as f64 / n, loss_sum / n)
+    }
+
+    /// Mean cross-entropy loss on a dataset (no update).
+    pub fn loss(&self, data: &Minibatch<'_>) -> f64 {
+        self.evaluate(data).1
+    }
+
+    /// Classification accuracy on a dataset.
+    pub fn accuracy(&self, data: &Minibatch<'_>) -> f64 {
+        self.evaluate(data).0
+    }
+
+    fn check_dims(&self, data: &Minibatch<'_>) {
+        assert!(
+            data.is_empty() || data.dims == self.features,
+            "feature dimension mismatch"
+        );
     }
 }
 
@@ -454,15 +425,6 @@ mod tests {
     #[should_panic(expected = "one row of `dims` features per label")]
     fn batch_rejects_ragged_features() {
         let _ = Minibatch::new(&XOR_XS[..7], 2, &XOR_YS);
-    }
-
-    #[test]
-    fn clone_box_is_independent() {
-        let m = SoftmaxModel::new(2, 2, 9);
-        let mut boxed: Box<dyn TrainableModel> = m.clone_box();
-        let cloned = boxed.clone();
-        boxed.set_parameters(&vec![0.0; m.parameters().len()]);
-        assert_ne!(cloned.parameters(), boxed.parameters());
     }
 
     #[test]

@@ -214,11 +214,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Whether this policy ever retries.
-    pub fn is_none(&self) -> bool {
-        self.max_attempts <= 1
-    }
-
     /// The backoff before retry number `retry` (1-based), jittered
     /// deterministically from `seed`. Pure: the same arguments always
     /// yield the same delay.
@@ -416,8 +411,6 @@ mod tests {
     #[test]
     fn retry_backoff_grows_and_is_deterministic() {
         let p = RetryPolicy::recovery();
-        assert!(!p.is_none());
-        assert!(RetryPolicy::none().is_none());
         let b1 = p.backoff_s(1, 42);
         let b2 = p.backoff_s(2, 42);
         // Jitter is bounded by ±25%, so doubling dominates it.

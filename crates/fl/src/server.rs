@@ -1,11 +1,11 @@
 //! A FedAvg server with client selection, deadline assignment and
 //! straggler handling (the workflow of the paper's Fig. 1).
 
-use crate::aggregate::{aggregate_sharded, ShardPlan, UpdateAccumulator};
+use crate::aggregate::UpdateAccumulator;
 use crate::client::FlClient;
 use crate::data::{FederatedData, SyntheticDataset};
 use crate::engine::{ClientJob, ClientOutcome, RoundDeadline, RoundEngine, SequentialEngine};
-use crate::model::{fold_scores, SoftmaxModel, TrainableModel};
+use crate::model::{fold_scores, SoftmaxModel};
 use crate::network::{NetworkModel, ReportingDeadline};
 use bofl::task::PaceController;
 use bofl_device::Device;
@@ -147,10 +147,6 @@ pub struct FederationConfig {
     /// Over-selection and quorum rules (defaults to
     /// [`AggregationPolicy::none`], the vanilla server).
     pub aggregation: AggregationPolicy,
-    /// Server-side multiplier on the nominal upload duration when
-    /// converting a training deadline into a reporting deadline — slack
-    /// for slow links. The pre-recovery server hardcoded `1.5`.
-    pub upload_slack_factor: f64,
     /// Master seed.
     pub seed: u64,
 }
@@ -170,11 +166,15 @@ impl Default for FederationConfig {
             deadline_policy: DeadlinePolicy::Training,
             selection_policy: SelectionPolicy::Uniform,
             aggregation: AggregationPolicy::none(),
-            upload_slack_factor: 1.5,
             seed: 42,
         }
     }
 }
+
+/// Server-side multiplier on the nominal upload duration when a
+/// training deadline is converted into a reporting deadline: slack for
+/// slow links.
+const UPLOAD_SLACK_FACTOR: f64 = 1.5;
 
 /// What happened in one federated round.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,17 +242,16 @@ impl RunHistory {
 /// ```
 pub struct Federation {
     clients: Vec<FlClient>,
-    global: Box<dyn TrainableModel>,
+    global: SoftmaxModel,
     test_set: SyntheticDataset,
     config: FederationConfig,
     model_bytes: f64,
     rng: StdRng,
     engine: Box<dyn RoundEngine>,
     // Persistent aggregation buffers: the hot path folds every arrived
-    // update into fixed-point accumulators and never clones a parameter
-    // vector, so steady-state rounds allocate nothing here.
-    agg_root: UpdateAccumulator,
-    agg_shard: UpdateAccumulator,
+    // update into one fixed-point accumulator and never clones a
+    // parameter vector, so steady-state rounds allocate nothing here.
+    agg: UpdateAccumulator,
     avg_buf: Vec<f64>,
     // Per-sample test losses, filled by the engine's score each round and
     // folded in order; sized on the first round.
@@ -371,8 +370,7 @@ impl Federation {
             DeadlinePolicy::Reporting(network) => {
                 // Reporting window = training window + nominal upload
                 // budget for this task's model.
-                let upload =
-                    network.nominal_duration_s(self.model_bytes) * self.config.upload_slack_factor;
+                let upload = network.nominal_duration_s(self.model_bytes) * UPLOAD_SLACK_FACTOR;
                 RoundDeadline::Reporting(ReportingDeadline::new(deadline_s + upload))
             }
         };
@@ -421,21 +419,14 @@ impl Federation {
         //    updates (canonical id order) are folded into fixed-point sums
         //    in one flat pass, the same bits any shard grouping of the
         //    fold would give. Updates are borrowed, not cloned, and the
-        //    accumulators/mean buffer persist across rounds.
-        let updates: Vec<(&[f64], u64)> = outcomes
-            .iter()
-            .filter(|o| o.aggregatable())
-            .map(|o| (o.result.parameters.as_slice(), o.result.samples as u64))
-            .collect();
-        if let Some(dim) = updates.first().map(|(p, _)| p.len()) {
-            if aggregate_sharded(
-                ShardPlan::flat(),
-                dim,
-                &updates,
-                &mut self.agg_root,
-                &mut self.agg_shard,
-                &mut self.avg_buf,
-            ) {
+        //    accumulator/mean buffer persist across rounds.
+        let mut updates = outcomes.iter().filter(|o| o.aggregatable()).peekable();
+        if let Some(first) = updates.peek() {
+            self.agg.reset(first.result.parameters.len());
+            for o in updates {
+                self.agg.fold(&o.result.parameters, o.result.samples as u64);
+            }
+            if self.agg.finish_into(&mut self.avg_buf) {
                 self.global.set_parameters(&self.avg_buf);
             }
         }
@@ -456,7 +447,7 @@ impl Federation {
         self.test_losses.resize(test.len(), 0.0);
         let hits = self
             .engine
-            .score(self.global.as_ref(), &test, &mut self.test_losses);
+            .score(&self.global, &test, &mut self.test_losses);
         let (test_accuracy, test_loss) = fold_scores(hits, &self.test_losses);
         let record = RoundRecord {
             round,
@@ -578,11 +569,7 @@ impl FederationBuilder {
                     (self.device_factory)(id),
                     task.clone(),
                     data,
-                    Box::new(SoftmaxModel::new(
-                        cfg.feature_dims,
-                        cfg.classes,
-                        cfg.seed ^ 0xC11E,
-                    )),
+                    SoftmaxModel::new(cfg.feature_dims, cfg.classes, cfg.seed ^ 0xC11E),
                     (self.controller_factory)(id),
                     cfg.learning_rate,
                     cfg.seed ^ (id as u64).wrapping_mul(0x51_7C_C1),
@@ -596,18 +583,13 @@ impl FederationBuilder {
 
         Federation {
             clients,
-            global: Box::new(SoftmaxModel::new(
-                cfg.feature_dims,
-                cfg.classes,
-                cfg.seed ^ 0x61_0B_A1,
-            )),
+            global: SoftmaxModel::new(cfg.feature_dims, cfg.classes, cfg.seed ^ 0x61_0B_A1),
             test_set,
             config: cfg,
             model_bytes,
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x5E_1EC7),
             engine: self.engine,
-            agg_root: UpdateAccumulator::new(),
-            agg_shard: UpdateAccumulator::new(),
+            agg: UpdateAccumulator::new(),
             avg_buf: Vec::new(),
             test_losses: Vec::new(),
         }

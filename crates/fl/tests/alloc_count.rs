@@ -9,7 +9,7 @@
 //!   workspace, so neither a built fleet's heap nor its jobs carry SGD
 //!   scratch.
 
-use bofl_fl::{FederatedData, SoftmaxModel, SyntheticDataset, TrainableModel};
+use bofl_fl::{FederatedData, SoftmaxModel, SyntheticDataset};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -23,7 +23,7 @@ fn make_client(controller_is_bofl: bool) -> FlClient {
         device,
         task,
         data,
-        Box::new(SoftmaxModel::new(8, 4, 5)),
+        SoftmaxModel::new(8, 4, 5),
         controller,
         0.2,
         77,
@@ -38,7 +38,7 @@ fn reporting_rounds_meet_the_reporting_deadline() {
     // ViT ≈ 40 MB over LTE (≈ 0.6 MB/s) ≈ 65 s of upload; grant 2×T_min
     // of training headroom plus a 90 s reporting margin.
     let reporting = ReportingDeadline::new(t_min * 2.0 + 90.0);
-    let global = SoftmaxModel::new(8, 4, 5).parameters_vec();
+    let global = SoftmaxModel::new(8, 4, 5).parameters();
 
     let mut met = 0;
     for round in 0..10 {
@@ -64,7 +64,7 @@ fn first_round_uses_whole_window_then_adapts() {
     let mut client = make_client(false);
     let t_min = client.t_min_s();
     let reporting = ReportingDeadline::new(t_min * 2.0 + 120.0);
-    let global = SoftmaxModel::new(8, 4, 5).parameters_vec();
+    let global = SoftmaxModel::new(8, 4, 5).parameters();
 
     // Round 0 already budgets from the model *download*, so even the
     // first reporting deadline holds.
@@ -79,17 +79,4 @@ fn first_round_uses_whole_window_then_adapts() {
     assert!(r1.deadline_met, "adapted round must meet the deadline");
     let after = client.bandwidth_estimate_bps().unwrap();
     assert!(before > 0.0 && after > 0.0);
-}
-
-/// Helper: `SoftmaxModel::parameters` via the trait (avoids importing the
-/// trait everywhere in the test).
-trait ParametersVec {
-    fn parameters_vec(&self) -> Vec<f64>;
-}
-
-impl ParametersVec for SoftmaxModel {
-    fn parameters_vec(&self) -> Vec<f64> {
-        use bofl_fl::TrainableModel;
-        self.parameters()
-    }
 }

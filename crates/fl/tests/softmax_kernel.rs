@@ -17,7 +17,7 @@
 //! probabilities (and the argmax tie-break) come up often.
 
 use bofl_fl::model::BLOCK;
-use bofl_fl::{fold_scores, Minibatch, SoftmaxModel, TrainableModel};
+use bofl_fl::{fold_scores, Minibatch, SoftmaxModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

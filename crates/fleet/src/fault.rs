@@ -8,6 +8,7 @@
 //! order — a hard requirement of the event-driven engine's determinism
 //! contract.
 
+use bofl_fl::network::RetryPolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -265,7 +266,7 @@ impl FaultPlan {
     /// re-rolling it, so enabling retries never changes which first
     /// attempts fail. Later attempts are independent draws at the same
     /// failure probability, pure in `(round, client, attempt)`.
-    pub fn upload_attempt_failed(&self, round: usize, client_id: usize, attempt: u32) -> bool {
+    fn upload_attempt_failed(&self, round: usize, client_id: usize, attempt: u32) -> bool {
         assert!(attempt >= 1, "upload attempts are 1-based");
         if attempt == 1 {
             return self.draw(round, client_id).upload_failed;
@@ -281,6 +282,42 @@ impl FaultPlan {
         ));
         rng.gen::<f64>() < self.upload_failure_probability
     }
+
+    /// Retries a failed upload of `(round, client)` and returns
+    /// `(attempts, failed, waited_s)`: the attempts made, whether the last
+    /// one failed too, and the backoff waited before it. `first_failed`
+    /// is attempt 1, the fault draw's own `upload_failed`; while the
+    /// upload keeps failing and fewer than `max_attempts` were made, one
+    /// more attempt is drawn. With a reporting `window` (the caller's
+    /// retry policy and the seconds left before the round's limit) each
+    /// retry first waits a seeded backoff, and retrying stops once the
+    /// next backoff would overrun the window; without one no backoff is
+    /// drawn. Allocation-free, and an upload whose first attempt
+    /// succeeded draws nothing.
+    pub fn retry_upload(
+        &self,
+        round: usize,
+        client_id: usize,
+        first_failed: bool,
+        max_attempts: u32,
+        window: Option<(&RetryPolicy, f64)>,
+    ) -> (u32, bool, f64) {
+        let (mut attempts, mut failed, mut waited_s) = (1, first_failed, 0.0);
+        while failed && attempts < max_attempts {
+            if let Some((policy, budget_s)) = window {
+                // The backoff stream: the plan-independent mix of
+                // `(round, client)`.
+                let wait = policy.backoff_s(attempts, stream_seed(0, round, client_id, 0));
+                if waited_s + wait > budget_s {
+                    break;
+                }
+                waited_s += wait;
+            }
+            attempts += 1;
+            failed = self.upload_attempt_failed(round, client_id, attempts);
+        }
+        (attempts, failed, waited_s)
+    }
 }
 
 impl Default for FaultPlan {
@@ -292,6 +329,7 @@ impl Default for FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn none_plan_is_always_healthy() {
@@ -423,5 +461,76 @@ mod tests {
     #[should_panic(expected = "slowdown range")]
     fn rejects_speedup_slowdown() {
         let _ = FaultPlan::new(0).with_stragglers(0.5, (0.5, 2.0));
+    }
+
+    /// `EventDrivenEngine::run_faulted`'s retry loop before it moved into
+    /// [`FaultPlan::retry_upload`], the outcome's fields as locals.
+    fn old_engine_loop(
+        faults: &FaultPlan,
+        retry: &RetryPolicy,
+        (round, client_id): (usize, usize),
+        mut upload_failed: bool,
+        budget: f64,
+    ) -> (u32, bool, f64) {
+        let (mut upload_attempts, mut waited_s) = (1, 0.0);
+        // `!retry.is_none()`, inlined.
+        if upload_failed && retry.max_attempts > 1 {
+            let backoff_seed = (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ (client_id as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+            while upload_failed && upload_attempts < retry.max_attempts {
+                let wait = retry.backoff_s(upload_attempts, backoff_seed);
+                if waited_s + wait > budget {
+                    break;
+                }
+                waited_s += wait;
+                upload_attempts += 1;
+                upload_failed = faults.upload_attempt_failed(round, client_id, upload_attempts);
+            }
+        }
+        (upload_attempts, upload_failed, waited_s)
+    }
+
+    /// `ScaleSimulation`'s retry loop as it stood in `member_outcome`.
+    fn old_scale_loop(
+        faults: &FaultPlan,
+        max: u32,
+        (round, id): (usize, usize),
+        failed: bool,
+    ) -> (u32, bool) {
+        let (mut attempt, mut failed) = (1u32, failed);
+        while failed && attempt < max {
+            attempt += 1;
+            failed = faults.upload_attempt_failed(round, id, attempt);
+        }
+        (attempt, failed)
+    }
+
+    proptest! {
+        /// With the engine's policy and budget, `retry_upload` gives the
+        /// engine's old attempts, outcome and backoff bits; without a
+        /// window it gives the scale run's old attempts and outcome and
+        /// waits nothing.
+        #[test]
+        fn retry_upload_matches_both_old_loops(
+            seed in 0u64..u64::MAX,
+            round in 0usize..10_000,
+            first_client in 0usize..1_000_000,
+            cap in 0u32..=4,
+            rate in (0usize..3, 0.0..1.0f64).prop_map(|(k, u)| [0.0, 1.0, u][k]),
+            budget in (0usize..3, 0.3..1.5f64).prop_map(|(k, u)| [0.0, u, 1e6][k]),
+        ) {
+            let plan = FaultPlan::new(seed).with_upload_failures(rate);
+            let policy = RetryPolicy { max_attempts: cap, ..RetryPolicy::recovery() };
+            for id in first_client..first_client + 16 {
+                let first = plan.draw(round, id).upload_failed;
+                let (attempts, failed, waited_s) =
+                    plan.retry_upload(round, id, first, cap, Some((&policy, budget)));
+                let old = old_engine_loop(&plan, &policy, (round, id), first, budget);
+                prop_assert_eq!((attempts, failed, waited_s.to_bits()), (old.0, old.1, old.2.to_bits()));
+                let new = plan.retry_upload(round, id, first, cap, None);
+                let (attempts, failed) = old_scale_loop(&plan, cap, (round, id), first);
+                prop_assert_eq!(new, (attempts, failed, 0.0));
+            }
+        }
     }
 }

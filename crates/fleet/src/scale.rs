@@ -610,16 +610,12 @@ fn member_outcome(
     out.energy_mj = (stat.energy_j_est as f64 * duration_factor * 1000.0).round() as u64;
     let trained = !draw.dropped && !out.missed_deadline;
     if trained {
-        // Attempt 1 is the draw's own `upload_failed`; only retries redraw.
-        let mut attempt = 1u32;
-        let mut failed = draw.upload_failed;
-        while failed && attempt < cfg.max_upload_attempts {
-            attempt += 1;
-            failed = faults.upload_attempt_failed(round, id, attempt);
-        }
-        out.retries = attempt - 1;
+        // No reporting window: retries wait no backoff.
+        let (attempts, failed, _) =
+            faults.retry_upload(round, id, draw.upload_failed, cfg.max_upload_attempts, None);
+        out.retries = attempts - 1;
         out.upload_failed = failed;
-        out.recovered = !failed && attempt > 1;
+        out.recovered = !failed && attempts > 1;
         out.aggregated = !failed;
     }
     // Loss decays slowly on successful participation (pure draw).
