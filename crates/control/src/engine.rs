@@ -243,9 +243,7 @@ fn run_faulted(
     // recovery machinery (guardian escalation, quarantine) gets the
     // chance to rescue the deadline — and `deadline_met` is judged on
     // whatever duration actually resulted.
-    let mut faulted = *job;
-    faulted.slowdown = job.slowdown * draw.straggler_factor;
-    let mut out = run_client_job(client, global, &faulted);
+    let mut out = run_client_job(client, global, job, draw.straggler_factor);
 
     out.dropped = out.dropped || draw.dropped;
     out.upload_failed = draw.upload_failed;
@@ -909,7 +907,6 @@ mod tests {
                 round: 0,
                 deadline: RoundDeadline::Training(deadline),
                 dropped: false,
-                slowdown: 1.0,
             })
             .collect();
         let global = SoftmaxModel::new(6, 3, 77).parameters();

@@ -28,14 +28,16 @@
 //! - [`socket`] — [`SocketTransport`] carries the same envelopes over
 //!   real localhost TCP (length-prefixed, checksummed frames from
 //!   `bofl_fleet::wire`) with bounded seeded reconnect/backoff, per-send
-//!   ack timeouts and a ping/pong heartbeat lane; virtual timestamps
-//!   ride inside the frames, so the zero-fault journal stays
-//!   byte-identical to [`VirtualTransport`].
+//!   ack timeouts and a ping/pong heartbeat before a pooled connection
+//!   is reused; thread lanes and `socket_client` processes run the same
+//!   lane code. Virtual timestamps ride inside the frames, so the
+//!   zero-fault journal stays byte-identical to [`VirtualTransport`].
 //! - [`chaos`] — [`ChaosTransport`] decorates any carrier with seeded
 //!   delay, drop, duplication, reordering and partitions drawn from a
 //!   [`ChaosPlan`] (same stream discipline as `FaultPlan`).
 //! - [`wal`] — [`JournalWal`], a group-committed append-only
-//!   write-ahead log of journal records (one fsync per round close)
+//!   write-ahead log of journal records in the socket frames' envelope
+//!   (one fsync per round close)
 //!   with torn-tail truncation on open, powering
 //!   [`ControlPlane::resume`] (crash-safe coordinator restart) and
 //!   [`JournalTail`] (a follow-mode reader that never perturbs the

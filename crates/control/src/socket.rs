@@ -3,23 +3,26 @@
 //!
 //! Where [`crate::transport::VirtualTransport`] hands each delivery back
 //! at its send time, this carrier pushes it through actual sockets using
-//! the length-prefixed, checksummed frame codec in [`bofl_fleet::wire`].
-//! Each `carry` call binds an ephemeral coordinator listener on
-//! `127.0.0.1`, shards the round's envelopes round-robin across client
-//! lanes (threads, or spawned `socket_client` OS processes in
-//! [`SocketTransport::spawned`] mode), and every lane speaks the Data/Ack
-//! protocol:
+//! the length-prefixed, checksummed frame codec in [`bofl_fleet::wire`]
+//! (the envelope the write-ahead log's records use too). Each `carry`
+//! call binds an ephemeral coordinator listener on `127.0.0.1`, shards
+//! the round's envelopes round-robin across client lanes, and runs every
+//! lane through one function, [`run_lane`]: in a thread of this process,
+//! or, in [`SocketTransport::spawned`] mode, in one `socket_client` OS
+//! process per envelope. A lane speaks the Data/Ack protocol:
 //!
-//! - a lane writes one `Data` frame per envelope and waits for the
+//! - it writes one `Data` frame per envelope and waits for the
 //!   coordinator's matching `Ack` within [`SocketTransport::with_ack_timeout`];
 //! - a missing ack, write error, or EOF tears the connection down and the
-//!   lane retries under a bounded, *seeded* `ReconnectPolicy` —
-//!   exponential backoff whose jitter is drawn from
-//!   `stream_seed(seed, round, client, salt + attempt)`, never the wall
-//!   clock, so two runs retry on the same schedule;
-//! - before reusing a pooled connection a lane can probe it with a
-//!   `Ping`/`Pong` heartbeat (on by default), which is what detects the
-//!   half-open connections a silently dropped peer leaves behind;
+//!   lane retries, at most 4 attempts per message, after a seeded
+//!   exponential backoff: a `RetryPolicy` whose nominal sleep before
+//!   attempt `a ≥ 2` is `0.01 · 2^(a−2)` s, jittered ±20% by a draw
+//!   seeded from `stream_seed(seed, round, client, salt)`, never the
+//!   wall clock;
+//! - before reusing a pooled connection a lane probes it with a
+//!   `Ping`/`Pong` heartbeat, which is what detects the half-open
+//!   connections a silently dropped peer leaves behind (a process lane
+//!   carries one envelope, so it never reuses a connection);
 //! - the coordinator deduplicates on `(round, client, copy)` and re-acks
 //!   duplicates, so a retry after a lost ack stays exactly-once.
 //!
@@ -37,79 +40,45 @@
 use std::collections::HashSet;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
+use bofl_fl::network::RetryPolicy;
 use bofl_fleet::fault::stream_seed;
-use bofl_fleet::process::{ClientSpec, ProcessClientHarness};
 use bofl_fleet::wire::{encode_frame, Frame, FrameReader, WireMsg};
 
 use crate::transport::{sort_deliveries, Carried, Delivery, Envelope, Transport, WireStats};
 
-/// Stream salt for reconnect backoff jitter (attempt index is added on
-/// top, so every attempt draws from its own stream).
+/// Reconnect schedule of every lane: 4 attempts per message, 10 ms
+/// before the second, doubling, ±20% seeded jitter (so no sleep exceeds
+/// 48 ms).
+const RECONNECT: RetryPolicy = RetryPolicy {
+    max_attempts: 4,
+    base_backoff_s: 0.01,
+    backoff_multiplier: 2.0,
+    jitter: 0.2,
+};
+/// Seed of the lanes' reconnect-jitter and heartbeat-nonce streams.
+const LANE_SEED: u64 = 0xB0F1;
+/// Stream salt for reconnect backoff jitter.
 const RECONNECT_SALT: u64 = 0x50CE_7B0F_F000_0001;
 /// Stream salt for heartbeat nonces.
 const HEARTBEAT_SALT: u64 = 0x50CE_7B0F_F000_0002;
 
-/// Hard cap on any single backoff sleep, so exhausting retries in a test
-/// stays fast regardless of the policy's curve.
-const MAX_BACKOFF_SLEEP: Duration = Duration::from_millis(250);
-
-/// Bounded, seeded exponential backoff for reconnect attempts.
-///
-/// `backoff_s` is a pure function of `(seed, round, client, attempt)` —
-/// the schedule is reproducible and independent of thread scheduling.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct ReconnectPolicy {
-    /// Total send attempts per message (first try included). At least 1.
-    pub max_attempts: u32,
-    /// Backoff before the second attempt, in seconds.
-    pub base_s: f64,
-    /// Multiplier applied per further attempt.
-    pub factor: f64,
-    /// Jitter fraction in `[0, 1)`: each sleep is scaled by a seeded
-    /// draw from `[1 - jitter, 1 + jitter]`.
-    pub jitter: f64,
-    /// Seed for the jitter streams.
-    pub seed: u64,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy {
-            max_attempts: 4,
-            base_s: 0.01,
-            factor: 2.0,
-            jitter: 0.2,
-            seed: 0xB0F1,
-        }
+/// The backoff slept *before* `attempt` of one message (attempts count
+/// from 1; the first attempt never waits). A pure function of `(round,
+/// client, attempt)`, so the schedule is reproducible and independent of
+/// thread scheduling.
+fn reconnect_backoff_s(round: usize, client: usize, attempt: u32) -> f64 {
+    if attempt <= 1 {
+        return 0.0;
     }
-}
-
-impl ReconnectPolicy {
-    /// The backoff slept *before* `attempt` (attempts count from 1; the
-    /// first attempt never waits).
-    pub(crate) fn backoff_s(&self, round: usize, client: usize, attempt: u32) -> f64 {
-        if attempt <= 1 {
-            return 0.0;
-        }
-        let nominal = self.base_s * self.factor.powi(attempt as i32 - 2);
-        let mut rng = StdRng::seed_from_u64(stream_seed(
-            self.seed,
-            round,
-            client,
-            RECONNECT_SALT + attempt as u64,
-        ));
-        let scale = 1.0 + self.jitter * (2.0 * rng.gen::<f64>() - 1.0);
-        nominal * scale
-    }
+    let seed = stream_seed(LANE_SEED, round, client, RECONNECT_SALT);
+    RECONNECT.backoff_s(attempt - 1, seed)
 }
 
 /// How client lanes are realized.
@@ -118,7 +87,7 @@ enum SocketMode {
     /// Lanes are threads in this process (fast, the default).
     InProcess,
     /// One spawned OS process per envelope, running the `socket_client`
-    /// binary at this path.
+    /// binary at this path; each runs [`run_lane`] for its envelope.
     Spawn(PathBuf),
 }
 
@@ -129,9 +98,7 @@ enum SocketMode {
 pub struct SocketTransport {
     lanes: usize,
     mode: SocketMode,
-    reconnect: ReconnectPolicy,
     ack_timeout: Duration,
-    heartbeat: bool,
     accept_faults: u32,
     label: String,
 }
@@ -148,9 +115,7 @@ impl SocketTransport {
         SocketTransport {
             lanes,
             mode: SocketMode::InProcess,
-            reconnect: ReconnectPolicy::default(),
             ack_timeout: Duration::from_secs(2),
-            heartbeat: true,
             accept_faults: 0,
             label: format!("socket({lanes} lanes)"),
         }
@@ -163,16 +128,14 @@ impl SocketTransport {
         SocketTransport {
             lanes: 1,
             mode: SocketMode::Spawn(exe.into()),
-            reconnect: ReconnectPolicy::default(),
             ack_timeout: Duration::from_secs(2),
-            heartbeat: false,
             accept_faults: 0,
             label: "socket(spawn)".to_string(),
         }
     }
 
-    /// How long a lane waits for the coordinator's ack before tearing the
-    /// connection down and retrying.
+    /// How long a lane (a thread or a spawned process) waits for the
+    /// coordinator's ack before tearing the connection down and retrying.
     pub fn with_ack_timeout(mut self, timeout: Duration) -> Self {
         self.ack_timeout = timeout;
         self
@@ -203,10 +166,18 @@ fn connect(addr: SocketAddr) -> Option<Conn> {
     })
 }
 
-/// Wait until `want(frame)` matches, the deadline passes, or the
-/// connection errors. Non-matching frames are discarded (stale acks from
-/// a previous retry, say).
-fn await_frame(conn: &mut Conn, timeout: Duration, want: impl Fn(&Frame) -> bool) -> bool {
+/// Write `frame`, then wait until a reply matches `want`, the timeout
+/// passes, or the connection errors. Non-matching frames are discarded
+/// (stale acks from a previous retry, say).
+fn exchange(
+    conn: &mut Conn,
+    frame: Frame,
+    timeout: Duration,
+    want: impl Fn(&Frame) -> bool,
+) -> bool {
+    if conn.stream.write_all(&encode_frame(&frame)).is_err() {
+        return false;
+    }
     let deadline = Instant::now() + timeout;
     loop {
         let remaining = deadline.saturating_duration_since(Instant::now());
@@ -228,48 +199,11 @@ fn await_frame(conn: &mut Conn, timeout: Duration, want: impl Fn(&Frame) -> bool
     }
 }
 
-/// Probe a pooled connection: a dead or half-open peer fails to echo the
-/// nonce and the lane reconnects instead of writing into a black hole.
-fn ping_pong(conn: &mut Conn, nonce: u64, timeout: Duration) -> bool {
-    if conn
-        .stream
-        .write_all(&encode_frame(&Frame::Ping(nonce)))
-        .is_err()
-    {
-        return false;
-    }
-    await_frame(
-        conn,
-        timeout,
-        |f| matches!(f, Frame::Pong(n) if *n == nonce),
-    )
-}
-
-/// Send one Data frame and wait for its matching Ack.
-fn send_and_await_ack(conn: &mut Conn, msg: WireMsg, timeout: Duration) -> bool {
-    if conn
-        .stream
-        .write_all(&encode_frame(&Frame::Data(msg)))
-        .is_err()
-    {
-        return false;
-    }
-    await_frame(conn, timeout, |f| {
-        matches!(f, Frame::Ack(a)
-            if a.round == msg.round && a.client == msg.client && a.copy == msg.copy)
-    })
-}
-
-/// The body of one in-process client lane: deliver every envelope in the
-/// shard, reconnecting under the policy. Returns how many envelopes were
-/// acked.
-fn lane_main(
-    addr: SocketAddr,
-    shard: &[Envelope],
-    reconnect: ReconnectPolicy,
-    ack_timeout: Duration,
-    heartbeat: bool,
-) -> usize {
+/// The body of every client lane, a thread of this process or a
+/// `socket_client` process: deliver each envelope of `shard` in order
+/// over one pooled connection, reconnecting under the seeded backoff.
+/// Returns how many envelopes were acked.
+pub fn run_lane(addr: SocketAddr, shard: &[Envelope], ack_timeout: Duration) -> usize {
     let mut conn: Option<Conn> = None;
     let mut acked = 0usize;
     for env in shard {
@@ -279,24 +213,33 @@ fn lane_main(
             copy: 0,
             t_send_s: env.t_send_s,
         };
-        for attempt in 1..=reconnect.max_attempts.max(1) {
-            let backoff = reconnect.backoff_s(env.round, env.client_id, attempt);
+        for attempt in 1..=RECONNECT.max_attempts {
+            let backoff = reconnect_backoff_s(env.round, env.client_id, attempt);
             if backoff > 0.0 {
-                thread::sleep(Duration::from_secs_f64(backoff).min(MAX_BACKOFF_SLEEP));
+                thread::sleep(Duration::from_secs_f64(backoff));
             }
             let pooled = conn.is_some();
             if conn.is_none() {
                 conn = connect(addr);
             }
             let Some(c) = conn.as_mut() else { continue };
-            if pooled && heartbeat {
-                let nonce = stream_seed(reconnect.seed, env.round, env.client_id, HEARTBEAT_SALT);
-                if !ping_pong(c, nonce, ack_timeout) {
-                    conn = None;
-                    continue;
-                }
+            // Probe a pooled connection: a dead or half-open peer fails
+            // to echo the nonce, and the lane reconnects instead of
+            // writing into a black hole.
+            let nonce = stream_seed(LANE_SEED, env.round, env.client_id, HEARTBEAT_SALT);
+            if pooled
+                && !exchange(c, Frame::Ping(nonce), ack_timeout, |f| {
+                    *f == Frame::Pong(nonce)
+                })
+            {
+                conn = None;
+                continue;
             }
-            if send_and_await_ack(c, msg, ack_timeout) {
+            let acks = |f: &Frame| {
+                matches!(f, Frame::Ack(a)
+                    if (a.round, a.client, a.copy) == (msg.round, msg.client, msg.copy))
+            };
+            if exchange(c, Frame::Data(msg), ack_timeout, acks) {
                 acked += 1;
                 break;
             }
@@ -304,6 +247,73 @@ fn lane_main(
         }
     }
     acked
+}
+
+/// Parse the `socket_client` command line (`--addr A --client N --round R
+/// --t-send F [--ack-timeout-ms M]`) into the coordinator's address, the
+/// one envelope to deliver and the ack timeout (10 s by default).
+///
+/// # Errors
+///
+/// Returns a human-readable description of the first malformed or
+/// missing argument.
+pub fn parse_client_args(args: &[String]) -> Result<(SocketAddr, Envelope, Duration), String> {
+    let mut addr = None;
+    let mut client_id = None;
+    let mut round = None;
+    let mut t_send_s = None;
+    let mut ack_timeout = Duration::from_secs(10);
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let value = it
+            .next()
+            .ok_or_else(|| format!("flag {flag} is missing its value"))?;
+        match flag.as_str() {
+            "--addr" => addr = Some(value),
+            "--client" => client_id = Some(value.parse().map_err(|e| format!("--client: {e}"))?),
+            "--round" => round = Some(value.parse().map_err(|e| format!("--round: {e}"))?),
+            "--t-send" => t_send_s = Some(value.parse().map_err(|e| format!("--t-send: {e}"))?),
+            "--ack-timeout-ms" => {
+                let ms = value
+                    .parse()
+                    .map_err(|e| format!("--ack-timeout-ms: {e}"))?;
+                ack_timeout = Duration::from_millis(ms);
+            }
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    let envelope = Envelope {
+        client_id: client_id.ok_or("--client is required")?,
+        round: round.ok_or("--round is required")?,
+        t_send_s: t_send_s.ok_or("--t-send is required")?,
+    };
+    let addr = addr.ok_or("--addr is required")?;
+    let addr = addr.parse().map_err(|e| format!("--addr: {e}"))?;
+    Ok((addr, envelope, ack_timeout))
+}
+
+/// Start one `socket_client` process (`exe`) for `env`, pointed at
+/// `addr`. The virtual send time is formatted with enough digits to
+/// survive the exec boundary bit for bit.
+fn spawn_client(
+    exe: &Path,
+    addr: SocketAddr,
+    env: &Envelope,
+    ack_timeout: Duration,
+) -> std::io::Result<Child> {
+    Command::new(exe)
+        .arg("--addr")
+        .arg(addr.to_string())
+        .arg("--client")
+        .arg(env.client_id.to_string())
+        .arg("--round")
+        .arg(env.round.to_string())
+        .arg("--t-send")
+        .arg(format!("{:.17e}", env.t_send_s))
+        .arg("--ack-timeout-ms")
+        .arg(ack_timeout.as_millis().to_string())
+        .stdin(Stdio::null())
+        .spawn()
 }
 
 /// Coordinator side of one accepted connection: decode frames, hand fresh
@@ -377,9 +387,7 @@ impl Transport for SocketTransport {
         let done = AtomicBool::new(false);
         let drops_left = AtomicU32::new(self.accept_faults);
         let seen: Mutex<HashSet<(u32, u32, u32)>> = Mutex::new(HashSet::new());
-        let reconnect = self.reconnect;
         let ack_timeout = self.ack_timeout;
-        let heartbeat = self.heartbeat;
         let mode = self.mode.clone();
         let lanes = self.lanes.min(messages.len()).max(1);
 
@@ -418,9 +426,7 @@ impl Transport for SocketTransport {
                         .map(|lane| {
                             let shard: Vec<Envelope> =
                                 messages.iter().skip(lane).step_by(lanes).copied().collect();
-                            s.spawn(move || {
-                                lane_main(addr, &shard, reconnect, ack_timeout, heartbeat)
-                            })
+                            s.spawn(move || run_lane(addr, &shard, ack_timeout))
                         })
                         .collect();
                     for h in handles {
@@ -428,15 +434,16 @@ impl Transport for SocketTransport {
                     }
                 }
                 SocketMode::Spawn(exe) => {
-                    let mut harness = ProcessClientHarness::new(exe.clone(), addr.to_string());
-                    for env in messages {
-                        let _ = harness.spawn(ClientSpec {
-                            client_id: env.client_id,
-                            round: env.round,
-                            t_send_s: env.t_send_s,
-                        });
+                    // A process that fails to start delivers nothing: its
+                    // envelope counts as dropped, like a lane whose
+                    // retries ran out.
+                    let children: Vec<Child> = messages
+                        .iter()
+                        .filter_map(|env| spawn_client(exe, addr, env, ack_timeout).ok())
+                        .collect();
+                    for mut child in children {
+                        let _ = child.wait();
                     }
-                    let _ = harness.wait_all();
                 }
             }
             done.store(true, Ordering::SeqCst);
@@ -504,13 +511,7 @@ mod tests {
     fn exhausted_retries_surface_as_drops_not_hangs() {
         let msgs = envelopes(3, 0);
         // More accept faults than total attempts: nothing ever connects.
-        let mut transport = SocketTransport::in_process(2);
-        transport.reconnect = ReconnectPolicy {
-            max_attempts: 2,
-            base_s: 0.001,
-            ..ReconnectPolicy::default()
-        };
-        let got = transport
+        let got = SocketTransport::in_process(2)
             .with_ack_timeout(Duration::from_millis(100))
             .with_accept_faults(u32::MAX)
             .carry(0, 0.0, &msgs);
@@ -521,20 +522,31 @@ mod tests {
 
     #[test]
     fn backoff_is_seeded_and_monotone_in_nominal_terms() {
-        let p = ReconnectPolicy::default();
-        assert_eq!(p.backoff_s(3, 7, 1), 0.0, "first attempt never waits");
-        let a2 = p.backoff_s(3, 7, 2);
-        let b2 = p.backoff_s(3, 7, 2);
+        assert_eq!(
+            reconnect_backoff_s(3, 7, 1),
+            0.0,
+            "first attempt never waits"
+        );
+        let a2 = reconnect_backoff_s(3, 7, 2);
+        let b2 = reconnect_backoff_s(3, 7, 2);
         assert_eq!(
             a2, b2,
             "same (round, client, attempt) draws the same jitter"
         );
-        assert!(a2 > 0.0);
+        // Nominal 0.01 · 2^(attempt − 2) s, jittered by at most ±20%.
+        for attempt in 2..=4 {
+            let nominal = 0.01 * 2f64.powi(attempt as i32 - 2);
+            let got = reconnect_backoff_s(3, 7, attempt);
+            assert!(
+                (got - nominal).abs() <= 0.2 * nominal + 1e-15,
+                "{attempt}: {got}"
+            );
+        }
         // Jitter is bounded, so attempt 4's sleep dominates attempt 2's.
-        assert!(p.backoff_s(3, 7, 4) > a2);
+        assert!(reconnect_backoff_s(3, 7, 4) > a2);
         assert_ne!(
-            p.backoff_s(3, 7, 2),
-            p.backoff_s(3, 8, 2),
+            reconnect_backoff_s(3, 7, 2),
+            reconnect_backoff_s(3, 8, 2),
             "different clients draw different jitter"
         );
     }
@@ -543,6 +555,57 @@ mod tests {
     fn empty_round_is_a_no_op() {
         let got = SocketTransport::in_process(4).carry(0, 0.0, &[]);
         assert_eq!(got, Carried::default());
+    }
+
+    fn s(parts: &[&str]) -> Vec<String> {
+        parts.iter().map(|p| p.to_string()).collect()
+    }
+
+    #[test]
+    fn args_round_trip() {
+        let (addr, envelope, timeout) = parse_client_args(&s(&[
+            "--addr",
+            "127.0.0.1:9001",
+            "--client",
+            "7",
+            "--round",
+            "3",
+            "--t-send",
+            "12.5",
+            "--ack-timeout-ms",
+            "250",
+        ]))
+        .unwrap();
+        assert_eq!(addr, "127.0.0.1:9001".parse().unwrap());
+        assert_eq!(
+            envelope,
+            Envelope {
+                client_id: 7,
+                round: 3,
+                t_send_s: 12.5
+            }
+        );
+        assert_eq!(timeout, Duration::from_millis(250));
+    }
+
+    #[test]
+    fn missing_and_unknown_flags_are_named() {
+        let err =
+            parse_client_args(&s(&["--addr", "x", "--client", "1", "--round", "0"])).unwrap_err();
+        assert!(err.contains("--t-send"), "got: {err}");
+        let err = parse_client_args(&s(&["--frobnicate", "1"])).unwrap_err();
+        assert!(err.contains("--frobnicate"), "got: {err}");
+    }
+
+    #[test]
+    fn t_send_survives_the_command_line_exactly() {
+        // The spawner formats t_send with enough digits that the value the
+        // child parses is bit-identical — virtual timestamps must not
+        // drift through the exec boundary.
+        let t = 123.456_789_012_345_67_f64;
+        let formatted = format!("{t:.17e}");
+        let parsed: f64 = formatted.parse().unwrap();
+        assert_eq!(parsed.to_bits(), t.to_bits());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! [`JournalWal`] is an append-only file of binary records, one per
 //! journalled transition ([`EventEntry`]) or round close ([`RoundClose`]).
-//! Record framing reuses the socket codec's discipline
-//! ([`bofl_fleet::wire`]): magic, kind, length prefix, payload, CRC-32
-//! over everything after the magic —
+//! A record is the envelope the socket frames use
+//! ([`bofl_fleet::wire::encode_envelope`]): magic, kind, length prefix,
+//! payload, CRC-32 over everything after the magic, with the WAL's own
+//! magic and a 256-byte payload cap —
 //!
 //! ```text
 //! offset  size  field
@@ -59,13 +60,15 @@
 //! [`JournalTail`] is the read side: it polls the same file without ever
 //! writing to it, decoding incrementally so a half-written record at the
 //! tail reads as "no more records yet", never as corruption. That is what
-//! makes `journal_tail --follow` safe against a live writer.
+//! makes `journal_tail --follow` safe against a live writer. Recovery and
+//! the tail read through the same [`StreamDecoder`] as the socket's frame
+//! reader; they differ only in what the end of the file means.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use bofl_fleet::wire::crc32;
+use bofl_fleet::wire::{encode_envelope, split_envelope, Pulled, StreamDecoder, WireError};
 
 use crate::journal::{EventCause, EventEntry, RoundClose};
 use crate::state::ClientState;
@@ -73,10 +76,7 @@ use crate::state::ClientState;
 /// Every WAL record starts with this little-endian magic (distinct from
 /// the socket frame magic, so a WAL can never be mistaken for a capture
 /// of wire traffic).
-pub(crate) const WAL_MAGIC: u32 = 0xB0F1_A110;
-
-/// Fixed overhead around a record payload: magic + kind + len + crc.
-pub(crate) const WAL_OVERHEAD: usize = 4 + 1 + 4 + 4;
+const WAL_MAGIC: u32 = 0xB0F1_A110;
 
 const KIND_EVENT: u8 = 1;
 const KIND_CLOSE: u8 = 2;
@@ -140,40 +140,36 @@ impl From<io::Error> for WalError {
 
 /// Serialize one record into its canonical byte layout.
 pub fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let (kind, payload) = match record {
-        WalRecord::Event(e) => {
-            let mut p = Vec::with_capacity(EVENT_PAYLOAD);
-            p.extend_from_slice(&e.seq.to_le_bytes());
-            p.extend_from_slice(&e.round.to_le_bytes());
-            p.extend_from_slice(&e.client.to_le_bytes());
-            p.push(e.from as u8);
-            p.push(e.to as u8);
-            p.push(e.cause as u8);
-            p.extend_from_slice(&e.t_s.to_bits().to_le_bytes());
-            (KIND_EVENT, p)
-        }
+    match record {
+        WalRecord::Event(e) => encode_envelope(
+            WAL_MAGIC,
+            KIND_EVENT,
+            &[
+                &e.seq.to_le_bytes(),
+                &e.round.to_le_bytes(),
+                &e.client.to_le_bytes(),
+                &[e.from as u8, e.to as u8, e.cause as u8],
+                &e.t_s.to_bits().to_le_bytes(),
+            ],
+        ),
         WalRecord::Close(c) => {
-            let mut p = Vec::with_capacity(CLOSE_PAYLOAD);
-            p.extend_from_slice(&c.round.to_le_bytes());
-            p.extend_from_slice(&c.t_s.to_bits().to_le_bytes());
-            p.extend_from_slice(&(c.accepted as u32).to_le_bytes());
-            p.extend_from_slice(&(c.quorum as u32).to_le_bytes());
             let flags =
                 (c.quorum_met as u8) | ((c.closed_early as u8) << 1) | ((c.degraded as u8) << 2);
-            p.push(flags);
-            p.extend_from_slice(&(c.shards as u32).to_le_bytes());
-            p.extend_from_slice(&(c.shard_shortfalls as u32).to_le_bytes());
-            (KIND_CLOSE, p)
+            encode_envelope(
+                WAL_MAGIC,
+                KIND_CLOSE,
+                &[
+                    &c.round.to_le_bytes(),
+                    &c.t_s.to_bits().to_le_bytes(),
+                    &(c.accepted as u32).to_le_bytes(),
+                    &(c.quorum as u32).to_le_bytes(),
+                    &[flags],
+                    &(c.shards as u32).to_le_bytes(),
+                    &(c.shard_shortfalls as u32).to_le_bytes(),
+                ],
+            )
         }
-    };
-    let mut out = Vec::with_capacity(WAL_OVERHEAD + payload.len());
-    out.extend_from_slice(&WAL_MAGIC.to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let crc = crc32(&out[4..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    }
 }
 
 fn corrupt(offset: u64, detail: impl Into<String>) -> WalError {
@@ -228,52 +224,21 @@ fn parse_close(payload: &[u8]) -> RoundClose {
 ///   bytes may complete it (a live writer mid-append, or a torn tail).
 /// - `Err(_)` — the bytes can never become a valid record.
 pub fn decode_record(buf: &[u8], offset: u64) -> Result<Option<(WalRecord, usize)>, WalError> {
-    if buf.len() < 4 {
-        if WAL_MAGIC.to_le_bytes().starts_with(buf) {
-            return Ok(None);
-        }
-        return Err(corrupt(offset, "bad record magic"));
-    }
-    let magic = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-    if magic != WAL_MAGIC {
-        return Err(corrupt(offset, format!("bad record magic {magic:#010x}")));
-    }
-    if buf.len() < 9 {
+    let envelope = |e: WireError| corrupt(offset, e.to_string());
+    let Some((kind, payload, consumed)) =
+        split_envelope(buf, WAL_MAGIC, MAX_PAYLOAD).map_err(envelope)?
+    else {
         return Ok(None);
-    }
-    let kind = buf[4];
-    let len = u32::from_le_bytes(buf[5..9].try_into().expect("4 bytes")) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(corrupt(
-            offset,
-            format!("record payload length {len} exceeds {MAX_PAYLOAD}"),
-        ));
-    }
-    let total = WAL_OVERHEAD + len;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let claimed = u32::from_le_bytes(buf[9 + len..total].try_into().expect("4 bytes"));
-    let actual = crc32(&buf[4..9 + len]);
-    if claimed != actual {
-        return Err(corrupt(
-            offset,
-            format!("record checksum mismatch: header says {claimed:#010x}, bytes hash to {actual:#010x}"),
-        ));
-    }
-    let payload = &buf[9..9 + len];
-    let record = match (kind, len) {
+    };
+    let record = match (kind, payload.len()) {
         (KIND_EVENT, EVENT_PAYLOAD) => WalRecord::Event(parse_event(payload, offset)?),
         (KIND_CLOSE, CLOSE_PAYLOAD) => WalRecord::Close(parse_close(payload)),
-        (KIND_EVENT, _) | (KIND_CLOSE, _) => {
-            return Err(corrupt(
-                offset,
-                format!("record kind {kind} cannot carry a {len}-byte payload"),
-            ))
+        (KIND_EVENT | KIND_CLOSE, len) => {
+            return Err(envelope(WireError::BadPayload { kind, len }))
         }
-        (other, _) => return Err(corrupt(offset, format!("unknown record kind {other}"))),
+        (other, _) => return Err(envelope(WireError::UnknownKind(other))),
     };
-    Ok(Some((record, total)))
+    Ok(Some((record, consumed)))
 }
 
 /// The append side of the write-ahead log: an open file plus its logical
@@ -320,34 +285,30 @@ impl JournalWal {
     /// expected crash signature.
     pub fn open(path: &Path) -> Result<RecoveredWal, WalError> {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
+        let mut decoder = StreamDecoder::default();
         let mut records = Vec::new();
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            match decode_record(&bytes[pos..], pos as u64) {
-                Ok(Some((record, consumed))) => {
-                    records.push((pos as u64, record));
-                    pos += consumed;
-                }
-                // A valid prefix that never completed, or bytes that can
-                // never decode: both are the crash's torn tail. Stop at
-                // the last whole record and cut the rest away.
-                Ok(None) | Err(WalError::Corrupt { .. }) => break,
+        loop {
+            let offset = decoder.offset();
+            match decoder.pull(&mut file, decode_record) {
+                Ok(Pulled::Item(record)) => records.push((offset, record)),
+                // An interrupted read: read again.
+                Ok(Pulled::Idle) => {}
+                // The end of the file behind a valid prefix that never
+                // completed, or bytes that can never decode: both are the
+                // crash's torn tail. Stop at the last whole record and
+                // cut the rest away.
+                Ok(Pulled::End) | Err(WalError::Corrupt { .. }) => break,
                 Err(e @ WalError::Io(_)) => return Err(e),
             }
         }
-        let torn = (bytes.len() - pos) as u64;
-        file.set_len(pos as u64)?;
+        let clean = decoder.offset();
+        let torn = file.metadata()?.len() - clean;
+        file.set_len(clean)?;
         file.seek(SeekFrom::End(0))?;
         if torn > 0 {
             file.sync_data()?;
         }
-        let wal = JournalWal {
-            file,
-            len: pos as u64,
-        };
-        Ok((wal, records, torn))
+        Ok((JournalWal { file, len: clean }, records, torn))
     }
 
     /// Write one record without `fsync`: readers see it at once, and it
@@ -421,9 +382,7 @@ impl JournalWal {
 #[derive(Debug)]
 pub struct JournalTail {
     file: File,
-    buf: Vec<u8>,
-    /// Byte offset of the front of `buf` in the file (for error reports).
-    offset: u64,
+    decoder: StreamDecoder,
 }
 
 impl JournalTail {
@@ -436,8 +395,7 @@ impl JournalTail {
         let file = OpenOptions::new().read(true).open(path)?;
         Ok(JournalTail {
             file,
-            buf: Vec::new(),
-            offset: 0,
+            decoder: StreamDecoder::default(),
         })
     }
 
@@ -449,19 +407,9 @@ impl JournalTail {
     /// - `Err(_)` — a record in the durable prefix is genuinely corrupt,
     ///   or the file went away.
     pub fn poll(&mut self) -> Result<Option<WalRecord>, WalError> {
-        loop {
-            if let Some((record, consumed)) = decode_record(&self.buf, self.offset)? {
-                self.buf.drain(..consumed);
-                self.offset += consumed as u64;
-                return Ok(Some(record));
-            }
-            let mut chunk = [0u8; 4096];
-            match self.file.read(&mut chunk) {
-                Ok(0) => return Ok(None),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(None),
-                Err(e) => return Err(WalError::Io(e)),
-            }
+        match self.decoder.pull(&mut self.file, decode_record)? {
+            Pulled::Item(record) => Ok(Some(record)),
+            Pulled::Idle | Pulled::End => Ok(None),
         }
     }
 }
@@ -541,7 +489,7 @@ mod tests {
         // Unknown state byte: checksum passes (re-stamped), decode rejects.
         let mut bad_state = encode_record(&WalRecord::Event(event(1)));
         bad_state[9 + 16] = 200;
-        let crc = crc32(&bad_state[4..bad_state.len() - 4]);
+        let crc = bofl_fleet::wire::crc32(&bad_state[4..bad_state.len() - 4]);
         let at = bad_state.len() - 4;
         bad_state[at..].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(

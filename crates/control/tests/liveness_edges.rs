@@ -78,7 +78,6 @@ fn jobs_for(clients: &[FlClient], round: usize, deadline: f64) -> Vec<ClientJob>
             round,
             deadline: RoundDeadline::Training(deadline),
             dropped: false,
-            slowdown: 1.0,
         })
         .collect()
 }

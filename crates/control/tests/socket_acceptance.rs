@@ -192,6 +192,26 @@ fn spawned_processes_reproduce_the_virtual_carry() {
 }
 
 #[test]
+fn spawned_clients_survive_forced_reconnects() {
+    // The coordinator drops the first two accepted connections cold: a
+    // process client must reconnect through the lane's seeded backoff,
+    // exactly as a thread lane does, or its update is lost.
+    use bofl_control::transport::Transport;
+    let messages: Vec<Envelope> = (0..6)
+        .map(|i| Envelope {
+            round: 2,
+            client_id: i,
+            t_send_s: 20.0 + (i as f64) / 7.0,
+        })
+        .collect();
+    let want = VirtualTransport.carry(2, 20.0, &messages);
+    let got = SocketTransport::spawned(env!("CARGO_BIN_EXE_socket_client"))
+        .with_accept_faults(2)
+        .carry(2, 20.0, &messages);
+    assert_eq!(got, want, "dropped connections must not lose an update");
+}
+
+#[test]
 fn spawned_process_sim_matches_virtual() {
     // A shorter config — each envelope costs a process spawn.
     let seed = 77;

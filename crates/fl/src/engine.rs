@@ -58,16 +58,6 @@ pub struct ClientJob {
     /// independent of engine scheduling. A dropped client still trains
     /// (and spends energy) — its update is simply never received.
     pub dropped: bool,
-    /// Transient per-job latency inflation applied *inside* the client's
-    /// training executor (`1.0` = healthy). Injecting the slowdown at the
-    /// job level — rather than stretching the finished round's duration —
-    /// means the pace controller observes it mid-round and its recovery
-    /// machinery (guardian escalation, observation quarantine) can react,
-    /// exactly as it would on a thermally-throttled physical board.
-    /// Energy is not scaled: a throttled board draws less power for
-    /// longer, and modeling that cancellation as neutral keeps the energy
-    /// ledger comparable across fault plans.
-    pub slowdown: f64,
 }
 
 /// What actually happened when a job ran, including any engine-level
@@ -120,13 +110,29 @@ impl ClientOutcome {
 /// Executes one job against one client. This is the single shared
 /// implementation of "run a client's round" — every engine, sequential or
 /// parallel, must call it so their traces are comparable bit-for-bit.
-pub fn run_client_job(client: &mut FlClient, global: &[f64], job: &ClientJob) -> ClientOutcome {
-    let result = client.train_round(job.round, global, job.deadline, job.slowdown);
+///
+/// `slowdown` is a transient per-job latency inflation applied *inside*
+/// the client's training executor (`1.0` = healthy; a fault plan's
+/// straggler factor otherwise). Injecting it at the job level — rather
+/// than stretching the finished round's duration — means the pace
+/// controller observes it mid-round and its recovery machinery (guardian
+/// escalation, observation quarantine) can react, exactly as it would on
+/// a thermally-throttled physical board. Energy is not scaled: a
+/// throttled board draws less power for longer, and modeling that
+/// cancellation as neutral keeps the energy ledger comparable across
+/// fault plans.
+pub fn run_client_job(
+    client: &mut FlClient,
+    global: &[f64],
+    job: &ClientJob,
+    slowdown: f64,
+) -> ClientOutcome {
+    let result = client.train_round(job.round, global, job.deadline, slowdown);
     ClientOutcome {
         client_id: job.client_id,
         result,
         dropped: job.dropped,
-        straggler_factor: job.slowdown,
+        straggler_factor: slowdown,
         upload_failed: false,
         upload_attempts: 1,
         late: false,
@@ -189,7 +195,7 @@ impl RoundEngine for SequentialEngine {
         jobs: &[ClientJob],
     ) -> Vec<ClientOutcome> {
         jobs.iter()
-            .map(|job| run_client_job(&mut clients[job.client_id], global, job))
+            .map(|job| run_client_job(&mut clients[job.client_id], global, job, 1.0))
             .collect()
     }
 }
@@ -239,7 +245,6 @@ mod tests {
                 round: 0,
                 deadline: RoundDeadline::Training(deadline),
                 dropped: false,
-                slowdown: 1.0,
             })
             .collect();
         let mut engine = SequentialEngine::new();
@@ -262,7 +267,6 @@ mod tests {
             round: 0,
             deadline: RoundDeadline::Training(deadline),
             dropped: true,
-            slowdown: 1.0,
         }];
         let outcomes = SequentialEngine::new().run_batch(&mut clients, &params, &jobs);
         assert!(outcomes[0].result.energy_j > 0.0, "dropout wastes energy");

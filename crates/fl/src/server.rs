@@ -381,7 +381,6 @@ impl Federation {
                 round,
                 deadline,
                 dropped: self.rng.gen::<f64>() < self.config.dropout_probability,
-                slowdown: 1.0,
             })
             .collect();
         (jobs, deadline_s)

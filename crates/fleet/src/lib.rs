@@ -18,7 +18,11 @@
 //!   over 20-byte [`ClientStat`] records instead of live models;
 //! - [`shard`] — hierarchical-aggregation accounting
 //!   ([`ShardRoundStats`], an in-memory per-shard breakdown the scale
-//!   trace never includes).
+//!   trace never includes);
+//! - [`wire`] — the checksummed envelope that the control plane's socket
+//!   frames and write-ahead-log records share, the frame codec over it,
+//!   and the one buffered [`wire::StreamDecoder`] that reads both kinds
+//!   of stream.
 //!
 //! Fleets of real clients run through `bofl_control::ControlSimulation`,
 //! the journalled builder over this crate's generator, faults and
@@ -53,7 +57,6 @@ pub mod compress;
 pub mod fault;
 pub mod generator;
 pub mod metrics;
-pub mod process;
 pub mod sampler;
 pub mod scale;
 pub mod shard;
@@ -63,7 +66,6 @@ pub use compress::{CompressedUpdate, Compressor, Int8Quantizer, NoCompression, T
 pub use fault::{ChurnStatus, FaultDraw, FaultPlan};
 pub use generator::{ClientProfile, DeviceKind, FleetSpec};
 pub use metrics::{Distribution, FleetMetrics, FleetRoundStats};
-pub use process::{ClientSpec, ProcessClientHarness};
 pub use sampler::{
     ClientSampler, ClientStat, EnergyAwareSampler, LossStalenessSampler, UniformSampler,
 };
@@ -79,7 +81,6 @@ pub mod prelude {
     pub use crate::fault::{ChurnStatus, FaultDraw, FaultPlan};
     pub use crate::generator::{ClientProfile, DeviceKind, FleetSpec};
     pub use crate::metrics::{Distribution, FleetMetrics, FleetRoundStats};
-    pub use crate::process::{ClientSpec, ProcessClientHarness};
     pub use crate::sampler::{
         ClientSampler, ClientStat, EnergyAwareSampler, LossStalenessSampler, UniformSampler,
     };

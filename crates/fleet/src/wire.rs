@@ -1,25 +1,33 @@
-//! The binary frame codec shared by every socket-backed carrier: a
-//! length-prefixed, CRC-checksummed frame format that a client process
-//! and the coordinator agree on byte for byte.
+//! The binary envelope shared by the socket transport's frames and the
+//! control plane's write-ahead log, and the frame codec over it: a
+//! length-prefixed, CRC-checksummed record format that a client process
+//! and the coordinator (or a WAL writer and its readers) agree on byte
+//! for byte.
 //!
 //! The codec is deliberately tiny and self-contained (no serde, no
-//! external crates): every frame is
+//! external crates). Every envelope is
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     magic     0xB0F1_50C7, little-endian
-//! 4       1     kind      1=Data, 2=Ack, 3=Ping, 4=Pong
+//! 0       4     magic     little-endian; frames 0xB0F1_50C7
+//! 4       1     kind      frames: 1=Data, 2=Ack, 3=Ping, 4=Pong
 //! 5       4     len       payload length, little-endian
 //! 9       len   payload   kind-specific, fixed layout
 //! 9+len   4     crc       CRC-32 (IEEE) over bytes [4, 9+len)
 //! ```
 //!
+//! [`encode_envelope`] seals one and [`split_envelope`] checks one; each
+//! format brings its own magic, payload cap and kind-to-payload map
+//! ([`encode_frame`]/[`decode_frame`] here, `bofl_control::wal`'s
+//! records with magic 0xB0F1_A110). One [`StreamDecoder`] reads either
+//! kind of stream incrementally.
+//!
 //! Data and Ack carry a [`WireMsg`]: `(round, client, copy)` identify the
 //! update and `t_send_s` is its *virtual* send timestamp — the simulation
 //! clock rides inside the frame, so real TCP transfer time never leaks
 //! into a journal. Ping/Pong carry an opaque nonce; they are the
-//! heartbeat lane a connection supervisor uses to detect half-open
-//! connections before trusting a pooled stream.
+//! heartbeat a lane uses to detect a half-open connection before
+//! trusting a pooled stream.
 //!
 //! Decoding is *incremental*: [`decode_frame`] reads from a byte buffer
 //! and answers "not enough bytes yet" (`Ok(None)`) separately from "these
@@ -31,14 +39,14 @@ use std::fmt;
 use std::io;
 
 /// Every frame starts with this little-endian magic.
-pub(crate) const FRAME_MAGIC: u32 = 0xB0F1_50C7;
+const FRAME_MAGIC: u32 = 0xB0F1_50C7;
 
 /// Frames never carry more payload than this; a larger length prefix is
 /// corruption, not a big message.
-pub(crate) const MAX_PAYLOAD: usize = 64 * 1024;
+const MAX_PAYLOAD: usize = 64 * 1024;
 
 /// Fixed overhead around the payload: magic + kind + len + crc.
-pub(crate) const FRAME_OVERHEAD: usize = 4 + 1 + 4 + 4;
+const ENVELOPE_OVERHEAD: usize = 4 + 1 + 4 + 4;
 
 /// One update (or its acknowledgement) on the wire, stamped with its
 /// virtual send time.
@@ -70,7 +78,7 @@ pub enum Frame {
 /// Why a byte sequence was rejected by the decoder.
 #[derive(Debug)]
 pub enum WireError {
-    /// The first four bytes are not `FRAME_MAGIC`.
+    /// The first four bytes are not the format's magic.
     BadMagic(u32),
     /// The checksum over kind + length + payload did not match.
     BadChecksum {
@@ -79,7 +87,7 @@ pub enum WireError {
         /// CRC the received bytes actually hash to.
         actual: u32,
     },
-    /// The length prefix exceeds `MAX_PAYLOAD`.
+    /// The length prefix exceeds the format's payload cap.
     Oversize(usize),
     /// The kind byte is not in the frame vocabulary.
     UnknownKind(u8),
@@ -97,16 +105,17 @@ pub enum WireError {
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::BadMagic(m) => write!(f, "bad frame magic {m:#010x}"),
+            WireError::BadMagic(m) => write!(f, "bad magic {m:#010x}"),
             WireError::BadChecksum { expected, actual } => {
-                write!(f, "frame checksum mismatch: header says {expected:#010x}, bytes hash to {actual:#010x}")
+                write!(
+                    f,
+                    "checksum mismatch: header says {expected:#010x}, bytes hash to {actual:#010x}"
+                )
             }
-            WireError::Oversize(len) => {
-                write!(f, "frame payload length {len} exceeds {MAX_PAYLOAD}")
-            }
-            WireError::UnknownKind(k) => write!(f, "unknown frame kind {k}"),
+            WireError::Oversize(len) => write!(f, "payload length {len} exceeds the cap"),
+            WireError::UnknownKind(k) => write!(f, "unknown kind {k}"),
             WireError::BadPayload { kind, len } => {
-                write!(f, "frame kind {kind} cannot carry a {len}-byte payload")
+                write!(f, "kind {kind} cannot carry a {len}-byte payload")
             }
             WireError::Io(e) => write!(f, "wire i/o error: {e}"),
         }
@@ -135,18 +144,85 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Seal a payload, given as its fields in order, in the envelope that
+/// wire frames and WAL records share: `magic`, `kind`, the payload
+/// length, the payload, and a CRC-32 over kind, length and payload.
+pub fn encode_envelope(magic: u32, kind: u8, fields: &[&[u8]]) -> Vec<u8> {
+    let len: usize = fields.iter().map(|f| f.len()).sum();
+    let mut out = Vec::with_capacity(ENVELOPE_OVERHEAD + len);
+    out.extend_from_slice(&magic.to_le_bytes());
+    out.push(kind);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    for field in fields {
+        out.extend_from_slice(field);
+    }
+    let crc = crc32(&out[4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// A whole envelope: its kind, its payload, and the bytes it spans.
+type Split<'a> = (u8, &'a [u8], usize);
+
+/// Split one envelope sealed by [`encode_envelope`] off the front of
+/// `buf`, checking its magic, its length against `max_payload` and its
+/// checksum.
+///
+/// - `Ok(Some((kind, payload, consumed)))` — a whole, checksummed
+///   envelope; the caller interprets `kind` and `payload`.
+/// - `Ok(None)` — the buffer holds a valid *prefix* of an envelope; read
+///   more bytes and try again (this is how torn reads stay harmless).
+/// - `Err(_)` — the bytes can never become a valid envelope.
+pub fn split_envelope(
+    buf: &[u8],
+    magic: u32,
+    max_payload: usize,
+) -> Result<Option<Split<'_>>, WireError> {
+    let head = &buf[..buf.len().min(4)];
+    if !magic.to_le_bytes().starts_with(head) {
+        let mut m = [0u8; 4];
+        m[..head.len()].copy_from_slice(head);
+        return Err(WireError::BadMagic(u32::from_le_bytes(m)));
+    }
+    if buf.len() < 9 {
+        return Ok(None);
+    }
+    let kind = buf[4];
+    let len = u32::from_le_bytes(buf[5..9].try_into().expect("4 bytes")) as usize;
+    if len > max_payload {
+        return Err(WireError::Oversize(len));
+    }
+    let total = ENVELOPE_OVERHEAD + len;
+    if buf.len() < total {
+        return Ok(None);
+    }
+    let claimed = u32::from_le_bytes(buf[9 + len..total].try_into().expect("4 bytes"));
+    let actual = crc32(&buf[4..9 + len]);
+    if claimed != actual {
+        return Err(WireError::BadChecksum {
+            expected: claimed,
+            actual,
+        });
+    }
+    Ok(Some((kind, &buf[9..9 + len], total)))
+}
+
 const KIND_DATA: u8 = 1;
 const KIND_ACK: u8 = 2;
 const KIND_PING: u8 = 3;
 const KIND_PONG: u8 = 4;
 
-fn msg_payload(msg: &WireMsg) -> Vec<u8> {
-    let mut p = Vec::with_capacity(20);
-    p.extend_from_slice(&msg.round.to_le_bytes());
-    p.extend_from_slice(&msg.client.to_le_bytes());
-    p.extend_from_slice(&msg.copy.to_le_bytes());
-    p.extend_from_slice(&msg.t_send_s.to_bits().to_le_bytes());
-    p
+fn encode_msg(kind: u8, msg: &WireMsg) -> Vec<u8> {
+    encode_envelope(
+        FRAME_MAGIC,
+        kind,
+        &[
+            &msg.round.to_le_bytes(),
+            &msg.client.to_le_bytes(),
+            &msg.copy.to_le_bytes(),
+            &msg.t_send_s.to_bits().to_le_bytes(),
+        ],
+    )
 }
 
 fn parse_msg(payload: &[u8]) -> Option<WireMsg> {
@@ -163,149 +239,147 @@ fn parse_msg(payload: &[u8]) -> Option<WireMsg> {
 
 /// Serialize one frame into its canonical byte layout.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let (kind, payload) = match frame {
-        Frame::Data(m) => (KIND_DATA, msg_payload(m)),
-        Frame::Ack(m) => (KIND_ACK, msg_payload(m)),
-        Frame::Ping(nonce) => (KIND_PING, nonce.to_le_bytes().to_vec()),
-        Frame::Pong(nonce) => (KIND_PONG, nonce.to_le_bytes().to_vec()),
-    };
-    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let crc = crc32(&out[4..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    match frame {
+        Frame::Data(m) => encode_msg(KIND_DATA, m),
+        Frame::Ack(m) => encode_msg(KIND_ACK, m),
+        Frame::Ping(nonce) => encode_envelope(FRAME_MAGIC, KIND_PING, &[&nonce.to_le_bytes()]),
+        Frame::Pong(nonce) => encode_envelope(FRAME_MAGIC, KIND_PONG, &[&nonce.to_le_bytes()]),
+    }
 }
 
-/// Try to decode one frame from the front of `buf`.
-///
-/// - `Ok(Some((frame, consumed)))` — a complete, checksummed frame; the
-///   caller should drain `consumed` bytes.
-/// - `Ok(None)` — the buffer holds a valid *prefix* of a frame; read more
-///   bytes and try again (this is how torn reads stay harmless).
-/// - `Err(_)` — the bytes can never become a valid frame; the connection
-///   (or file tail) is corrupt.
+/// Try to decode one frame from the front of `buf`, with the answers of
+/// [`split_envelope`]: `Ok(Some((frame, consumed)))`, `Ok(None)` for a
+/// valid prefix, `Err` for bytes that can never be a frame.
 pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
-    if buf.len() < 4 {
-        if FRAME_MAGIC.to_le_bytes().starts_with(buf) {
-            return Ok(None);
-        }
-        return Err(WireError::BadMagic(u32::from_le_bytes({
-            let mut m = [0u8; 4];
-            m[..buf.len()].copy_from_slice(buf);
-            m
-        })));
-    }
-    let magic = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-    if magic != FRAME_MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    if buf.len() < 9 {
+    let Some((kind, payload, consumed)) = split_envelope(buf, FRAME_MAGIC, MAX_PAYLOAD)? else {
         return Ok(None);
-    }
-    let kind = buf[4];
-    let len = u32::from_le_bytes(buf[5..9].try_into().expect("4 bytes")) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(WireError::Oversize(len));
-    }
-    let total = FRAME_OVERHEAD + len;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let claimed = u32::from_le_bytes(buf[9 + len..total].try_into().expect("4 bytes"));
-    let actual = crc32(&buf[4..9 + len]);
-    if claimed != actual {
-        return Err(WireError::BadChecksum {
-            expected: claimed,
-            actual,
-        });
-    }
-    let payload = &buf[9..9 + len];
+    };
+    let bad = || WireError::BadPayload {
+        kind,
+        len: payload.len(),
+    };
+    let nonce = || {
+        payload
+            .try_into()
+            .map(u64::from_le_bytes)
+            .map_err(|_| bad())
+    };
     let frame = match kind {
-        KIND_DATA => Frame::Data(parse_msg(payload).ok_or(WireError::BadPayload { kind, len })?),
-        KIND_ACK => Frame::Ack(parse_msg(payload).ok_or(WireError::BadPayload { kind, len })?),
-        KIND_PING => Frame::Ping(u64::from_le_bytes(
-            payload
-                .try_into()
-                .map_err(|_| WireError::BadPayload { kind, len })?,
-        )),
-        KIND_PONG => Frame::Pong(u64::from_le_bytes(
-            payload
-                .try_into()
-                .map_err(|_| WireError::BadPayload { kind, len })?,
-        )),
+        KIND_DATA => Frame::Data(parse_msg(payload).ok_or_else(bad)?),
+        KIND_ACK => Frame::Ack(parse_msg(payload).ok_or_else(bad)?),
+        KIND_PING => Frame::Ping(nonce()?),
+        KIND_PONG => Frame::Pong(nonce()?),
         other => return Err(WireError::UnknownKind(other)),
     };
-    Ok(Some((frame, total)))
+    Ok(Some((frame, consumed)))
+}
+
+/// What [`StreamDecoder::pull`] got from its source.
+#[derive(Debug, PartialEq)]
+pub enum Pulled<T> {
+    /// The next whole item, in stream order.
+    Item(T),
+    /// No whole item yet, and the read timed out, would block or was
+    /// interrupted.
+    Idle,
+    /// No whole item, and the source returned 0 bytes: a peer closed its
+    /// socket, or a reader reached the current end of a file.
+    End,
+}
+
+/// The one buffered decoder behind every stream reader: the socket
+/// [`FrameReader`], and the WAL's recovery scan and live tail in
+/// `bofl-control`. It accumulates reads, decodes whole items from the
+/// front of its buffer and drops the bytes they used; a torn read is
+/// just a prefix that waits for more bytes.
+#[derive(Debug, Default)]
+pub struct StreamDecoder {
+    buf: Vec<u8>,
+    /// Bytes at the front of `buf` already decoded.
+    used: usize,
+    /// Stream offset of `buf[0]`.
+    base: u64,
+}
+
+impl StreamDecoder {
+    /// Stream offset of the first byte not yet decoded: where the next
+    /// item starts.
+    pub fn offset(&self) -> u64 {
+        self.base + self.used as u64
+    }
+
+    /// Decode the next item with `decode` (called with the undecoded
+    /// bytes and their stream offset), reading from `src` until one is
+    /// whole or the source has nothing more. A decode error is returned
+    /// as is; what [`Pulled::End`] means is the caller's.
+    ///
+    /// # Errors
+    ///
+    /// `decode`'s error, or a read error other than a timeout, a would-
+    /// block or an interrupt.
+    pub fn pull<T, E: From<io::Error>>(
+        &mut self,
+        src: &mut impl io::Read,
+        decode: impl Fn(&[u8], u64) -> Result<Option<(T, usize)>, E>,
+    ) -> Result<Pulled<T>, E> {
+        loop {
+            if let Some((item, consumed)) = decode(&self.buf[self.used..], self.offset())? {
+                self.used += consumed;
+                return Ok(Pulled::Item(item));
+            }
+            self.base += self.used as u64;
+            self.buf.drain(..self.used);
+            self.used = 0;
+            let mut chunk = [0u8; 4096];
+            match src.read(&mut chunk) {
+                Ok(0) => return Ok(Pulled::End),
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    return Ok(Pulled::Idle)
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
 }
 
 /// An incremental frame reader over any [`io::Read`]: accumulates bytes
 /// across torn reads and yields complete frames. Read timeouts surface as
 /// `Ok(None)` from [`FrameReader::poll`], so a caller can interleave
 /// shutdown checks with blocking reads without ever desynchronizing.
-#[derive(Debug)]
-pub struct FrameReader {
-    buf: Vec<u8>,
-    scratch: [u8; 4096],
-}
+#[derive(Debug, Default)]
+pub struct FrameReader(StreamDecoder);
 
 impl FrameReader {
     /// An empty reader.
     pub fn new() -> Self {
-        FrameReader {
-            buf: Vec::new(),
-            scratch: [0u8; 4096],
-        }
+        FrameReader::default()
     }
 
-    /// If the buffer already holds a complete frame, pop it without
-    /// touching the socket.
-    pub(crate) fn pop(&mut self) -> Result<Option<Frame>, WireError> {
-        match decode_frame(&self.buf)? {
-            Some((frame, consumed)) => {
-                self.buf.drain(..consumed);
-                Ok(Some(frame))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Read once from `r` and try to pop a frame. Returns:
+    /// Read from `r` until a frame is whole or the read comes back empty.
+    /// Returns:
     ///
     /// - `Ok(Some(frame))` — a complete frame is available;
-    /// - `Ok(None)` — no complete frame yet (timeout, or a partial read);
+    /// - `Ok(None)` — no complete frame yet (a timeout or would-block);
     /// - `Err(WireError::Io)` with `ErrorKind::UnexpectedEof` — the peer
-    ///   closed the connection cleanly;
+    ///   closed the connection;
     /// - any other `Err` — corruption or a hard socket error.
     pub fn poll(&mut self, r: &mut impl io::Read) -> Result<Option<Frame>, WireError> {
-        if let Some(frame) = self.pop()? {
-            return Ok(Some(frame));
-        }
-        match r.read(&mut self.scratch) {
-            Ok(0) => Err(WireError::Io(io::Error::new(
+        match self.0.pull(r, |buf, _| decode_frame(buf))? {
+            Pulled::Item(frame) => Ok(Some(frame)),
+            Pulled::Idle => Ok(None),
+            Pulled::End => Err(WireError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "peer closed the connection",
             ))),
-            Ok(n) => {
-                self.buf.extend_from_slice(&self.scratch[..n]);
-                self.pop()
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(None),
-            Err(e) => Err(WireError::Io(e)),
         }
-    }
-}
-
-impl Default for FrameReader {
-    fn default() -> Self {
-        FrameReader::new()
     }
 }
 

@@ -2,8 +2,11 @@
 # The workspace's public surface and size, one row per crate:
 #
 #   pub    `pub` items under the crate's src/ (fn, struct, enum, trait,
-#          const, type, mod, static, use); `pub(crate)` and other
-#          restricted visibilities are not counted;
+#          const, type, mod, static, use), plus the items of every
+#          `pub trait` (its fns, types and consts, which carry no `pub`
+#          of their own, so moving a method between a trait and a type
+#          leaves the count alone); `pub(crate)` and other restricted
+#          visibilities are not counted;
 #   lines  Rust lines in the crate, src/ and tests/;
 #   test   of those, the lines in tests/ and in `#[cfg(test)]` items
 #          of src/ (found by brace depth);
@@ -41,6 +44,27 @@ cfg_test_lines() {
         END { print n + 0 }' "$@"
 }
 
+# Items declared directly inside `pub trait` blocks of the given files.
+pub_trait_items() {
+    [ $# -eq 0 ] && { echo 0; return; }
+    awk '
+        FNR == 1 { depth = 0; armed = 0; inside = 0 }
+        {
+            line = $0
+            gsub(/"([^"\\]|\\.)*"/, "", line)
+            gsub(/'"'"'[{}]'"'"'/, "", line)
+            sub(/\/\/.*/, "", line)
+            if (!inside && line ~ /^[[:space:]]*pub trait /) armed = 1
+            if (!armed && !inside) next
+            o = gsub(/\{/, "", line)
+            c = gsub(/\}/, "", line)
+            if (inside && depth == 1 && line ~ /^[[:space:]]*(unsafe )?(fn|type|const) /) n++
+            if (armed && o > 0) { armed = 0; inside = 1 }
+            if (inside) { depth += o - c; if (depth <= 0) { inside = 0; depth = 0 } }
+        }
+        END { print n + 0 }' "$@"
+}
+
 rs_files() { find "$@" -name '*.rs' -not -path '*/target/*' 2>/dev/null | sort; }
 
 count_lines() { [ $# -eq 0 ] && echo 0 || cat "$@" | wc -l; }
@@ -54,7 +78,7 @@ for dir in crates/*/; do
     name=$(sed -n 's/^name *= *"\(.*\)"/\1/p' "$dir/Cargo.toml" | head -1)
     mapfile -t src < <(rs_files "$dir/src")
     mapfile -t tst < <(rs_files "$dir/tests")
-    pub=$(cat "${src[@]}" | grep -cE "$PUB" || true)
+    pub=$(( $(cat "${src[@]}" | grep -cE "$PUB" || true) + $(pub_trait_items "${src[@]}") ))
     lines=$(( $(count_lines "${src[@]}") + $(count_lines "${tst[@]}") ))
     test=$(( $(cfg_test_lines "${src[@]}") + $(count_lines "${tst[@]}") ))
     row "$name" "$pub" "$lines" "$test" $((lines - test))
